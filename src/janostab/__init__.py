@@ -9,18 +9,14 @@ from .inequalities import (
     check_coeff_pair_inequality,
     check_coeff_positivity,
     check_weighted_pair_inequality,
-    weighted_pair_value,
 )
 from .janowski import (
     CoeffSequence,
     JanowskiParams,
-    coeff_convolution,
     coeff_recurrence,
-    coeff_sequence,
+    coeff_table,
     convolution_coeffs,
-    falling_factorial,
     janowski_series,
-    rising_factorial,
 )
 from .search import (
     SearchSpec,
@@ -55,7 +51,6 @@ from .subordination import (
     mobius_target,
     reference_disk_comparison,
     self_margin_at,
-    stability_defect,
     stability_ratio,
 )
 

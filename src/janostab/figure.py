@@ -53,7 +53,6 @@ def compute_figure_geometry(
     z0: complex,
     curve_angles: int = 1024,
     boundary_samples: int = 720,
-    steps: int = 64,
 ) -> FigureGeometry:
     """Build the figure geometry; raises BranchFailureError when the ratio
     is undefined somewhere along the curve or at the witness."""
@@ -66,13 +65,13 @@ def compute_figure_geometry(
         disk = disk_for(source, params, r)
         boundaries.append((source, disk.boundary_points(boundary_samples)))
     series = janowski_series(params, n)
-    L, failed, rho = circle_log_values(series, [r], curve_angles, steps=steps)
+    L, failed, rho = circle_log_values(series, [r], curve_angles)
     if bool(failed.any()):
         raise BranchFailureError("ratio curve hit a vanishing partial sum")
     theta = 2.0 * np.pi * np.arange(curve_angles) / curve_angles
     zs = rho[0] * np.exp(1j * theta)
     curve = (1.0 + params.B * zs) / (1.0 + params.A * zs) * np.exp(L[0] / params.lam)
-    point = stability_ratio(params, n, z0, steps=steps)
+    point = stability_ratio(params, n, z0)
     return FigureGeometry(tuple(boundaries), curve, complex(point))
 
 

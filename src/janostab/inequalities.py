@@ -1,11 +1,13 @@
 """Grid verification of coefficient positivity and related inequalities.
 
 Every check sweeps a parameter grid, evaluates one scalar quantity per grid
-cell, and reports cells where it drops below ``-tol``.  The margin
-convention is uniform: the checked quantity must stay >= -tol, and
-``min_margin`` is its raw minimum over the whole grid.  Reports are
-deterministic: the same grid always produces the same report, with
-violations listed lexicographically by (A, B, lambda) and then by indices.
+cell, and reports cells where it drops below ``-tol``.  The grid checks
+read their coefficients from one vectorized recurrence call over all kept
+points.  The margin convention is uniform: the checked quantity must stay
+>= -tol, and ``min_margin`` is its raw minimum over the whole grid.
+Reports are deterministic: the same grid always produces the same report,
+with violations listed lexicographically by (A, B, lambda) and then by
+indices.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .janowski import (
     JanowskiParams,
     _falling_over_factorial,
     _rising_over_factorial,
-    coeff_recurrence,
+    coeff_table,
 )
 
 __all__ = [
@@ -30,7 +32,6 @@ __all__ = [
     "check_coeff_pair_inequality",
     "check_coeff_positivity",
     "check_weighted_pair_inequality",
-    "weighted_pair_value",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -144,20 +145,29 @@ class InequalityReport:
         }
 
 
+def _grid_table(grid: GridSpec, n_max: int):
+    """Kept points in ``iter_params`` order, their B values as a column, and
+    their coefficient rows a_0..a_n_max."""
+    points = list(grid.iter_params())
+    a, b, lam = (np.array([getattr(p, k) for p in points], dtype=float) for k in ("A", "B", "lam"))
+    return points, b[:, None], coeff_table(a, b, lam, n_max)
+
+
+def _table_report(points, vals: np.ndarray, n_offset: int, tol: float) -> InequalityReport:
+    """Report on a points x n table; column j holds order j + ``n_offset``."""
+    violations = tuple(
+        InequalityViolation(
+            points[i].A, points[i].B, points[i].lam, int(j) + n_offset, None, float(vals[i, j])
+        )
+        for i, j in zip(*np.nonzero(vals <= -tol))
+    )
+    return InequalityReport(vals.size, violations, float(vals.min()) if vals.size else np.inf)
+
+
 def check_coeff_positivity(grid: GridSpec, tol: float = DEFAULT_TOL) -> InequalityReport:
     """All coefficients a_n must be positive on the grid (n = 0..n_max)."""
-    checked = 0
-    violations = []
-    min_margin = np.inf
-    for params in grid.iter_params():
-        a = coeff_recurrence(params, grid.n_max).values
-        checked += a.size
-        min_margin = min(min_margin, float(a.min()))
-        for n in np.flatnonzero(a <= -tol):
-            violations.append(
-                InequalityViolation(params.A, params.B, params.lam, int(n), None, float(a[n]))
-            )
-    return InequalityReport(checked, tuple(violations), float(min_margin))
+    points, _, a = _grid_table(grid, grid.n_max)
+    return _table_report(points, a, 0, tol)
 
 
 def check_alternating_identity(
@@ -190,23 +200,10 @@ def check_coeff_pair_inequality(
     This is the z**n coefficient of (1+Bz) * d/dz of the series, whose
     closed form has positive coefficients throughout the kept range.
     """
-    checked = 0
-    violations = []
-    min_margin = np.inf
-    for params in grid.iter_params():
-        a = coeff_recurrence(params, grid.n_max).values
-        n = np.arange(1, grid.n_max)
-        vals = (n + 1) * a[2:] + params.B * n * a[1:-1]
-        checked += vals.size
-        if vals.size:
-            min_margin = min(min_margin, float(vals.min()))
-        for i in np.flatnonzero(vals <= -tol):
-            violations.append(
-                InequalityViolation(
-                    params.A, params.B, params.lam, int(i) + 1, None, float(vals[i])
-                )
-            )
-    return InequalityReport(checked, tuple(violations), float(min_margin))
+    points, b, a = _grid_table(grid, grid.n_max)
+    n = np.arange(1, grid.n_max)
+    vals = (n + 1) * a[:, 2:] + b * n * a[:, 1:-1]
+    return _table_report(points, vals, 1, tol)
 
 
 def check_weighted_pair_inequality(
@@ -216,19 +213,21 @@ def check_weighted_pair_inequality(
 
     Decomposes as m*((n+1)a_{n+1} + B*n*a_n) + (n+1)a_{n+1}, so positivity
     of the pair inequality together with coefficient positivity implies it.
+    The (m, n) block is built one point at a time, which keeps memory at
+    one block instead of points x (m_max+1) x n_max.
     """
+    points, _, table = _grid_table(grid, grid.n_max + 1)
     checked = 0
     violations = []
     min_margin = np.inf
     m = np.arange(grid.m_max + 1)[:, None]
-    for params in grid.iter_params():
-        a = coeff_recurrence(params, grid.n_max + 1).values
-        n = np.arange(1, grid.n_max + 1)[None, :]
-        a_next = a[2 : grid.n_max + 2][None, :]
-        a_cur = a[1 : grid.n_max + 1][None, :]
-        vals = (m + 1) * (n + 1) * a_next + params.B * m * n * a_cur
+    n = np.arange(1, grid.n_max + 1)[None, :]
+    weight = (m + 1) * (n + 1)
+    for params, a in zip(points, table):
+        vals = weight * a[2:] + params.B * m * n * a[1:-1]
         checked += vals.size
-        min_margin = min(min_margin, float(vals.min()))
+        if vals.size:
+            min_margin = min(min_margin, float(vals.min()))
         bad_m, bad_n = np.nonzero(vals <= -tol)
         for i, j in zip(bad_m, bad_n):
             violations.append(
@@ -242,25 +241,3 @@ def check_weighted_pair_inequality(
                 )
             )
     return InequalityReport(checked, tuple(violations), float(min_margin))
-
-
-def weighted_pair_value(
-    params: JanowskiParams, m: int, n: int, literal_b_powers: bool = False
-) -> float:
-    """The weighted pair quantity for one (m, n).
-
-    With ``literal_b_powers`` the convolution sums are taken with plain
-    B**(n-k) powers instead of the (-B)**(n-k) coefficient convention,
-    giving (m+1)(n+1)*S_{n+1} - m*n*S_n.  That variant is exposed for
-    comparison only and carries no pass/fail contract (for B < 0 the two
-    conventions differ in sign pattern).
-    """
-    if m < 0 or n < 1:
-        raise ValueError("need m >= 0 and n >= 1")
-    if literal_b_powers:
-        p = _falling_over_factorial(params.lam, params.A, n + 1)
-        q = _rising_over_factorial(params.lam, params.B, n + 1)
-        s = np.convolve(p, q)[: n + 2]
-        return float((m + 1) * (n + 1) * s[n + 1] - m * n * s[n])
-    a = coeff_recurrence(params, n + 1).values
-    return float((m + 1) * (n + 1) * a[n + 1] + params.B * m * n * a[n])

@@ -7,9 +7,9 @@ function satisfies, which gives the three-term relation
 
     (n+1) a_{n+1} = (lam*(A-B) - (A+B)*n) a_n - A*B*(n-1) a_{n-1}.
 
-The recurrence is the production method; the convolution is retained as a
-cross-validation oracle (the two must agree to ~1e-10 relative for the
-parameter ranges in scope).
+The recurrence is the production method and runs vectorized over whole
+parameter grids; the convolution is retained as a cross-validation oracle
+(the two must agree to ~1e-10 relative for the parameter ranges in scope).
 """
 
 from __future__ import annotations
@@ -23,16 +23,11 @@ from .series import TruncatedSeries
 __all__ = [
     "CoeffSequence",
     "JanowskiParams",
-    "coeff_convolution",
     "coeff_recurrence",
-    "coeff_sequence",
+    "coeff_table",
     "convolution_coeffs",
-    "falling_factorial",
     "janowski_series",
-    "rising_factorial",
 ]
-
-METHODS = ("convolution", "recurrence")
 
 
 @dataclass(frozen=True)
@@ -66,26 +61,6 @@ class JanowskiParams:
         return {"A": self.A, "B": self.B, "lambda": self.lam}
 
 
-def falling_factorial(lam: float, k: int) -> float:
-    """lam*(lam-1)*...*(lam-k+1); empty product 1 for k = 0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = 1.0
-    for j in range(k):
-        out *= lam - j
-    return out
-
-
-def rising_factorial(lam: float, k: int) -> float:
-    """lam*(lam+1)*...*(lam+k-1); empty product 1 for k = 0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = 1.0
-    for j in range(k):
-        out *= lam + j
-    return out
-
-
 def _falling_over_factorial(lam: float, c: float, n_max: int) -> np.ndarray:
     """Array of binom(lam, k) * c**k for k = 0..n_max via ratio recurrence."""
     if n_max == 0:
@@ -116,18 +91,12 @@ def convolution_coeffs(params: JanowskiParams, n_max: int) -> np.ndarray:
     return np.convolve(p, q)[: n_max + 1]
 
 
-def coeff_convolution(params: JanowskiParams, n: int) -> float:
-    """Single coefficient a_n by the convolution formula."""
-    return float(convolution_coeffs(params, n)[n])
-
-
 @dataclass(frozen=True)
 class CoeffSequence:
-    """Real coefficients a_0..a_N with the parameters and method recorded."""
+    """Real coefficients a_0..a_N with the parameters recorded."""
 
     values: np.ndarray
     params: JanowskiParams
-    method: str
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -137,8 +106,6 @@ class CoeffSequence:
             raise ValueError("a_0 must be exactly 1")
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficients must be finite")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -148,36 +115,31 @@ class CoeffSequence:
         return self.values.size - 1
 
 
-def coeff_recurrence(params: JanowskiParams, n_max: int) -> CoeffSequence:
-    """Coefficients a_0..a_n_max by the three-term recurrence."""
+def coeff_table(a, b, lam, n_max: int) -> np.ndarray:
+    """Coefficients a_0..a_n_max by the three-term recurrence, for many
+    parameter points at once.
+
+    ``a``, ``b`` and ``lam`` are floats or equal-length 1-D arrays.  Row i of
+    the result holds the coefficients of point i (a 1-D array for floats);
+    each row is bit-identical to the recurrence run for that point alone.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    a_coef, b_coef, lam = params.A, params.B, params.lam
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = lam * (a_coef - b_coef)
-    lead = lam * (a_coef - b_coef)
-    s = a_coef + b_coef
-    p = a_coef * b_coef
+    lead = lam * (a - b)
+    s = a + b
+    p = a * b
+    rows = [lead**0, lead]  # a_0 = 1 and a_1, in the shape of the parameters
     for n in range(1, n_max):
-        out[n + 1] = ((lead - s * n) * out[n] - p * (n - 1) * out[n - 1]) / (n + 1)
-    return CoeffSequence(out, params, "recurrence")
+        rows.append(((lead - s * n) * rows[n] - p * (n - 1) * rows[n - 1]) / (n + 1))
+    return np.array(rows[: n_max + 1]).T
 
 
-def coeff_sequence(
-    params: JanowskiParams, n_max: int, method: str = "recurrence"
-) -> CoeffSequence:
-    """Coefficient sequence by either method."""
-    if method == "recurrence":
-        return coeff_recurrence(params, n_max)
-    if method == "convolution":
-        return CoeffSequence(convolution_coeffs(params, n_max), params, "convolution")
-    raise ValueError(f"method must be one of {METHODS}")
+def coeff_recurrence(params: JanowskiParams, n_max: int) -> CoeffSequence:
+    """Coefficients a_0..a_n_max of one parameter point (one row of
+    :func:`coeff_table`)."""
+    return CoeffSequence(coeff_table(params.A, params.B, params.lam, n_max), params)
 
 
-def janowski_series(
-    params: JanowskiParams, order: int, method: str = "recurrence"
-) -> TruncatedSeries:
+def janowski_series(params: JanowskiParams, order: int) -> TruncatedSeries:
     """The coefficient sequence lifted to a truncated series."""
-    return TruncatedSeries(coeff_sequence(params, order, method).values)
+    return TruncatedSeries(coeff_recurrence(params, order).values)

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .janowski import JanowskiParams, janowski_series
-from .series import (
-    DEFAULT_EPS_ZERO,
-    DEFAULT_RAY_STEPS,
-    TruncatedSeries,
-    circle_log_values,
-    ray_log_values,
-)
-from .subordination import DiskSpec, _mobius_power_margins, disk_for
+from .series import TruncatedSeries, circle_log_values, ray_log_values
+from .subordination import POLE_EPS, DiskSpec, _mobius_power_margins, disk_for
 
 __all__ = [
     "SWEEP_CSV_HEADER",
@@ -68,7 +62,6 @@ class SearchSpec:
     refine_iters: int = 16
     disk_source: str = "mobius_image"
     target: str = "self"
-    steps: int = DEFAULT_RAY_STEPS
 
     def __post_init__(self):
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
@@ -140,12 +133,6 @@ class SweepCell:
         ]
 
 
-def _target_disk(spec_target: str, disk_source: str, params: JanowskiParams, r: float) -> DiskSpec:
-    if spec_target == "base":
-        return DiskSpec(1.0 + 0.0j, abs(params.B))
-    return disk_for(disk_source, params, r)
-
-
 def _coarse_scan(
     series: TruncatedSeries,
     params: JanowskiParams,
@@ -153,12 +140,10 @@ def _coarse_scan(
     r: float,
     n_radii: int,
     n_angles: int,
-    steps: int,
-    eps_zero: float = DEFAULT_EPS_ZERO,
 ):
     """Margins, ratio values and sample points on the coarse polar grid."""
     radii = [(j + 1) * r / n_radii for j in range(n_radii)]
-    L, failed, rho = circle_log_values(series, radii, n_angles, steps=steps, eps_zero=eps_zero)
+    L, failed, rho = circle_log_values(series, radii, n_angles)
     theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
     zs = rho[:, None] * np.exp(1j * theta)[None, :]
     margins, vals, pole = _mobius_power_margins(
@@ -169,15 +154,21 @@ def _coarse_scan(
     return margins, vals, zs, int(bad.sum()), margins.size
 
 
-def _margin_fn(series, params, disk, steps, eps_zero=DEFAULT_EPS_ZERO):
-    """Scalar margin closure used by refinement."""
+def _margin_fn(series, params, disk):
+    """Scalar margin closure used by refinement.
+
+    It keeps its own exp(L / lam) rather than the exp((1 / lam) * L) of
+    ``stability_ratio``: the two round differently, and the latter moves the
+    last digits of 9 of the 24 rows of ``search --A-values -0.3,-0.6
+    --B-values -0.9,-0.7 --lambda-values 0.4,0.8 --n-values 1,2,4 --r 0.95``.
+    """
 
     def margin_at(z: complex):
-        L, failed = ray_log_values(series, np.asarray(z), steps=steps, eps_zero=eps_zero)
+        L, failed = ray_log_values(series, np.asarray(z))
         if bool(failed):
             return None, None
         den = 1.0 + params.A * z
-        if abs(den) < 1e-12:
+        if abs(den) < POLE_EPS:
             return None, None
         ratio = (1.0 + params.B * z) / den * complex(np.exp(complex(L) / params.lam))
         return disk.margin(ratio), ratio
@@ -215,55 +206,70 @@ def _refine(margin_at, z_start: complex, r_limit: float, step_r: float, step_t: 
     return history
 
 
+def _search_cell(
+    params: JanowskiParams,
+    n: int,
+    disk: DiskSpec,
+    r: float,
+    coarse_radii: int,
+    coarse_angles: int,
+    refine_iters: int,
+):
+    """Coarse scan of |z| <= r for one (params, n) cell, then refinement
+    from the best coarse sample.
+
+    Returns the flattened coarse margins (NaN where a sample failed), ratios
+    and points, the index of the best coarse sample, and the refined
+    (margin, z, ratio), or None when refinement did not run.  More than half
+    of the samples failing is treated as an error rather than a silently
+    shrunken search region.
+    """
+    series = janowski_series(params, n)
+    margins, vals, zs, failures, total = _coarse_scan(
+        series, params, disk, r, coarse_radii, coarse_angles
+    )
+    if failures * 2 > total:
+        raise RuntimeError(f"{failures} of {total} samples failed branch continuation")
+    margins, vals, zs = margins.ravel(), vals.ravel(), zs.ravel()
+    finite = np.isfinite(margins)
+    best = int(np.argmax(np.where(finite, margins, -np.inf)))
+    refined = None
+    if finite.any() and refine_iters > 0:
+        history = _refine(
+            _margin_fn(series, params, disk),
+            complex(zs[best]),
+            r,
+            r / coarse_radii,
+            2.0 * np.pi / coarse_angles,
+            refine_iters,
+        )
+        refined = history[-1] if history else None
+    return margins, vals, zs, best, refined
+
+
 def find_self_stability_violation(spec: SearchSpec) -> list:
     """Scan |z| <= r for strictly positive margins, refine the best point,
     and return every violation found sorted by descending margin.
 
-    Branch-failure samples are skipped; more than half of them failing is
-    treated as an error rather than a silently shrunken search region.
+    Branch-failure samples are skipped; more than half of them failing
+    raises ``RuntimeError``.
     """
-    disk_cache = {}
+    if spec.target == "base":
+        disk = DiskSpec(1.0 + 0.0j, abs(spec.params.B))
+    else:
+        disk = disk_for(spec.disk_source, spec.params, spec.r)
     violations = []
     for n in spec.n_values:
-        disk = _target_disk(spec.target, spec.disk_source, spec.params, spec.r)
-        disk_cache[n] = disk
-        series = janowski_series(spec.params, n)
-        margins, vals, zs, failures, total = _coarse_scan(
-            series, spec.params, disk, spec.r, spec.coarse_radii, spec.coarse_angles, spec.steps
+        margins, vals, zs, _, refined = _search_cell(
+            spec.params, n, disk, spec.r, spec.coarse_radii, spec.coarse_angles, spec.refine_iters
         )
-        if failures * 2 > total:
-            raise RuntimeError(
-                f"{failures} of {total} samples failed branch continuation"
-            )
-        flat_m = margins.ravel()
-        flat_z = zs.ravel()
-        flat_v = vals.ravel()
         seen = {}
-        for k in np.flatnonzero(np.isfinite(flat_m) & (flat_m > 0.0)):
-            z = complex(flat_z[k])
-            ratio = complex(flat_v[k])
-            seen[z] = Violation(
-                spec.params, n, z, ratio, disk, float(abs(ratio - disk.center) - disk.radius)
-            )
-        finite = np.isfinite(flat_m)
-        if finite.any() and spec.refine_iters > 0:
-            k_best = int(np.nanargmax(np.where(finite, flat_m, -np.inf)))
-            margin_at = _margin_fn(series, spec.params, disk, spec.steps)
-            history = _refine(
-                margin_at,
-                complex(flat_z[k_best]),
-                spec.r,
-                spec.r / spec.coarse_radii,
-                2.0 * np.pi / spec.coarse_angles,
-                spec.refine_iters,
-            )
-            if history:
-                margin, z, ratio = history[-1]
-                if margin > 0.0:
-                    seen[z] = Violation(
-                        spec.params, n, z, ratio, disk,
-                        float(abs(ratio - disk.center) - disk.radius),
-                    )
+        for k in np.flatnonzero(np.isfinite(margins) & (margins > 0.0)):
+            z, ratio = complex(zs[k]), complex(vals[k])
+            seen[z] = Violation(spec.params, n, z, ratio, disk, disk.margin(ratio))
+        if refined is not None and refined[0] > 0.0:
+            margin, z, ratio = refined
+            seen[z] = Violation(spec.params, n, z, ratio, disk, margin)
         violations.extend(seen.values())
     violations.sort(key=lambda v: (-v.margin, v.z.real, v.z.imag, v.n))
     return violations
@@ -279,7 +285,6 @@ def sweep_parameter_grid(
     coarse_angles: int = 256,
     refine_iters: int = 8,
     disk_source: str = "mobius_image",
-    steps: int = DEFAULT_RAY_STEPS,
 ) -> list:
     """Best self-stability margin per (A, B, lambda, n) cell.
 
@@ -311,36 +316,11 @@ def sweep_parameter_grid(
                 params = JanowskiParams(a, b, lam)
                 disk = disk_for(disk_source, params, r)
                 for n in n_values:
-                    series = janowski_series(params, n)
-                    margins, vals, zs, failures, total = _coarse_scan(
-                        series, params, disk, r, coarse_radii, coarse_angles, steps
+                    margins, vals, zs, k, refined = _search_cell(
+                        params, n, disk, r, coarse_radii, coarse_angles, refine_iters
                     )
-                    if failures * 2 > total:
-                        raise RuntimeError(
-                            f"{failures} of {total} samples failed branch continuation"
-                        )
-                    flat_m = margins.ravel()
-                    finite = np.isfinite(flat_m)
-                    k = int(np.nanargmax(np.where(finite, flat_m, -np.inf)))
-                    best_z = complex(zs.ravel()[k])
-                    best_ratio = complex(vals.ravel()[k])
-                    best_margin = float(flat_m[k])
-                    if refine_iters > 0:
-                        margin_at = _margin_fn(series, params, disk, steps)
-                        history = _refine(
-                            margin_at,
-                            best_z,
-                            r,
-                            r / coarse_radii,
-                            2.0 * np.pi / coarse_angles,
-                            refine_iters,
-                        )
-                        if history and history[-1][0] > best_margin:
-                            best_margin, best_z, best_ratio = history[-1]
-                            best_margin = float(
-                                abs(best_ratio - disk.center) - disk.radius
-                            )
-                    cells.append(
-                        SweepCell(params, n, best_margin, best_z, best_ratio, disk, disk_source)
-                    )
+                    best = (float(margins[k]), complex(zs[k]), complex(vals[k]))
+                    if refined is not None and refined[0] > best[0]:
+                        best = refined
+                    cells.append(SweepCell(params, n, *best, disk, disk_source))
     return cells

@@ -32,11 +32,11 @@ __all__ = [
 ]
 
 DEFAULT_RAY_STEPS = 64
-DEFAULT_EPS_ZERO = 1e-12
+EPS_ZERO = 1e-12
 
 
 class BranchFailureError(ArithmeticError):
-    """The tracked value came within ``eps_zero`` of 0, so the continuous
+    """The tracked value came within ``EPS_ZERO`` of 0, so the continuous
     logarithm (and any power built from it) is undefined along the ray."""
 
 
@@ -157,26 +157,21 @@ def _polyval_grid(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def ray_log_values(
-    f: TruncatedSeries,
-    targets: np.ndarray,
-    steps: int = DEFAULT_RAY_STEPS,
-    eps_zero: float = DEFAULT_EPS_ZERO,
-):
+def ray_log_values(f: TruncatedSeries, targets: np.ndarray, steps: int = DEFAULT_RAY_STEPS):
     """Continuous logarithm of ``f`` along straight rays from 0 to each target.
 
     Samples each ray at ``steps + 1`` points (including the origin), unwraps
     the phase radially, and returns ``(L, failed)`` where ``L`` has the shape
     of ``targets`` and ``exp(L) == f(target)`` on the branch continued from
     the origin.  ``failed`` marks rays on which some sample had modulus below
-    ``eps_zero``; the corresponding entries of ``L`` are NaN.
+    ``EPS_ZERO``; the corresponding entries of ``L`` are NaN.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     targets = np.asarray(targets, dtype=np.complex128)
     t = np.linspace(0.0, 1.0, steps + 1).reshape((-1,) + (1,) * targets.ndim)
     vals = _polyval_grid(f.coeffs, t * targets)
-    failed = (np.abs(vals) < eps_zero).any(axis=0)
+    failed = (np.abs(vals) < EPS_ZERO).any(axis=0)
     phase = np.unwrap(np.angle(vals), axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         L = np.log(np.abs(vals[-1])) + 1j * phase[-1]
@@ -185,13 +180,7 @@ def ray_log_values(
     return L, failed
 
 
-def circle_log_values(
-    f: TruncatedSeries,
-    radii,
-    num_angles: int,
-    steps: int = DEFAULT_RAY_STEPS,
-    eps_zero: float = DEFAULT_EPS_ZERO,
-):
+def circle_log_values(f: TruncatedSeries, radii, num_angles: int, steps: int = DEFAULT_RAY_STEPS):
     """Ray-continued logarithm of ``f`` on full equispaced circles.
 
     The circles share one polar grid: every ray runs from the origin to the
@@ -228,7 +217,7 @@ def circle_log_values(
         theta = 2.0 * np.pi * np.arange(num_angles) / num_angles
         ring = np.exp(1j * theta)
         vals = _polyval_grid(f.coeffs, rho[:, None] * ring[None, :])
-    small = np.abs(vals) < eps_zero
+    small = np.abs(vals) < EPS_ZERO
     failed_below = np.logical_or.accumulate(small, axis=0)
     phase = np.unwrap(np.angle(vals), axis=0)
     rows = [int(np.searchsorted(frac_arr, w)) for w in want]
@@ -241,25 +230,21 @@ def circle_log_values(
 
 
 def real_power_on_ray(
-    f: TruncatedSeries,
-    exponent: float,
-    z,
-    steps: int = DEFAULT_RAY_STEPS,
-    eps_zero: float = DEFAULT_EPS_ZERO,
+    f: TruncatedSeries, exponent: float, z, steps: int = DEFAULT_RAY_STEPS
 ) -> complex:
     """Analytic branch of ``f(z) ** exponent`` continued along the ray 0 -> z.
 
     Requires ``f.coeffs[0] == 1`` so the branch is the one with value 1 at
     the origin.  Raises :class:`BranchFailureError` when the polynomial
-    comes within ``eps_zero`` of 0 at any ray sample, which signals the
+    comes within ``EPS_ZERO`` of 0 at any ray sample, which signals the
     power is undefined there.
     """
     if abs(complex(f.coeffs[0]) - 1.0) > 1e-9:
         raise ValueError("constant term must be 1 for a normalized power")
     z = _require_finite_scalar(z, "z")
-    L, failed = ray_log_values(f, np.asarray(z), steps=steps, eps_zero=eps_zero)
+    L, failed = ray_log_values(f, np.asarray(z), steps=steps)
     if bool(failed):
         raise BranchFailureError(
-            f"series value vanished (|value| < {eps_zero:g}) on the ray to {z!r}"
+            f"series value vanished (|value| < {EPS_ZERO:g}) on the ray to {z!r}"
         )
     return complex(np.exp(exponent * complex(L)))

@@ -29,7 +29,6 @@ import numpy as np
 from .inequalities import InequalityReport, InequalityViolation
 from .janowski import JanowskiParams, janowski_series
 from .series import (
-    DEFAULT_EPS_ZERO,
     DEFAULT_RAY_STEPS,
     TruncatedSeries,
     circle_log_values,
@@ -55,12 +54,12 @@ __all__ = [
     "mobius_target",
     "reference_disk_comparison",
     "self_margin_at",
-    "stability_defect",
     "stability_ratio",
 ]
 
 DEFAULT_TOL = 1e-6
 POLE_EPS = 1e-12
+FD_STEP = 1e-6  # central-difference step of the defect-derivative check
 DISK_SOURCES = ("closed_form", "mobius_image")
 
 
@@ -280,13 +279,7 @@ def reference_disk_comparison(params: JanowskiParams, r: float) -> dict:
 
 # --- pointwise values --------------------------------------------------------
 
-def stability_ratio(
-    params: JanowskiParams,
-    n: int,
-    z,
-    steps: int = DEFAULT_RAY_STEPS,
-    eps_zero: float = DEFAULT_EPS_ZERO,
-) -> complex:
+def stability_ratio(params: JanowskiParams, n: int, z, steps: int = DEFAULT_RAY_STEPS) -> complex:
     """(1+Bz) * s_n(v, z)**(1/lam) / (1+Az) on the ray-continued branch.
 
     This is the (1/lam)-power of s_n(v)/v; its value at 0 is exactly 1.
@@ -300,28 +293,12 @@ def stability_ratio(
     if abs(den) < POLE_EPS:
         raise PoleError(f"z={z!r} is within {POLE_EPS:g} of the pole -1/A")
     s = janowski_series(params, n)
-    power = real_power_on_ray(s, 1.0 / params.lam, z, steps=steps, eps_zero=eps_zero)
+    power = real_power_on_ray(s, 1.0 / params.lam, z, steps=steps)
     return (1.0 + params.B * z) / den * power
 
 
-def stability_defect(
-    params: JanowskiParams,
-    n: int,
-    z,
-    steps: int = DEFAULT_RAY_STEPS,
-    eps_zero: float = DEFAULT_EPS_ZERO,
-) -> complex:
-    """1 minus the stability ratio (same code path, so exactly 1 - ratio)."""
-    return 1.0 - stability_ratio(params, n, z, steps=steps, eps_zero=eps_zero)
-
-
 def self_margin_at(
-    params: JanowskiParams,
-    n: int,
-    z,
-    r: float,
-    disk_source: str = "mobius_image",
-    steps: int = DEFAULT_RAY_STEPS,
+    params: JanowskiParams, n: int, z, r: float, disk_source: str = "mobius_image"
 ):
     """Margin of the stability ratio at one probe point against the
     self-stability target disk for |z| <= r.
@@ -330,7 +307,7 @@ def self_margin_at(
     subordination violation.
     """
     disk = disk_for(disk_source, params, r)
-    ratio = stability_ratio(params, n, z, steps=steps)
+    ratio = stability_ratio(params, n, z)
     return disk.margin(ratio), ratio, disk
 
 
@@ -367,8 +344,7 @@ def _sweep_margins(
     circle_radii: Sequence[float],
     points_per_circle: int,
     extra_points: Sequence[complex],
-    steps: int,
-    eps_zero: float,
+    steps: int = DEFAULT_RAY_STEPS,
 ):
     """Worst disk margin of the powered Mobius ratio over circles and
     explicit points.  Returns (worst_margin, worst_point, any_failed)."""
@@ -376,9 +352,7 @@ def _sweep_margins(
     point_chunks = []
     any_failed = False
     if circle_radii:
-        L, failed, rho = circle_log_values(
-            series, circle_radii, points_per_circle, steps=steps, eps_zero=eps_zero
-        )
+        L, failed, rho = circle_log_values(series, circle_radii, points_per_circle, steps=steps)
         theta = 2.0 * np.pi * np.arange(points_per_circle) / points_per_circle
         zs = rho[:, None] * np.exp(1j * theta)[None, :]
         margins, _, pole = _mobius_power_margins(L, zs, exponent, a_coef, b_coef, disk)
@@ -388,7 +362,7 @@ def _sweep_margins(
         point_chunks.append(zs.ravel())
     if extra_points:
         targets = np.array([complex(z) for z in extra_points])
-        L, failed = ray_log_values(series, targets, steps=steps, eps_zero=eps_zero)
+        L, failed = ray_log_values(series, targets, steps=steps)
         margins, _, pole = _mobius_power_margins(
             L, targets, exponent, a_coef, b_coef, disk
         )
@@ -418,7 +392,6 @@ def check_stability_vs_base(
     grid: Optional[SampleGrid] = None,
     tol: float = DEFAULT_TOL,
     steps: int = DEFAULT_RAY_STEPS,
-    eps_zero: float = DEFAULT_EPS_ZERO,
     allow_outside: bool = False,
 ) -> StabilityReport:
     """Check |ratio(z) - 1| <= |B| over the grid, the criterion for the
@@ -447,7 +420,6 @@ def check_stability_vs_base(
         grid.points_per_circle,
         grid.extra_points,
         steps,
-        eps_zero,
     )
     return StabilityReport(
         verdict=_verdict(worst, failed, tol),
@@ -469,7 +441,6 @@ def check_stability_vs_self(
     disk_source: str = "mobius_image",
     tol: float = DEFAULT_TOL,
     steps: int = DEFAULT_RAY_STEPS,
-    eps_zero: float = DEFAULT_EPS_ZERO,
 ) -> StabilityReport:
     """Check whether the ratio maps |z| <= r into the image of |z| <= r
     under the Mobius target, the criterion for self-subordination.
@@ -497,7 +468,6 @@ def check_stability_vs_self(
         grid.points_per_circle,
         grid.extra_points,
         steps,
-        eps_zero,
     )
     return StabilityReport(
         verdict=_verdict(worst, failed, tol),
@@ -519,8 +489,6 @@ def check_cross_order_stability(
     n: int,
     grid: Optional[SampleGrid] = None,
     tol: float = DEFAULT_TOL,
-    steps: int = DEFAULT_RAY_STEPS,
-    eps_zero: float = DEFAULT_EPS_ZERO,
 ) -> StabilityReport:
     """Partial sums of the order-mu A=0 member against the order-lam base:
     |(1+Bz) * s_n(v_mu)(z)**(1/lam) - 1| must stay within |B|.
@@ -548,8 +516,6 @@ def check_cross_order_stability(
         grid.radii,
         grid.points_per_circle,
         grid.extra_points,
-        steps,
-        eps_zero,
     )
     return StabilityReport(
         verdict=_verdict(worst, failed, tol),
@@ -566,15 +532,9 @@ def check_cross_order_stability(
 
 # --- defect-derivative bound ---------------------------------------------------
 
-def _defect_values(
-    series: TruncatedSeries,
-    params: JanowskiParams,
-    targets: np.ndarray,
-    steps: int,
-    eps_zero: float,
-):
+def _defect_values(series: TruncatedSeries, params: JanowskiParams, targets: np.ndarray):
     """Vectorized defect 1 - ratio over an array of points."""
-    L, failed = ray_log_values(series, targets, steps=steps, eps_zero=eps_zero)
+    L, failed = ray_log_values(series, targets)
     den = 1.0 + params.A * targets
     pole = np.abs(den) < POLE_EPS
     with np.errstate(invalid="ignore", over="ignore"):
@@ -584,13 +544,11 @@ def _defect_values(
     return vals, failed | pole
 
 
-def _real_axis_slope(series, params, x: float, steps: int, eps_zero: float) -> float:
+def _real_axis_slope(series, params, x: float) -> float:
     """Defect derivative at a real point by a complex step, which avoids
     subtractive cancellation (the defect is real on [0, 1) in range)."""
     h = 1e-100
-    vals, failed = _defect_values(
-        series, params, np.asarray(complex(x, h)), steps, eps_zero
-    )
+    vals, failed = _defect_values(series, params, np.asarray(complex(x, h)))
     if bool(failed):
         raise ValueError(f"defect undefined at real point {x!r}")
     return float(np.imag(vals)) / h
@@ -601,15 +559,12 @@ def check_derivative_modulus_bound(
     n: int,
     grid: Optional[SampleGrid] = None,
     tol: float = DEFAULT_TOL,
-    fd_step: float = 1e-6,
-    steps: int = DEFAULT_RAY_STEPS,
-    eps_zero: float = DEFAULT_EPS_ZERO,
     allow_outside: bool = False,
 ) -> InequalityReport:
     """Check |d'(z)| <= d'(|z|) for the stability defect d = 1 - ratio.
 
     d' at complex points comes from a central difference with real step
-    ``fd_step``; d' at the real point |z| from a complex step.  The checked
+    ``FD_STEP``; d' at the real point |z| from a complex step.  The checked
     quantity is d'(|z|) - |d'(z)|, which must stay >= -tol.
     """
     if n < 1:
@@ -627,11 +582,11 @@ def check_derivative_modulus_bound(
 
     def scan(points: np.ndarray, slopes: np.ndarray):
         nonlocal checked, min_margin
-        targets = np.concatenate([points + fd_step, points - fd_step])
-        vals, failed = _defect_values(series, params, targets, steps, eps_zero)
+        targets = np.concatenate([points + FD_STEP, points - FD_STEP])
+        vals, failed = _defect_values(series, params, targets)
         half = points.size
         bad = failed[:half] | failed[half:]
-        deriv = (vals[:half] - vals[half:]) / (2.0 * fd_step)
+        deriv = (vals[:half] - vals[half:]) / (2.0 * FD_STEP)
         margins = slopes - np.abs(deriv)
         margins = np.where(bad, np.nan, margins)
         good = np.isfinite(margins)
@@ -654,13 +609,11 @@ def check_derivative_modulus_bound(
     theta = 2.0 * np.pi * np.arange(grid.points_per_circle) / grid.points_per_circle
     ring = np.exp(1j * theta)
     for r in grid.radii:
-        slope = _real_axis_slope(series, params, r, steps, eps_zero)
+        slope = _real_axis_slope(series, params, r)
         scan(r * ring, np.full(grid.points_per_circle, slope))
     if grid.extra_points:
         pts = np.array(grid.extra_points)
-        slopes = np.array(
-            [_real_axis_slope(series, params, abs(z), steps, eps_zero) for z in pts]
-        )
+        slopes = np.array([_real_axis_slope(series, params, abs(z)) for z in pts])
         scan(pts, slopes)
     return InequalityReport(checked, tuple(violations), float(min_margin))
 

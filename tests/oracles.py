@@ -1,7 +1,7 @@
 """Independent oracles used to freeze expected test values.
 
 Everything here recomputes quantities from first principles (rational
-arithmetic, plain cmath) and never touches the package implementations,
+arithmetic, plain cmath, scalar loops) and never touches the package implementations,
 so agreement is meaningful cross-validation.
 """
 
@@ -52,23 +52,16 @@ def alternating_sum_exact(lam: Fraction, n: int) -> Fraction:
     return total
 
 
-def literal_weighted_exact(a, b, lam, m: int, n: int) -> Fraction:
-    """Statement-literal weighted quantity with plain B powers."""
-
-    def s(order):
-        total = Fraction(0)
-        for k in range(order + 1):
-            total += (
-                falling_exact(lam, k)
-                / factorial(k)
-                * rising_exact(lam, order - k)
-                / factorial(order - k)
-                * a**k
-                * b ** (order - k)
-            )
-        return total
-
-    return (m + 1) * (n + 1) * s(n + 1) - m * n * s(n)
+def coeff_recurrence_scalar(a: float, b: float, lam: float, n_max: int):
+    """The three-term recurrence run for one parameter point with scalar
+    arithmetic: the reference the vectorized table must match bit for bit."""
+    out = [1.0, lam * (a - b)][: n_max + 1]
+    lead = lam * (a - b)
+    s = a + b
+    p = a * b
+    for n in range(1, n_max):
+        out.append(((lead - s * n) * out[n] - p * (n - 1) * out[n - 1]) / (n + 1))
+    return out
 
 
 def horner(coeffs, z):

@@ -72,6 +72,17 @@ class TestVerifyLemmas:
         assert doc["coeff_positivity"]["checked"] > 0
         assert doc["weighted_pair_inequality"]["min_margin"] > 0
 
+    def test_zero_order_grid_exit_zero(self, capsys):
+        code, out, _ = run(
+            capsys, "verify-lemmas", "--step", "0.5", "--lambda-step", "0.5",
+            "--n-max", "0", "--m-max", "3", "--alt-n-max", "10",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        for section in ("coeff_pair_inequality", "weighted_pair_inequality"):
+            assert doc[section]["checked"] == 0
+            assert doc[section]["min_margin"] is None
+
     def test_widened_grid_finds_violations(self, capsys):
         code, out, _ = run(
             capsys, "verify-lemmas", "--step", "0.5", "--lambda-step", "0.5",

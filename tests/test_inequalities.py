@@ -2,22 +2,23 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from janostab.inequalities import (
     GridSpec,
+    InequalityViolation,
     check_alternating_identity,
     check_coeff_pair_inequality,
     check_coeff_positivity,
     check_weighted_pair_inequality,
-    weighted_pair_value,
 )
 from janostab.janowski import JanowskiParams, coeff_recurrence
 from janostab.serialize import dumps
 
-from oracles import alternating_sum_exact, literal_weighted_exact
+from oracles import alternating_sum_exact, coeff_recurrence_scalar
 
 POINT = GridSpec(A_values=(-0.5,), B_values=(-1.0,), lambda_values=(0.5,), n_max=2, m_max=1)
 
@@ -70,6 +71,20 @@ class TestPositivity:
         assert not report.passed
         assert report.min_margin < 0
 
+    def test_violations_keep_grid_then_order_sequence(self):
+        # the per-point loop the grid table replaced, run on the scalar oracle
+        grid = GridSpec.default(n_max=30, step=0.25, lambda_step=0.25, allow_positive_A=True)
+        expected = []
+        for p in grid.iter_params():
+            a = np.array(coeff_recurrence_scalar(p.A, p.B, p.lam, grid.n_max))
+            expected.extend(
+                InequalityViolation(p.A, p.B, p.lam, int(n), None, float(a[n]))
+                for n in np.flatnonzero(a <= -1e-12)
+            )
+        report = check_coeff_positivity(grid)
+        assert len(expected) > 10
+        assert report.violations == tuple(expected)
+
 
 class TestAlternatingIdentity:
     def test_lam_one_first_order_exact(self):
@@ -110,28 +125,18 @@ class TestPairInequality:
 
 
 class TestWeightedPairInequality:
-    def test_single_point_hand_value(self):
-        got = weighted_pair_value(JanowskiParams(-0.5, -1.0, 0.5), 1, 1)
-        assert got == pytest.approx(4 * 0.21875 - 0.25, abs=1e-15)
-
     def test_m_zero_collapse(self):
-        params = JanowskiParams(-0.3, -0.8, 0.6)
-        a = coeff_recurrence(params, 8).values
-        for n in (1, 4, 7):
-            assert weighted_pair_value(params, 0, n) == pytest.approx(
-                (n + 1) * a[n + 1], abs=1e-15
-            )
+        # with m_max = 0 the weighted values are (n+1)*a_{n+1}
+        grid = GridSpec(A_values=(-0.3,), B_values=(-0.8,), lambda_values=(0.6,), n_max=7)
+        a = coeff_recurrence(JanowskiParams(-0.3, -0.8, 0.6), 8).values
+        report = check_weighted_pair_inequality(grid)
+        assert report.checked == 7
+        assert report.min_margin == min((n + 1) * a[n + 1] for n in range(1, 8))
 
     def test_grid_minimum_comes_from_m_zero_row(self):
         report = check_weighted_pair_inequality(POINT)
         assert report.passed
         assert report.min_margin == pytest.approx(2 * 0.21875, abs=1e-15)
-
-    def test_statement_literal_variant_matches_rational_oracle(self):
-        got = weighted_pair_value(JanowskiParams(-0.5, -1.0, 0.5), 1, 1, literal_b_powers=True)
-        exact = literal_weighted_exact(Fraction(-1, 2), Fraction(-1), Fraction(1, 2), 1, 1)
-        assert exact == Fraction(21, 8)
-        assert got == pytest.approx(float(exact), abs=1e-14)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -147,9 +152,21 @@ class TestWeightedPairInequality:
             return
         params = JanowskiParams(a, b, lam)
         coeffs = coeff_recurrence(params, n + 1).values
-        pair = (n + 1) * coeffs[n + 1] + params.B * n * coeffs[n]
-        rebuilt = m * pair + (n + 1) * coeffs[n + 1]
-        assert weighted_pair_value(params, m, n) == pytest.approx(rebuilt, abs=1e-12)
+        rebuilt = []
+        for mm in range(m + 1):
+            for nn in range(1, n + 1):
+                pair = (nn + 1) * coeffs[nn + 1] + params.B * nn * coeffs[nn]
+                rebuilt.append(mm * pair + (nn + 1) * coeffs[nn + 1])
+        grid = GridSpec(A_values=(a,), B_values=(b,), lambda_values=(lam,), n_max=n, m_max=m)
+        report = check_weighted_pair_inequality(grid)
+        assert report.checked == len(rebuilt)
+        assert report.min_margin == pytest.approx(min(rebuilt), abs=1e-12)
+
+    def test_zero_order_grid_has_no_weighted_terms(self):
+        grid = GridSpec(A_values=(-0.3,), B_values=(-0.9,), lambda_values=(0.7,), n_max=0, m_max=3)
+        report = check_weighted_pair_inequality(grid)
+        assert report.checked == 0 and report.passed
+        assert '"min_margin": null' in dumps(report.to_json_dict())
 
     def test_pass_is_implied_by_pair_and_positivity(self):
         grid = GridSpec(

@@ -1,4 +1,4 @@
-"""Coefficient construction: factorials, convolution, recurrence."""
+"""Coefficient construction: factor series, convolution, recurrence."""
 
 from fractions import Fraction
 
@@ -10,43 +10,47 @@ from hypothesis import strategies as st
 from janostab.janowski import (
     CoeffSequence,
     JanowskiParams,
-    coeff_convolution,
+    _falling_over_factorial,
+    _rising_over_factorial,
     coeff_recurrence,
-    coeff_sequence,
+    coeff_table,
     convolution_coeffs,
-    falling_factorial,
     janowski_series,
-    rising_factorial,
 )
 from janostab.series import binomial_series, multiply
 
-from oracles import coeff_exact
+from oracles import coeff_exact, coeff_recurrence_scalar
 
 
 class TestFactorials:
+    """Falling and rising factorials through the factor-series terms
+    binom(lam, k) * c**k and (lam)_k / k! * c**k at c = 1, so each expected
+    value is the factorial divided by k!."""
+
     def test_falling_empty_product(self):
-        assert falling_factorial(0.5, 0) == 1.0
+        assert _falling_over_factorial(0.5, 1.0, 0).tolist() == [1.0]
 
     def test_falling_two_terms(self):
-        assert falling_factorial(0.5, 2) == -0.25
+        assert _falling_over_factorial(0.5, 1.0, 2)[2] == -0.25 / 2
 
     def test_falling_vanishes_at_integer(self):
-        assert falling_factorial(1.0, 3) == 0.0
+        assert _falling_over_factorial(1.0, 1.0, 3)[3] == 0.0
 
     def test_rising_three_terms(self):
-        assert rising_factorial(0.5, 3) == 1.875
+        assert _rising_over_factorial(0.5, 1.0, 3)[3] == pytest.approx(1.875 / 6, abs=1e-15)
 
     def test_rising_is_factorial_at_one(self):
-        assert rising_factorial(1.0, 4) == 24.0
+        assert _rising_over_factorial(1.0, 1.0, 4)[4] == 1.0
 
     def test_rising_single_factor(self):
-        assert rising_factorial(0.3, 1) == 0.3
+        assert _rising_over_factorial(0.3, 1.0, 1)[1] == pytest.approx(0.3, abs=1e-15)
 
     def test_negative_k_rejected(self):
+        params = JanowskiParams(-0.5, -1.0, 0.5)
         with pytest.raises(ValueError):
-            falling_factorial(0.5, -1)
+            convolution_coeffs(params, -1)
         with pytest.raises(ValueError):
-            rising_factorial(0.5, -1)
+            coeff_recurrence(params, -1)
 
 
 class TestParams:
@@ -89,14 +93,14 @@ PARAM_CASES = [
 
 class TestConvolution:
     def test_a0_is_one(self):
-        assert coeff_convolution(JanowskiParams(-0.5, -1.0, 0.5), 0) == 1.0
+        assert convolution_coeffs(JanowskiParams(-0.5, -1.0, 0.5), 0)[0] == 1.0
 
     def test_hand_value_n2(self):
-        got = coeff_convolution(JanowskiParams(-0.5, -1.0, 0.5), 2)
+        got = convolution_coeffs(JanowskiParams(-0.5, -1.0, 0.5), 2)[2]
         assert got == pytest.approx(0.21875, abs=1e-15)
 
     def test_first_coefficient_is_lam_times_gap(self):
-        got = coeff_convolution(JanowskiParams(-0.679, -0.97, 0.3), 1)
+        got = convolution_coeffs(JanowskiParams(-0.679, -0.97, 0.3), 1)[1]
         assert got == pytest.approx(0.0873, abs=1e-15)
 
     @pytest.mark.parametrize("a,b,lam", PARAM_CASES)
@@ -161,14 +165,31 @@ class TestRecurrence:
         assert np.max(np.abs(rec - conv) / scale) < 1e-10
 
 
-class TestCoeffSequence:
-    def test_method_recorded(self):
-        params = JanowskiParams(-0.5, -1.0, 0.5)
-        assert coeff_sequence(params, 3, "convolution").method == "convolution"
-        assert coeff_sequence(params, 3, "recurrence").method == "recurrence"
-        with pytest.raises(ValueError):
-            coeff_sequence(params, 3, "magic")
+# Parameter points in -1 <= B < A <= 1, 0 < lam <= 1 (B drawn as a gap below A).
+PARAM_POINT = st.tuples(
+    st.floats(-0.999, 1.0, allow_nan=False),
+    st.floats(0.0, 2.0, exclude_min=True, allow_nan=False),
+    st.floats(0.0, 1.0, exclude_min=True, allow_nan=False),
+).map(lambda t: (t[0], max(t[0] - t[1], -1.0), t[2])).filter(lambda t: t[1] < t[0])
 
+
+class TestCoeffTable:
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(PARAM_POINT, min_size=1, max_size=12), st.integers(0, 600))
+    def test_rows_match_the_scalar_recurrence(self, points, n_max):
+        a, b, lam = (np.array(col) for col in zip(*points))
+        table = coeff_table(a, b, lam, n_max)
+        assert table.shape == (len(points), n_max + 1)
+        for row, (pa, pb, plam) in zip(table, points):
+            assert np.array_equal(row, coeff_recurrence_scalar(pa, pb, plam, n_max))
+
+    def test_one_point_view(self):
+        params = JanowskiParams(0.4, -0.9, 0.35)
+        seq = coeff_recurrence(params, 50)
+        assert np.array_equal(seq.values, coeff_recurrence_scalar(0.4, -0.9, 0.35, 50))
+
+
+class TestCoeffSequence:
     def test_values_read_only(self):
         seq = coeff_recurrence(JanowskiParams(-0.5, -1.0, 0.5), 3)
         with pytest.raises(ValueError):
@@ -177,7 +198,7 @@ class TestCoeffSequence:
     def test_rejects_bad_leading_value(self):
         params = JanowskiParams(-0.5, -1.0, 0.5)
         with pytest.raises(ValueError):
-            CoeffSequence(np.array([0.5, 0.1]), params, "recurrence")
+            CoeffSequence(np.array([0.5, 0.1]), params)
 
 
 class TestJanowskiSeries:
@@ -189,9 +210,9 @@ class TestJanowskiSeries:
         assert np.allclose(got.coeffs, [1, 0.5, 0.5, 0.5], rtol=0, atol=1e-15)
 
     def test_first_order_convolution_method(self):
-        got = janowski_series(JanowskiParams(-0.679, -0.97, 0.3), 1, "convolution")
-        assert got.coeffs[1].real == pytest.approx(0.0873, abs=1e-15)
-        assert got.coeffs[1].imag == 0.0
+        got = convolution_coeffs(JanowskiParams(-0.679, -0.97, 0.3), 1)
+        assert got[1] == pytest.approx(0.0873, abs=1e-15)
+        assert got.dtype == np.float64
 
     def test_partial_sum_of_longer_series(self):
         from janostab.series import partial_sum

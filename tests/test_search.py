@@ -13,7 +13,7 @@ from janostab.search import (
     find_self_stability_violation,
     sweep_parameter_grid,
 )
-from janostab.subordination import KNOWN_COUNTEREXAMPLE, disk_for
+from janostab.subordination import KNOWN_COUNTEREXAMPLE, disk_for, stability_ratio
 
 K = KNOWN_COUNTEREXAMPLE
 
@@ -78,7 +78,7 @@ class TestRefinement:
     def test_best_margin_is_monotone_across_rounds(self):
         series = janowski_series(K.params, K.n)
         disk = disk_for("mobius_image", K.params, 0.983)
-        margin_at = _margin_fn(series, K.params, disk, steps=64)
+        margin_at = _margin_fn(series, K.params, disk)
         history = _refine(margin_at, K.z0, 0.983, 0.02, 0.05, iters=12)
         margins = [h[0] for h in history]
         assert all(b >= a for a, b in zip(margins, margins[1:]))
@@ -87,15 +87,31 @@ class TestRefinement:
     def test_refinement_improves_on_coarse_scan(self):
         series = janowski_series(K.params, K.n)
         disk = disk_for("mobius_image", K.params, 0.983)
-        margins, vals, zs, failures, total = _coarse_scan(
-            series, K.params, disk, 0.983, 16, 32, steps=64
-        )
+        margins, vals, zs, failures, total = _coarse_scan(series, K.params, disk, 0.983, 16, 32)
         k = int(np.nanargmax(margins))
-        margin_at = _margin_fn(series, K.params, disk, steps=64)
+        margin_at = _margin_fn(series, K.params, disk)
         history = _refine(
             margin_at, complex(zs.ravel()[k]), 0.983, 0.983 / 16, 2 * np.pi / 32, 16
         )
         assert history[-1][0] >= float(margins.ravel()[k])
+
+
+    def test_margin_fn_agrees_with_stability_ratio(self):
+        series = janowski_series(K.params, K.n)
+        disk = disk_for("mobius_image", K.params, 0.983)
+        margin, ratio = _margin_fn(series, K.params, disk)(K.z0)
+        expect = stability_ratio(K.params, K.n, K.z0)
+        assert abs(ratio - expect) < 1e-14
+        assert abs(margin - disk.margin(expect)) < 1e-14
+
+
+class TestSharedEngine:
+    def test_sweep_cell_matches_best_violation(self):
+        settings = dict(coarse_radii=16, coarse_angles=64, refine_iters=8)
+        cells = sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), (K.n,), 0.983, **settings)
+        violations = find_self_stability_violation(make_spec(**settings))
+        assert abs(cells[0].margin - violations[0].margin) < 1e-12
+        assert cells[0].z == violations[0].z
 
 
 class TestSweep:

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from janostab.janowski import JanowskiParams
+from janostab.janowski import JanowskiParams, janowski_series
 from janostab.serialize import dumps
 from janostab.subordination import (
     KNOWN_COUNTEREXAMPLE,
     DiskSpec,
     PoleError,
     SampleGrid,
+    _defect_values,
     check_cross_order_stability,
     check_derivative_modulus_bound,
     check_power_product_subordination,
@@ -24,7 +25,6 @@ from janostab.subordination import (
     mobius_target,
     reference_disk_comparison,
     self_margin_at,
-    stability_defect,
     stability_ratio,
 )
 
@@ -84,16 +84,19 @@ class TestStabilityRatio:
         assert abs(got - complex(0.8697, 0.5845)) < 1e-3
 
     def test_defect_shares_the_code_path(self):
-        got = stability_defect(K.params, K.n, K.z0)
-        assert got == 1.0 - stability_ratio(K.params, K.n, K.z0)
+        # the derivative check's vectorized defect is 1 - ratio
+        series = janowski_series(K.params, K.n)
+        vals, failed = _defect_values(series, K.params, np.array([K.z0]))
+        assert not failed[0]
+        assert abs(vals[0] - (1.0 - stability_ratio(K.params, K.n, K.z0))) < 1e-14
 
     def test_defect_zero_at_origin(self):
-        assert stability_defect(K.params, K.n, 0) == 0.0
+        assert 1.0 - stability_ratio(K.params, K.n, 0) == 0.0
 
     def test_defect_is_one_at_minus_b_when_b_is_minus_one(self):
-        # 1+Bz vanishes at z = -B = 1, so the defect is exactly 1 there
+        # 1+Bz vanishes at z = -B = 1, so the ratio is 0 and the defect 1 there
         params = JanowskiParams(-0.5, -1.0, 0.5)
-        assert stability_defect(params, 64, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert stability_ratio(params, 64, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDisks:
