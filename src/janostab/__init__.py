@@ -25,16 +25,7 @@ from .search import (
     find_self_stability_violation,
     sweep_parameter_grid,
 )
-from .series import (
-    BranchFailureError,
-    TruncatedSeries,
-    binomial_series,
-    derivative,
-    evaluate,
-    multiply,
-    partial_sum,
-    real_power_on_ray,
-)
+from .series import BranchFailureError, TruncatedSeries, real_power_on_ray
 from .subordination import (
     DiskSpec,
     KNOWN_COUNTEREXAMPLE,

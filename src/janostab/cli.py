@@ -163,9 +163,7 @@ def cmd_check_stability(args) -> int:
         raise ValueError("--n-max must be >= 1")
     grid = SampleGrid(radii=args.radii, points_per_circle=args.samples)
     reports = [
-        check_stability_vs_base(
-            params, n, grid, tol=args.tol, steps=args.steps, allow_outside=args.allow_outside
-        )
+        check_stability_vs_base(params, n, grid, tol=args.tol, allow_outside=args.allow_outside)
         for n in range(1, args.n_max + 1)
     ]
     _emit(dumps([rep.to_json_dict() for rep in reports]), args.out)
@@ -181,11 +179,11 @@ def cmd_self_check(args) -> int:
     grid = SampleGrid(radii=args.radii, points_per_circle=args.samples, extra_points=extra)
     report = check_stability_vs_self(
         params, args.n, args.r, grid,
-        disk_source=args.disk_source, tol=args.tol, steps=args.steps,
+        disk_source=args.disk_source, tol=args.tol,
     )
     doc = report.to_json_dict()
     if report.worst_point is not None and np.isfinite(report.worst_margin):
-        ratio = stability_ratio(params, args.n, report.worst_point, steps=args.steps)
+        ratio = stability_ratio(params, args.n, report.worst_point)
         doc["witness"] = {
             "z": {"re": report.worst_point.real, "im": report.worst_point.imag},
             "ratio": {"re": ratio.real, "im": ratio.imag},
@@ -297,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", type=_floats_csv, default=(0.9, 0.99, 0.999))
     p.add_argument("--samples", type=int, default=4096)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--steps", type=int, default=64)
     p.add_argument("--allow-outside", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check_stability)
@@ -311,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample circles as fractions of r")
     p.add_argument("--samples", type=int, default=4096)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--steps", type=int, default=64)
     p.add_argument("--z0", type=_complex_pair,
                    default=complex(known.z0.real, known.z0.imag),
                    help="extra probe point 're,im'; pass '' to drop it")

@@ -1,50 +1,44 @@
-"""Truncated complex power-series arithmetic.
+"""Truncated complex power series and their ray-continued logarithms.
 
 A series here is a Maclaurin polynomial with a fixed truncation order.
-Multiplication, partial sums, evaluation and termwise differentiation are
-exact coefficient operations.  Analytic real powers track the continuous
-logarithm along the straight ray from the origin, so results follow the
-branch normalized to the value 1 at z = 0 rather than the pointwise
-principal branch (which can jump when the tracked value crosses the
-negative real axis).
+Logarithms and real powers follow the branch continued along the segment
+[0, z] from the origin, not the pointwise principal branch.  It is exact:
+s(z) = s(0) * prod_k (1 - z/z_k) over the roots z_k, and each factor's
+segment 1 - t*z/z_k, t in [0, 1], starts at 1 and reaches the negative real
+axis only through 0, so the continued logarithm is Log s(0) plus
+sum_k Log(1 - z/z_k), defined exactly when no root lies on [0, z].
 
-All values are immutable after construction; every function is pure and
-safe to call from concurrent workers without coordination.
+All values are immutable after construction (a series computes its roots
+once, on first use); every function is pure and safe to call from
+concurrent workers without coordination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "BranchFailureError",
     "TruncatedSeries",
-    "binomial_series",
     "circle_log_values",
-    "derivative",
-    "evaluate",
-    "multiply",
-    "partial_sum",
     "ray_log_values",
     "real_power_on_ray",
 ]
 
-DEFAULT_RAY_STEPS = 64
 EPS_ZERO = 1e-12
+# A winding count further than this from an integer means the computed
+# roots do not reproduce the value, so the branch cannot be told.
+WINDING_SLACK = 0.25
 
 
 class BranchFailureError(ArithmeticError):
-    """The tracked value came within ``EPS_ZERO`` of 0, so the continuous
-    logarithm (and any power built from it) is undefined along the ray."""
-
-
-def _require_finite_scalar(z, name: str) -> complex:
-    z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise ValueError(f"{name} must be finite, got {z!r}")
-    return z
+    """A root of s_n lies on the segment [0, z] (within ``EPS_ZERO``), so the
+    continued logarithm (and any power built from it) is undefined there.
+    Points where |s_n(z)| < ``EPS_ZERO``, or where the roots do not resolve
+    the winding, are reported the same way."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,76 +71,15 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.coeffs.tolist()!r})"
 
-
-def multiply(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Cauchy product of two series, truncated at ``order``.
-
-    Coefficients beyond either factor's truncation order are treated as zero.
-    Each output coefficient is reduced with numpy's pairwise summation, which
-    keeps convolution roundoff near machine level even for long series.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    ca, cb = a.coeffs, b.coeffs
-    out = np.zeros(order + 1, dtype=np.complex128)
-    for n in range(order + 1):
-        lo = max(0, n - (cb.size - 1))
-        hi = min(n, ca.size - 1)
-        if lo > hi:
-            continue
-        out[n] = np.sum(ca[lo : hi + 1] * cb[n - hi : n - lo + 1][::-1])
-    return TruncatedSeries(out)
-
-
-def partial_sum(f: TruncatedSeries, n: int) -> TruncatedSeries:
-    """First n+1 coefficients of ``f`` as a degree-n series."""
-    if not 0 <= n <= f.truncation_order:
-        raise ValueError(
-            f"partial sum order {n} out of range [0, {f.truncation_order}]"
-        )
-    return TruncatedSeries(f.coeffs[: n + 1])
-
-
-def derivative(f: TruncatedSeries) -> TruncatedSeries:
-    """Termwise derivative; a degree-N series maps to degree N-1.
-
-    The derivative of a constant series is the zero series of degree 0.
-    """
-    if f.truncation_order == 0:
-        return TruncatedSeries(np.zeros(1, dtype=np.complex128))
-    k = np.arange(1, f.coeffs.size)
-    return TruncatedSeries(f.coeffs[1:] * k)
-
-
-def evaluate(f: TruncatedSeries, z) -> complex:
-    """Horner-scheme value of the polynomial at ``z``."""
-    z = _require_finite_scalar(z, "z")
-    acc = complex(f.coeffs[-1])
-    for c in f.coeffs[-2::-1]:
-        acc = acc * z + complex(c)
-    return acc
-
-
-def binomial_series(c: float, mu: float, order: int) -> TruncatedSeries:
-    """Series of (1 + c*z)**mu, coefficient k = binom(mu, k) * c**k.
-
-    Built by the stable ratio recurrence
-    ``coeff[k] = coeff[k-1] * c * (mu - k + 1) / k`` so no large factorial
-    quotients ever appear.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if not np.isfinite(c) or not np.isfinite(mu):
-        raise ValueError("c and mu must be finite")
-    if abs(c) > 1.0 + 1e-15:
-        raise ValueError(f"|c| must be <= 1, got {c!r}")
-    out = np.zeros(order + 1, dtype=np.complex128)
-    out[0] = 1.0
-    acc = 1.0
-    for k in range(1, order + 1):
-        acc = acc * c * (mu - k + 1) / k
-        out[k] = acc
-    return TruncatedSeries(out)
+    @cached_property
+    def reciprocal_roots(self) -> np.ndarray:
+        """w_k = 1/z_k over the roots z_k: the roots of the coefficients read
+        in reverse.  Their companion matrix has entries -c_k/c_0, so it
+        cannot overflow when the top coefficients are tiny; a vanished top
+        coefficient gives w_k = 0, a root at infinity."""
+        roots = np.roots(self.coeffs)
+        roots.flags.writeable = False
+        return roots
 
 
 def _polyval_grid(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -157,41 +90,66 @@ def _polyval_grid(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def ray_log_values(f: TruncatedSeries, targets: np.ndarray, steps: int = DEFAULT_RAY_STEPS):
-    """Continuous logarithm of ``f`` along straight rays from 0 to each target.
-
-    Samples each ray at ``steps + 1`` points (including the origin), unwraps
-    the phase radially, and returns ``(L, failed)`` where ``L`` has the shape
-    of ``targets`` and ``exp(L) == f(target)`` on the branch continued from
-    the origin.  ``failed`` marks rays on which some sample had modulus below
-    ``EPS_ZERO``; the corresponding entries of ``L`` are NaN.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    targets = np.asarray(targets, dtype=np.complex128)
-    t = np.linspace(0.0, 1.0, steps + 1).reshape((-1,) + (1,) * targets.ndim)
-    vals = _polyval_grid(f.coeffs, t * targets)
-    failed = (np.abs(vals) < EPS_ZERO).any(axis=0)
-    phase = np.unwrap(np.angle(vals), axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        L = np.log(np.abs(vals[-1])) + 1j * phase[-1]
+def _continued_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
+    """Continued logarithm ``(L, failed)`` of ``f`` at ``pts`` from its
+    values ``vals`` there: log|s| + i*(Arg s + 2*pi*m), where the root sum
+    Arg s(0) + sum_k Arg(1 - z/z_k) fixes the turns m.  A point fails (L is
+    NaN) when a root lies within ``EPS_ZERO`` of [0, z], when |s(z)| or
+    |s(0)| is below ``EPS_ZERO``, or when the root sum is more than
+    ``WINDING_SLACK`` turns from every Arg s(z) + 2*pi*m."""
+    c0 = f.coeffs[0]
+    ws = f.reciprocal_roots
+    turns = np.full(pts.shape, np.angle(c0))
+    failed = (np.abs(vals) < EPS_ZERO) | (abs(c0) < EPS_ZERO)
+    norm2 = pts.real**2 + pts.imag**2
+    reach = np.sqrt(norm2.max(initial=0.0)) + EPS_ZERO
+    factor = np.empty_like(pts)
+    arg = np.empty(pts.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for w in ws:  # in place: one root at a time over all the points
+            np.multiply(pts, -w, out=factor)
+            factor += 1.0
+            turns += np.arctan2(factor.imag, factor.real, out=arg)
+        # only a root within ``reach`` of 0 can come near a segment; the
+        # point of [0, z] nearest the root is t*z, t clipped to [0, 1]
+        for root in 1.0 / ws[np.abs(ws) * reach >= 1.0]:
+            t = np.clip(np.where(norm2 > 0, (root * pts.conj()).real / norm2, 0.0), 0.0, 1.0)
+            failed |= np.abs(root - t * pts) < EPS_ZERO
+        turns = (turns - np.angle(vals)) / (2.0 * np.pi)
+        m = np.rint(turns)
+        failed |= ~(np.abs(turns - m) <= WINDING_SLACK)
+        # integer turns: a zero turn adds +0.0, never the -0.0 that rint
+        # gives for a tiny negative sum
+        m = np.where(failed, 0, m).astype(np.int64)
+        L = np.log(np.abs(vals)) + 1j * (np.angle(vals) + 2.0 * np.pi * m)
     if np.any(failed):
         L = np.where(failed, np.nan + 1j * np.nan, L)
     return L, failed
 
 
-def circle_log_values(f: TruncatedSeries, radii, num_angles: int, steps: int = DEFAULT_RAY_STEPS):
+def ray_log_values(f: TruncatedSeries, targets):
+    """Continuous logarithm of ``f`` along the segment from 0 to each target.
+
+    Returns ``(L, failed)`` where ``L`` has the shape of ``targets`` and
+    ``exp(L) == f(target)`` on the branch continued from the origin;
+    ``failed`` marks the targets where that branch is undefined (see
+    :func:`_continued_log`), whose entries of ``L`` are NaN.
+    """
+    targets = np.asarray(targets, dtype=np.complex128)
+    return _continued_log(f, targets, _polyval_grid(f.coeffs, targets))
+
+
+def circle_log_values(f: TruncatedSeries, radii, num_angles: int):
     """Ray-continued logarithm of ``f`` on full equispaced circles.
 
-    The circles share one polar grid: every ray runs from the origin to the
-    outermost radius, with sample rows at the requested radii, so the branch
-    at radius r_i is the same ray continuation ``ray_log_values`` computes
-    point by point.  Rows are evaluated with an FFT when the polynomial
-    degree allows it (angles are ``2*pi*k/num_angles``, k = 0..num_angles-1).
+    Each requested circle is one row, evaluated with an FFT when the
+    polynomial degree allows it (angles are ``2*pi*k/num_angles``,
+    k = 0..num_angles-1), with the branch of :func:`ray_log_values`.
 
     Returns ``(L, failed, rho)``: ``L`` and ``failed`` have shape
     (len(radii), num_angles), ``rho`` holds the radius actually used for
-    each requested circle (equal to the request up to one rounding).
+    each requested circle (``(r / r_max) * r_max``, equal to the request up
+    to one rounding).
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -201,50 +159,34 @@ def circle_log_values(f: TruncatedSeries, radii, num_angles: int, steps: int = D
     if num_angles < 1:
         raise ValueError("num_angles must be >= 1")
     r_max = max(radii)
-    fracs = set(np.linspace(0.0, 1.0, steps + 1).tolist())
-    want = [r / r_max for r in radii]
-    fracs.update(want)
-    frac_arr = np.array(sorted(fracs))
-    rho = frac_arr * r_max
+    rho = np.array([r / r_max for r in radii]) * r_max
     deg = f.truncation_order
-    powers = rho[:, None] ** np.arange(deg + 1)[None, :]
-    scaled = f.coeffs[None, :] * powers
+    theta = 2.0 * np.pi * np.arange(num_angles) / num_angles
+    pts = rho[:, None] * np.exp(1j * theta)[None, :]
     if deg < num_angles:
+        powers = rho[:, None] ** np.arange(deg + 1)[None, :]
         padded = np.zeros((rho.size, num_angles), dtype=np.complex128)
-        padded[:, : deg + 1] = scaled
+        padded[:, : deg + 1] = f.coeffs[None, :] * powers
         vals = num_angles * np.fft.ifft(padded, axis=1)
     else:
-        theta = 2.0 * np.pi * np.arange(num_angles) / num_angles
-        ring = np.exp(1j * theta)
-        vals = _polyval_grid(f.coeffs, rho[:, None] * ring[None, :])
-    small = np.abs(vals) < EPS_ZERO
-    failed_below = np.logical_or.accumulate(small, axis=0)
-    phase = np.unwrap(np.angle(vals), axis=0)
-    rows = [int(np.searchsorted(frac_arr, w)) for w in want]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        L = np.log(np.abs(vals[rows])) + 1j * phase[rows]
-    failed = failed_below[rows]
-    if np.any(failed):
-        L = np.where(failed, np.nan + 1j * np.nan, L)
-    return L, failed, rho[rows]
+        vals = _polyval_grid(f.coeffs, pts)
+    L, failed = _continued_log(f, pts, vals)
+    return L, failed, rho
 
 
-def real_power_on_ray(
-    f: TruncatedSeries, exponent: float, z, steps: int = DEFAULT_RAY_STEPS
-) -> complex:
+def real_power_on_ray(f: TruncatedSeries, exponent: float, z) -> complex:
     """Analytic branch of ``f(z) ** exponent`` continued along the ray 0 -> z.
 
     Requires ``f.coeffs[0] == 1`` so the branch is the one with value 1 at
-    the origin.  Raises :class:`BranchFailureError` when the polynomial
-    comes within ``EPS_ZERO`` of 0 at any ray sample, which signals the
-    power is undefined there.
+    the origin.  Raises :class:`BranchFailureError` when a root of ``f``
+    lies on the segment [0, z], where the power is undefined.
     """
     if abs(complex(f.coeffs[0]) - 1.0) > 1e-9:
         raise ValueError("constant term must be 1 for a normalized power")
-    z = _require_finite_scalar(z, "z")
-    L, failed = ray_log_values(f, np.asarray(z), steps=steps)
+    z = complex(z)
+    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+        raise ValueError(f"z must be finite, got {z!r}")
+    L, failed = ray_log_values(f, np.asarray(z))
     if bool(failed):
-        raise BranchFailureError(
-            f"series value vanished (|value| < {EPS_ZERO:g}) on the ray to {z!r}"
-        )
+        raise BranchFailureError(f"a root of s_n lies on the segment [0, z] for z = {z!r}")
     return complex(np.exp(exponent * complex(L)))

@@ -28,13 +28,7 @@ import numpy as np
 
 from .inequalities import InequalityReport, InequalityViolation
 from .janowski import JanowskiParams, janowski_series
-from .series import (
-    DEFAULT_RAY_STEPS,
-    TruncatedSeries,
-    circle_log_values,
-    ray_log_values,
-    real_power_on_ray,
-)
+from .series import TruncatedSeries, circle_log_values, ray_log_values, real_power_on_ray
 
 __all__ = [
     "DISK_SOURCES",
@@ -59,7 +53,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-6
 POLE_EPS = 1e-12
-FD_STEP = 1e-6  # central-difference step of the defect-derivative check
 DISK_SOURCES = ("closed_form", "mobius_image")
 
 
@@ -279,7 +272,7 @@ def reference_disk_comparison(params: JanowskiParams, r: float) -> dict:
 
 # --- pointwise values --------------------------------------------------------
 
-def stability_ratio(params: JanowskiParams, n: int, z, steps: int = DEFAULT_RAY_STEPS) -> complex:
+def stability_ratio(params: JanowskiParams, n: int, z) -> complex:
     """(1+Bz) * s_n(v, z)**(1/lam) / (1+Az) on the ray-continued branch.
 
     This is the (1/lam)-power of s_n(v)/v; its value at 0 is exactly 1.
@@ -293,7 +286,7 @@ def stability_ratio(params: JanowskiParams, n: int, z, steps: int = DEFAULT_RAY_
     if abs(den) < POLE_EPS:
         raise PoleError(f"z={z!r} is within {POLE_EPS:g} of the pole -1/A")
     s = janowski_series(params, n)
-    power = real_power_on_ray(s, 1.0 / params.lam, z, steps=steps)
+    power = real_power_on_ray(s, 1.0 / params.lam, z)
     return (1.0 + params.B * z) / den * power
 
 
@@ -344,7 +337,6 @@ def _sweep_margins(
     circle_radii: Sequence[float],
     points_per_circle: int,
     extra_points: Sequence[complex],
-    steps: int = DEFAULT_RAY_STEPS,
 ):
     """Worst disk margin of the powered Mobius ratio over circles and
     explicit points.  Returns (worst_margin, worst_point, any_failed)."""
@@ -352,7 +344,7 @@ def _sweep_margins(
     point_chunks = []
     any_failed = False
     if circle_radii:
-        L, failed, rho = circle_log_values(series, circle_radii, points_per_circle, steps=steps)
+        L, failed, rho = circle_log_values(series, circle_radii, points_per_circle)
         theta = 2.0 * np.pi * np.arange(points_per_circle) / points_per_circle
         zs = rho[:, None] * np.exp(1j * theta)[None, :]
         margins, _, pole = _mobius_power_margins(L, zs, exponent, a_coef, b_coef, disk)
@@ -362,7 +354,7 @@ def _sweep_margins(
         point_chunks.append(zs.ravel())
     if extra_points:
         targets = np.array([complex(z) for z in extra_points])
-        L, failed = ray_log_values(series, targets, steps=steps)
+        L, failed = ray_log_values(series, targets)
         margins, _, pole = _mobius_power_margins(
             L, targets, exponent, a_coef, b_coef, disk
         )
@@ -391,7 +383,6 @@ def check_stability_vs_base(
     n: int,
     grid: Optional[SampleGrid] = None,
     tol: float = DEFAULT_TOL,
-    steps: int = DEFAULT_RAY_STEPS,
     allow_outside: bool = False,
 ) -> StabilityReport:
     """Check |ratio(z) - 1| <= |B| over the grid, the criterion for the
@@ -419,7 +410,6 @@ def check_stability_vs_base(
         grid.radii,
         grid.points_per_circle,
         grid.extra_points,
-        steps,
     )
     return StabilityReport(
         verdict=_verdict(worst, failed, tol),
@@ -440,7 +430,6 @@ def check_stability_vs_self(
     grid: Optional[SampleGrid] = None,
     disk_source: str = "mobius_image",
     tol: float = DEFAULT_TOL,
-    steps: int = DEFAULT_RAY_STEPS,
 ) -> StabilityReport:
     """Check whether the ratio maps |z| <= r into the image of |z| <= r
     under the Mobius target, the criterion for self-subordination.
@@ -467,7 +456,6 @@ def check_stability_vs_self(
         circle_radii,
         grid.points_per_circle,
         grid.extra_points,
-        steps,
     )
     return StabilityReport(
         verdict=_verdict(worst, failed, tol),
@@ -532,26 +520,27 @@ def check_cross_order_stability(
 
 # --- defect-derivative bound ---------------------------------------------------
 
-def _defect_values(series: TruncatedSeries, params: JanowskiParams, targets: np.ndarray):
-    """Vectorized defect 1 - ratio over an array of points."""
-    L, failed = ray_log_values(series, targets)
-    den = 1.0 + params.A * targets
+def _defect_and_slope(series: TruncatedSeries, params: JanowskiParams, pts: np.ndarray):
+    """Defect d = 1 - ratio and its analytic derivative over an array of
+    points, with the mask of points where they are undefined.
+
+    d'(z) = -ratio(z) * (B/(1+Bz) - A/(1+Az) + s_n'(z)/(lam * s_n(z))),
+    evaluated with the Mobius factor differentiated directly,
+    ((1+Bz)/(1+Az))' = (B-A)/(1+Az)**2, so it stays finite where 1+Bz = 0.
+    """
+    L, failed = ray_log_values(series, pts)
+    den = 1.0 + params.A * pts
     pole = np.abs(den) < POLE_EPS
-    with np.errstate(invalid="ignore", over="ignore"):
-        vals = 1.0 - (1.0 + params.B * targets) / np.where(pole, 1.0, den) * np.exp(
-            L / params.lam
-        )
-    return vals, failed | pole
-
-
-def _real_axis_slope(series, params, x: float) -> float:
-    """Defect derivative at a real point by a complex step, which avoids
-    subtractive cancellation (the defect is real on [0, 1) in range)."""
-    h = 1e-100
-    vals, failed = _defect_values(series, params, np.asarray(complex(x, h)))
-    if bool(failed):
-        raise ValueError(f"defect undefined at real point {x!r}")
-    return float(np.imag(vals)) / h
+    den = np.where(pole, 1.0, den)
+    coeffs = series.coeffs
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        power = np.exp(L / params.lam) / den
+        ratio = (1.0 + params.B * pts) * power
+        log_slope = np.polynomial.polynomial.polyval(
+            pts, np.polynomial.polynomial.polyder(coeffs)
+        ) / (params.lam * np.polynomial.polynomial.polyval(pts, coeffs))
+        slope = -power * ((params.B - params.A) / den + (1.0 + params.B * pts) * log_slope)
+    return 1.0 - ratio, slope, failed | pole
 
 
 def check_derivative_modulus_bound(
@@ -563,9 +552,9 @@ def check_derivative_modulus_bound(
 ) -> InequalityReport:
     """Check |d'(z)| <= d'(|z|) for the stability defect d = 1 - ratio.
 
-    d' at complex points comes from a central difference with real step
-    ``FD_STEP``; d' at the real point |z| from a complex step.  The checked
-    quantity is d'(|z|) - |d'(z)|, which must stay >= -tol.
+    d' is the analytic derivative of :func:`_defect_and_slope` at both z
+    and |z|.  The checked quantity is d'(|z|) - |d'(z)|, which must stay
+    >= -tol.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -576,46 +565,22 @@ def check_derivative_modulus_bound(
         )
     grid = grid or SampleGrid.default()
     series = janowski_series(params, n)
-    checked = 0
-    violations = []
-    min_margin = np.inf
-
-    def scan(points: np.ndarray, slopes: np.ndarray):
-        nonlocal checked, min_margin
-        targets = np.concatenate([points + FD_STEP, points - FD_STEP])
-        vals, failed = _defect_values(series, params, targets)
-        half = points.size
-        bad = failed[:half] | failed[half:]
-        deriv = (vals[:half] - vals[half:]) / (2.0 * FD_STEP)
-        margins = slopes - np.abs(deriv)
-        margins = np.where(bad, np.nan, margins)
-        good = np.isfinite(margins)
-        checked += int(good.sum())
-        if good.any():
-            min_margin = min(min_margin, float(margins[good].min()))
-        for k in np.flatnonzero(good & (margins < -tol)):
-            violations.append(
-                InequalityViolation(
-                    params.A,
-                    params.B,
-                    params.lam,
-                    n,
-                    None,
-                    float(margins[k]),
-                    point=complex(points[k]),
-                )
-            )
-
     theta = 2.0 * np.pi * np.arange(grid.points_per_circle) / grid.points_per_circle
-    ring = np.exp(1j * theta)
-    for r in grid.radii:
-        slope = _real_axis_slope(series, params, r)
-        scan(r * ring, np.full(grid.points_per_circle, slope))
-    if grid.extra_points:
-        pts = np.array(grid.extra_points)
-        slopes = np.array([_real_axis_slope(series, params, abs(z)) for z in pts])
-        scan(pts, slopes)
-    return InequalityReport(checked, tuple(violations), float(min_margin))
+    extra = np.array(grid.extra_points, dtype=complex)
+    points = np.concatenate([np.outer(grid.radii, np.exp(1j * theta)).ravel(), extra])
+    moduli = np.concatenate([np.repeat(grid.radii, grid.points_per_circle), np.abs(extra)])
+    _, deriv, bad = _defect_and_slope(series, params, points)
+    _, slopes, bad_real = _defect_and_slope(series, params, moduli.astype(complex))
+    margins = np.where(bad | bad_real, np.nan, slopes.real - np.abs(deriv))
+    good = np.isfinite(margins)
+    violations = tuple(
+        InequalityViolation(
+            params.A, params.B, params.lam, n, None, float(margins[k]), point=complex(points[k])
+        )
+        for k in np.flatnonzero(good & (margins < -tol))
+    )
+    min_margin = float(margins[good].min()) if good.any() else float("inf")
+    return InequalityReport(int(good.sum()), violations, min_margin)
 
 
 # --- product subordination ------------------------------------------------------

@@ -1,12 +1,20 @@
 """Independent oracles used to freeze expected test values.
 
 Everything here recomputes quantities from first principles (rational
-arithmetic, plain cmath, scalar loops) and never touches the package implementations,
-so agreement is meaningful cross-validation.
+arithmetic, plain cmath, scalar loops, step-by-step sampling) and never
+touches the package implementations beyond the ``TruncatedSeries``
+container, so agreement is meaningful cross-validation.  The series helpers
+(``multiply``, ``partial_sum``, ``derivative``, ``evaluate``,
+``binomial_series``) have no caller in the package and live here for the
+tests that build reference series from them.
 """
 
 from fractions import Fraction
 from math import factorial
+
+import numpy as np
+
+from janostab.series import TruncatedSeries
 
 
 def falling_exact(lam: Fraction, k: int) -> Fraction:
@@ -80,3 +88,98 @@ def power_sums(coeffs, z):
         acc += complex(c) * zp
         zp *= z
     return acc
+
+
+def multiply(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
+    """Cauchy product of two series, truncated at ``order``.
+
+    Coefficients beyond either factor's truncation order are treated as zero.
+    Each output coefficient is reduced with numpy's pairwise summation, which
+    keeps convolution roundoff near machine level even for long series.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    ca, cb = a.coeffs, b.coeffs
+    out = np.zeros(order + 1, dtype=np.complex128)
+    for n in range(order + 1):
+        lo = max(0, n - (cb.size - 1))
+        hi = min(n, ca.size - 1)
+        if lo > hi:
+            continue
+        out[n] = np.sum(ca[lo : hi + 1] * cb[n - hi : n - lo + 1][::-1])
+    return TruncatedSeries(out)
+
+
+def partial_sum(f: TruncatedSeries, n: int) -> TruncatedSeries:
+    """First n+1 coefficients of ``f`` as a degree-n series."""
+    if not 0 <= n <= f.truncation_order:
+        raise ValueError(
+            f"partial sum order {n} out of range [0, {f.truncation_order}]"
+        )
+    return TruncatedSeries(f.coeffs[: n + 1])
+
+
+def derivative(f: TruncatedSeries) -> TruncatedSeries:
+    """Termwise derivative; a degree-N series maps to degree N-1.
+
+    The derivative of a constant series is the zero series of degree 0.
+    """
+    if f.truncation_order == 0:
+        return TruncatedSeries(np.zeros(1, dtype=np.complex128))
+    k = np.arange(1, f.coeffs.size)
+    return TruncatedSeries(f.coeffs[1:] * k)
+
+
+def evaluate(f: TruncatedSeries, z) -> complex:
+    """Horner-scheme value of the polynomial at a finite ``z``."""
+    z = complex(z)
+    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+        raise ValueError(f"z must be finite, got {z!r}")
+    return horner(f.coeffs, z)
+
+
+def binomial_series(c: float, mu: float, order: int) -> TruncatedSeries:
+    """Series of (1 + c*z)**mu, coefficient k = binom(mu, k) * c**k.
+
+    Built by the stable ratio recurrence
+    ``coeff[k] = coeff[k-1] * c * (mu - k + 1) / k`` so no large factorial
+    quotients ever appear.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if not np.isfinite(c) or not np.isfinite(mu):
+        raise ValueError("c and mu must be finite")
+    if abs(c) > 1.0 + 1e-15:
+        raise ValueError(f"|c| must be <= 1, got {c!r}")
+    out = np.zeros(order + 1, dtype=np.complex128)
+    out[0] = 1.0
+    acc = 1.0
+    for k in range(1, order + 1):
+        acc = acc * c * (mu - k + 1) / k
+        out[k] = acc
+    return TruncatedSeries(out)
+
+
+def sampled_ray_logs(coeffs, targets, steps: int = 64):
+    """Logarithm of a polynomial continued along each ray 0 -> target by
+    sampling: Horner values at ``steps + 1`` equispaced points of the ray,
+    with the phase unwrapped from sample to sample.
+
+    Returns ``(L, failed, max_turn)``: ``failed`` marks rays with a sample
+    of modulus below 1e-12 (``L`` is NaN there), ``max_turn`` is the largest
+    phase change between neighbouring samples.  Where ``max_turn`` is well
+    below pi the unwrap cannot have skipped a turn.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    targets = np.asarray(targets, dtype=np.complex128)
+    t = np.linspace(0.0, 1.0, steps + 1).reshape((-1,) + (1,) * targets.ndim)
+    pts = t * targets
+    vals = np.full(pts.shape, coeffs[-1], dtype=np.complex128)
+    for c in coeffs[-2::-1]:
+        vals = vals * pts + c
+    failed = (np.abs(vals) < 1e-12).any(axis=0)
+    phase = np.unwrap(np.angle(vals), axis=0)
+    max_turn = np.abs(np.diff(phase, axis=0)).max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = np.log(np.abs(vals[-1])) + 1j * phase[-1]
+    return np.where(failed, np.nan + 1j * np.nan, L), failed, max_turn

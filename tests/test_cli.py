@@ -113,6 +113,16 @@ class TestCheckStability:
         assert code == 2
         assert "allow_outside" in err
 
+    def test_root_between_ray_samples_exit_three(self, capsys):
+        # s_1 = 1 + 1.17z vanishes at -0.8547 on the theta = pi ray, between
+        # two samples of a 64-step ray; the branch is undefined there
+        code, out, _ = run(
+            capsys, "check-stability", "--A", "0.3", "--B", "-1", "--lambda", "0.9",
+            "--n-max", "1", "--allow-outside",
+        )
+        assert code == 3
+        assert json.loads(out)[0]["verdict"] == "branch_failure"
+
 
 class TestSelfCheck:
     def test_violated_with_witness(self, capsys):

@@ -17,9 +17,13 @@ from janostab.janowski import (
     convolution_coeffs,
     janowski_series,
 )
-from janostab.series import binomial_series, multiply
-
-from oracles import coeff_exact, coeff_recurrence_scalar
+from oracles import (
+    binomial_series,
+    coeff_exact,
+    coeff_recurrence_scalar,
+    multiply,
+    partial_sum,
+)
 
 
 class TestFactorials:
@@ -215,8 +219,6 @@ class TestJanowskiSeries:
         assert got.dtype == np.float64
 
     def test_partial_sum_of_longer_series(self):
-        from janostab.series import partial_sum
-
         full = janowski_series(JanowskiParams(-0.679, -0.97, 0.3), 8)
         head = partial_sum(full, 1)
         assert head.truncation_order == 1

@@ -1,4 +1,5 @@
-"""Series arithmetic and the ray-continued powers."""
+"""Series container, the ray-continued logarithms and powers, and the
+series helpers kept in the test oracles."""
 
 import cmath
 from fractions import Fraction
@@ -8,20 +9,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from janostab.janowski import JanowskiParams, janowski_series
 from janostab.series import (
     BranchFailureError,
     TruncatedSeries,
-    binomial_series,
     circle_log_values,
-    derivative,
-    evaluate,
-    multiply,
-    partial_sum,
     ray_log_values,
     real_power_on_ray,
 )
 
-from oracles import coeff_exact, horner, power_sums
+from oracles import (
+    binomial_series,
+    coeff_exact,
+    derivative,
+    evaluate,
+    horner,
+    multiply,
+    partial_sum,
+    power_sums,
+    sampled_ray_logs,
+)
 
 Z0 = complex(0.915282, -0.357037)
 
@@ -51,6 +58,13 @@ class TestConstruction:
 
     def test_truncation_order(self):
         assert s(1, 2, 3).truncation_order == 2
+
+    def test_roots_are_reciprocal_cached_and_immutable(self):
+        f = s(1, -3, 2)  # (1 - z)(1 - 2z): roots 1 and 1/2
+        assert np.allclose(sorted(f.reciprocal_roots.real), [1.0, 2.0], rtol=0, atol=1e-15)
+        assert f.reciprocal_roots is f.reciprocal_roots
+        with pytest.raises(ValueError):
+            f.reciprocal_roots[0] = 5.0
 
 
 class TestMultiply:
@@ -218,10 +232,6 @@ class TestRealPowerOnRay:
         with pytest.raises(ValueError):
             real_power_on_ray(s(2, 1), 0.5, 0.3)
 
-    def test_requires_positive_steps(self):
-        with pytest.raises(ValueError):
-            real_power_on_ray(s(1, 0.5), 0.5, 0.3, steps=0)
-
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
     def test_power_consistency_identities(self, p):
         # exp of the tracked log reproduces the value, and exponents compose
@@ -266,7 +276,78 @@ class TestCircleEngine:
     def test_flags_rays_through_zeros(self):
         # (1 - 2z) vanishes at 0.5, exactly on the angle-0 ray
         f = s(1, -2)
-        L, failed, rho = circle_log_values(f, [0.5], 8, steps=2)
+        L, failed, rho = circle_log_values(f, [0.5], 8)
         assert failed[0, 0]
         assert not failed[0, 1:].any()
         assert np.isnan(L[0, 0].real)
+
+    def test_flags_root_between_ray_samples(self):
+        # 1 + 1.17z vanishes at -0.8547, between the samples 0.84375 and
+        # 0.8578 of a 64-step theta = pi ray to 0.9, inside all three circles
+        L, failed, rho = circle_log_values(s(1, 1.17), [0.9, 0.99, 0.999], 4096)
+        expect = np.zeros((3, 4096), dtype=bool)
+        expect[:, 2048] = True
+        assert np.array_equal(failed, expect)
+        assert np.isnan(L[:, 2048]).all()
+        assert np.isfinite(L[~expect]).all()
+
+    def test_root_count_sets_the_turns(self):
+        # three roots near the positive axis inside |z| = 0.9: rays passing
+        # them collect several half turns, beyond what the principal Arg
+        # can say, and the root count must match a fine ray sampling
+        roots = [0.4 * cmath.exp(0.1j), 0.45 * cmath.exp(-0.05j), 0.5 * cmath.exp(0.03j)]
+        coeffs = np.polynomial.polynomial.polyfromroots(roots)
+        f = TruncatedSeries(coeffs / coeffs[0])
+        L, failed, rho = circle_log_values(f, [0.9], 64)
+        assert not failed.any()
+        assert np.abs(L.imag).max() > 2 * np.pi
+        zs = rho[0] * np.exp(2j * np.pi * np.arange(64) / 64)
+        ref, ref_failed, turn = sampled_ray_logs(f.coeffs, zs, steps=4096)
+        assert not ref_failed.any() and turn.max() < np.pi / 4
+        assert np.max(np.abs(L[0] - ref)) < 1e-12
+
+
+# Janowski parameter points -1 <= B < A <= 1, 0 < lam <= 1 (B as a gap below A).
+JANOWSKI_POINT = st.tuples(
+    st.floats(-0.999, 1.0, allow_nan=False),
+    st.floats(0.0, 2.0, exclude_min=True, allow_nan=False),
+    st.floats(0.0, 1.0, exclude_min=True, allow_nan=False),
+).map(lambda t: (t[0], max(t[0] - t[1], -1.0), t[2])).filter(lambda t: t[1] < t[0])
+
+# Partial sums s_n, n <= 64: Janowski ones, and random unit-constant vectors.
+PARTIAL_SUMS = st.one_of(
+    st.tuples(JANOWSKI_POINT, st.integers(1, 64)).map(
+        lambda t: janowski_series(JanowskiParams(*t[0]), t[1]).coeffs
+    ),
+    st.lists(finite_coeff, min_size=1, max_size=64).map(lambda c: np.array([1.0] + c)),
+)
+
+TARGETS = st.lists(
+    st.tuples(st.floats(0.0, 0.999), st.floats(-np.pi, np.pi)).map(
+        lambda t: t[0] * np.exp(1j * t[1])
+    ),
+    min_size=1,
+    max_size=32,
+).map(np.array)
+
+
+class TestSampledReference:
+    """The root-counted branch against the 64-step ray sampler it replaced."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(PARTIAL_SUMS, TARGETS)
+    def test_agrees_where_the_sampler_resolves_the_turns(self, coeffs, targets):
+        L, failed = ray_log_values(TruncatedSeries(coeffs), targets)
+        ref, ref_failed, turn = sampled_ray_logs(coeffs, targets)
+        resolved = ~ref_failed & (turn < np.pi / 4)
+        assert not failed[resolved].any()
+        assert np.all(np.abs(L - ref)[resolved] <= 1e-12)
+
+    @settings(deadline=None, max_examples=200)
+    @given(PARTIAL_SUMS, TARGETS)
+    def test_exp_reproduces_the_value(self, coeffs, targets):
+        L, failed = ray_log_values(TruncatedSeries(coeffs), targets)
+        for z, log, bad in zip(targets, L, failed):
+            if not bad:
+                value = horner(coeffs, z)
+                assert abs(np.exp(log) - value) <= 1e-12 * abs(value)

@@ -14,7 +14,7 @@ from janostab.subordination import (
     DiskSpec,
     PoleError,
     SampleGrid,
-    _defect_values,
+    _defect_and_slope,
     check_cross_order_stability,
     check_derivative_modulus_bound,
     check_power_product_subordination,
@@ -31,6 +31,8 @@ from janostab.subordination import (
 from oracles import horner
 
 K = KNOWN_COUNTEREXAMPLE
+# The (A, B, lambda) points of the A08 derivative sweep.
+A08_PARAMS = ((-0.5, -1.0, 0.5), (-0.2, -0.8, 0.3), (-0.679, -0.97, 0.3))
 SMALL = SampleGrid(radii=(0.9, 0.99), points_per_circle=512)
 
 
@@ -86,7 +88,7 @@ class TestStabilityRatio:
     def test_defect_shares_the_code_path(self):
         # the derivative check's vectorized defect is 1 - ratio
         series = janowski_series(K.params, K.n)
-        vals, failed = _defect_values(series, K.params, np.array([K.z0]))
+        vals, _, failed = _defect_and_slope(series, K.params, np.array([K.z0]))
         assert not failed[0]
         assert abs(vals[0] - (1.0 - stability_ratio(K.params, K.n, K.z0))) < 1e-14
 
@@ -287,6 +289,27 @@ class TestDerivativeModulusBound:
     def test_range_guard(self):
         with pytest.raises(ValueError):
             check_derivative_modulus_bound(JanowskiParams(0.4, -1.0, 0.5), 2, SMALL)
+
+    @pytest.mark.parametrize("a, b, lam", A08_PARAMS)
+    @pytest.mark.parametrize("n", (1, 3, 8))
+    def test_bound_holds_to_roundoff_on_the_a08_cases(self, a, b, lam, n):
+        # the analytic derivative leaves only roundoff below 0 (a central
+        # difference left noise down to -7e-10 here)
+        report = check_derivative_modulus_bound(JanowskiParams(a, b, lam), n)
+        assert report.min_margin >= -1e-12
+
+    @pytest.mark.parametrize("a, b, lam", A08_PARAMS)
+    @pytest.mark.parametrize("n", (1, 3, 8))
+    def test_slope_matches_a_central_difference(self, a, b, lam, n):
+        params = JanowskiParams(a, b, lam)
+        series = janowski_series(params, n)
+        h = 1e-6
+        zs = np.concatenate([r * np.exp(2j * np.pi * np.arange(64) / 64) for r in (0.5, 0.9, 0.99)])
+        _, slope, failed = _defect_and_slope(series, params, zs)
+        above, _, _ = _defect_and_slope(series, params, zs + h)
+        below, _, _ = _defect_and_slope(series, params, zs - h)
+        assert not failed.any()
+        assert np.max(np.abs(slope - (above - below) / (2 * h))) < 1e-6
 
 
 class TestCrossOrderStability:
