@@ -67,7 +67,10 @@ def compute_figure_geometry(
     series = janowski_series(params, n)
     L, failed, rho = circle_log_values(series, [r], curve_angles)
     if bool(failed.any()):
-        raise BranchFailureError("a root of s_n lies on the segment [0, z] for a z on the ratio curve")
+        raise BranchFailureError(
+            "the continued branch is undefined or unresolved on [0, z] for a z on the "
+            "ratio curve (a root on the segment, |s_n| < 1e-12, or inaccurate roots)"
+        )
     theta = 2.0 * np.pi * np.arange(curve_angles) / curve_angles
     zs = rho[0] * np.exp(1j * theta)
     curve = (1.0 + params.B * zs) / (1.0 + params.A * zs) * np.exp(L[0] / params.lam)

@@ -35,10 +35,10 @@ WINDING_SLACK = 0.25
 
 
 class BranchFailureError(ArithmeticError):
-    """A root of s_n lies on the segment [0, z] (within ``EPS_ZERO``), so the
-    continued logarithm (and any power built from it) is undefined there.
-    Points where |s_n(z)| < ``EPS_ZERO``, or where the roots do not resolve
-    the winding, are reported the same way."""
+    """The continued branch is undefined or unresolved on [0, z]: a root of
+    s_n lies on the segment (within ``EPS_ZERO``), |s_n| < ``EPS_ZERO``, or
+    the roots are too inaccurate to fix the winding.  The continued
+    logarithm, and any power built from it, is then not reported."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +178,8 @@ def real_power_on_ray(f: TruncatedSeries, exponent: float, z) -> complex:
     """Analytic branch of ``f(z) ** exponent`` continued along the ray 0 -> z.
 
     Requires ``f.coeffs[0] == 1`` so the branch is the one with value 1 at
-    the origin.  Raises :class:`BranchFailureError` when a root of ``f``
-    lies on the segment [0, z], where the power is undefined.
+    the origin.  Raises :class:`BranchFailureError` when that branch is
+    undefined or unresolved on [0, z] (see :func:`_continued_log`).
     """
     if abs(complex(f.coeffs[0]) - 1.0) > 1e-9:
         raise ValueError("constant term must be 1 for a normalized power")
@@ -188,5 +188,8 @@ def real_power_on_ray(f: TruncatedSeries, exponent: float, z) -> complex:
         raise ValueError(f"z must be finite, got {z!r}")
     L, failed = ray_log_values(f, np.asarray(z))
     if bool(failed):
-        raise BranchFailureError(f"a root of s_n lies on the segment [0, z] for z = {z!r}")
+        raise BranchFailureError(
+            f"the continued branch is undefined or unresolved on [0, z] for z = {z!r} "
+            "(a root on the segment, |s_n| < 1e-12, or inaccurate roots)"
+        )
     return complex(np.exp(exponent * complex(L)))

@@ -28,7 +28,13 @@ import numpy as np
 
 from .inequalities import InequalityReport, InequalityViolation
 from .janowski import JanowskiParams, janowski_series
-from .series import TruncatedSeries, circle_log_values, ray_log_values, real_power_on_ray
+from .series import (
+    TruncatedSeries,
+    _polyval_grid,
+    circle_log_values,
+    ray_log_values,
+    real_power_on_ray,
+)
 
 __all__ = [
     "DISK_SOURCES",
@@ -536,9 +542,9 @@ def _defect_and_slope(series: TruncatedSeries, params: JanowskiParams, pts: np.n
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         power = np.exp(L / params.lam) / den
         ratio = (1.0 + params.B * pts) * power
-        log_slope = np.polynomial.polynomial.polyval(
-            pts, np.polynomial.polynomial.polyder(coeffs)
-        ) / (params.lam * np.polynomial.polynomial.polyval(pts, coeffs))
+        # s_n(z) = exp(L); s_n' is the derivative polynomial's Horner value
+        s_prime = _polyval_grid(coeffs[1:] * np.arange(1, coeffs.size), pts)
+        log_slope = s_prime / (params.lam * np.exp(L))
         slope = -power * ((params.B - params.A) / den + (1.0 + params.B * pts) * log_slope)
     return 1.0 - ratio, slope, failed | pole
 
@@ -570,7 +576,10 @@ def check_derivative_modulus_bound(
     points = np.concatenate([np.outer(grid.radii, np.exp(1j * theta)).ravel(), extra])
     moduli = np.concatenate([np.repeat(grid.radii, grid.points_per_circle), np.abs(extra)])
     _, deriv, bad = _defect_and_slope(series, params, points)
-    _, slopes, bad_real = _defect_and_slope(series, params, moduli.astype(complex))
+    # d'(|z|) depends on |z| only: evaluate once per distinct modulus
+    radii, inverse = np.unique(moduli, return_inverse=True)
+    _, slopes, bad_real = _defect_and_slope(series, params, radii.astype(complex))
+    slopes, bad_real = slopes[inverse], bad_real[inverse]
     margins = np.where(bad | bad_real, np.nan, slopes.real - np.abs(deriv))
     good = np.isfinite(margins)
     violations = tuple(

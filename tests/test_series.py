@@ -351,3 +351,16 @@ class TestSampledReference:
             if not bad:
                 value = horner(coeffs, z)
                 assert abs(np.exp(log) - value) <= 1e-12 * abs(value)
+
+    @pytest.mark.parametrize("params", [(-0.5, -1.0, 0.5), (0.0, -1.0, 1.0)])
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_high_degree_janowski_circles(self, params, n):
+        # beyond the property test's n <= 64: every ray resolved by a fine
+        # sampler, no false failure; FFT rows against Horner samples
+        f = janowski_series(JanowskiParams(*params), n)
+        L, failed, rho = circle_log_values(f, [0.9, 0.99, 0.999], 512)
+        zs = rho[:, None] * np.exp(2j * np.pi * np.arange(512) / 512)
+        ref, ref_failed, turn = sampled_ray_logs(f.coeffs, zs, steps=256)
+        assert not ref_failed.any() and turn.max() < np.pi / 4
+        assert not failed.any()
+        assert np.max(np.abs(L - ref)) < 1e-11

@@ -1,13 +1,12 @@
 """Compare the janostab CLI of two source trees on a fixed list of cases.
 
-    python tools/golden_cli.py OLD_TREE NEW_TREE [--new-prefix "--stats -"]
+    python tools/golden_cli.py OLD_TREE NEW_TREE
 
 Each tree is a checkout holding ``src/janostab``.  Every case runs as
 ``python -m janostab ...`` in a fresh temporary directory, once per tree;
 ``{dir}`` in a case stands for that directory.  The tool prints one line
 per case whose stdout, exit code or written files (SVG, CSV) differ, and
-exits 1 if any do.  ``--new-prefix`` inserts global flags before the
-subcommand on NEW_TREE only, to check that they leave stdout unchanged.
+exits 1 if any do.
 """
 
 import argparse
@@ -39,16 +38,20 @@ CASES = [
     "search --A-values -0.3,-0.6 --B-values -0.9,-0.7 --lambda-values 0.4,0.8 "
     "--n-values 1,2,4 --r 0.95",
     "verify-lemmas --step 0.1 --lambda-step 0.1 --n-max 130 --m-max 40",
+    # high degree, where the roots of s_n come from larger eigenproblems
+    "check-stability --A -0.5 --B -1 --lambda 0.5 --n-max 128",
+    "self-check --A -0.8 --B -1 --lambda 0.3 --n 256 --r 0.999",
+    "search --n-values 64,128,256",
 ]
 
 
-def run(tree: Path, prefix: list, case: str):
+def run(tree: Path, case: str):
     """(exit code, stdout, {file name: bytes}) of one case under one tree."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         argv = [a.replace("{dir}", tmp) for a in shlex.split(case)]
         proc = subprocess.run(
-            [sys.executable, "-m", "janostab", *prefix, *argv],
+            [sys.executable, "-m", "janostab", *argv],
             cwd=tmp, env=env, capture_output=True,
         )
         files = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir()) if p.is_file()}
@@ -59,12 +62,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--new-prefix", default="", help="global flags for NEW only")
     args = parser.parse_args()
     differ = 0
     for case in CASES:
-        old = run(args.old, [], case)
-        new = run(args.new, shlex.split(args.new_prefix), case)
+        old = run(args.old, case)
+        new = run(args.new, case)
         what = [name for name, a, b in zip(("exit", "stdout", "files"), old, new) if a != b]
         if what:
             differ += 1
