@@ -18,14 +18,8 @@ from .janowski import (
     convolution_coeffs,
     janowski_series,
 )
-from .search import (
-    SearchSpec,
-    SweepCell,
-    Violation,
-    find_self_stability_violation,
-    sweep_parameter_grid,
-)
-from .series import BranchFailureError, TruncatedSeries, real_power_on_ray
+from .search import SweepCell, sweep_parameter_grid
+from .series import BranchFailureError, TruncatedSeries
 from .subordination import (
     DiskSpec,
     KNOWN_COUNTEREXAMPLE,

@@ -46,6 +46,21 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_BRANCH_FAILURE = 3
 
+# The highest series degree the continued branch is tested at, and the most
+# sample points one evaluation may hold (one n = 32 base check on 2**20
+# points peaks at ~176 MB RSS with numpy 2.4 on x86-64 Linux).
+MAX_DEGREE = 256
+MAX_POINTS = 2**20
+
+
+def check_size(degree: int, points: int) -> None:
+    """Reject a series degree or a per-evaluation sample count beyond the
+    limits; commands call it before any series is built."""
+    if degree > MAX_DEGREE:
+        raise ValueError(f"series degree {degree} exceeds {MAX_DEGREE}")
+    if points > MAX_POINTS:
+        raise ValueError(f"{points} sample points in one evaluation exceed {MAX_POINTS}")
+
 
 def _floats_csv(text: str) -> tuple:
     try:
@@ -161,6 +176,7 @@ def cmd_check_stability(args) -> int:
     params = JanowskiParams(args.A, args.B, args.lam)
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
+    check_size(args.n_max, len(args.radii) * args.samples)
     grid = SampleGrid(radii=args.radii, points_per_circle=args.samples)
     reports = [
         check_stability_vs_base(params, n, grid, tol=args.tol, allow_outside=args.allow_outside)
@@ -176,6 +192,7 @@ def cmd_check_stability(args) -> int:
 def cmd_self_check(args) -> int:
     params = JanowskiParams(args.A, args.B, args.lam)
     extra = (args.z0,) if args.z0 is not None else ()
+    check_size(args.n, len(args.radii) * args.samples + len(extra))
     grid = SampleGrid(radii=args.radii, points_per_circle=args.samples, extra_points=extra)
     report = check_stability_vs_self(
         params, args.n, args.r, grid,
@@ -204,6 +221,7 @@ def cmd_self_check(args) -> int:
 
 
 def cmd_search(args) -> int:
+    check_size(max(args.n_values, default=0), args.coarse_radii * args.coarse_angles)
     cells = sweep_parameter_grid(
         args.A_values,
         args.B_values,
@@ -226,6 +244,7 @@ def cmd_plot(args) -> int:
         params = JanowskiParams(args.A, args.B, args.lam)
         if args.z0 is None:
             raise ValueError("--z0 must name a witness point for plotting")
+        check_size(args.n, max(args.angles, args.boundary_samples))
         geometry = compute_figure_geometry(
             params, args.n, args.r, args.z0,
             curve_angles=args.angles, boundary_samples=args.boundary_samples,

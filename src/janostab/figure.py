@@ -16,8 +16,8 @@ import numpy as np
 
 from .janowski import JanowskiParams, janowski_series
 from .serialize import csv_text, fmt6
-from .series import BranchFailureError, circle_log_values
-from .subordination import DISK_SOURCES, disk_for, stability_ratio
+from .series import BranchFailureError
+from .subordination import DISK_SOURCES, disk_for, ratio_samples, stability_ratio
 
 __all__ = [
     "FigureGeometry",
@@ -58,22 +58,19 @@ def compute_figure_geometry(
     is undefined somewhere along the curve or at the witness."""
     if not 0.0 < r < 1.0:
         raise ValueError("need 0 < r < 1")
-    if curve_angles < 8:
-        raise ValueError("curve_angles must be >= 8")
+    if curve_angles < 8 or boundary_samples < 8:
+        raise ValueError("curve_angles and boundary_samples must be >= 8")
     boundaries = []
     for source in DISK_SOURCES:
         disk = disk_for(source, params, r)
         boundaries.append((source, disk.boundary_points(boundary_samples)))
     series = janowski_series(params, n)
-    L, failed, rho = circle_log_values(series, [r], curve_angles)
-    if bool(failed.any()):
+    curve, _, bad = ratio_samples(series, params.lam, params.A, params.B, [r], curve_angles)
+    if bad.any():
         raise BranchFailureError(
             "the continued branch is undefined or unresolved on [0, z] for a z on the "
             "ratio curve (a root on the segment, |s_n| < 1e-12, or inaccurate roots)"
         )
-    theta = 2.0 * np.pi * np.arange(curve_angles) / curve_angles
-    zs = rho[0] * np.exp(1j * theta)
-    curve = (1.0 + params.B * zs) / (1.0 + params.A * zs) * np.exp(L[0] / params.lam)
     point = stability_ratio(params, n, z0)
     return FigureGeometry(tuple(boundaries), curve, complex(point))
 

@@ -15,15 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .janowski import JanowskiParams, janowski_series
-from .series import TruncatedSeries, circle_log_values, ray_log_values
-from .subordination import POLE_EPS, DiskSpec, _mobius_power_margins, disk_for
+from .subordination import DiskSpec, disk_for, ratio_samples
 
 __all__ = [
     "SWEEP_CSV_HEADER",
-    "SearchSpec",
     "SweepCell",
-    "Violation",
-    "find_self_stability_violation",
     "sweep_parameter_grid",
 ]
 
@@ -42,65 +38,6 @@ SWEEP_CSV_HEADER = (
     "disk_radius",
     "disk_source",
 )
-
-
-@dataclass(frozen=True)
-class SearchSpec:
-    """One search configuration.
-
-    ``target`` selects the disk the ratio is tested against: ``"self"``
-    uses the image disk of |z| <= r (where violations are expected for
-    -1 <= B < A < 0), ``"base"`` uses the disk center 1 radius |B| (where
-    none should exist for A <= 0).
-    """
-
-    params: JanowskiParams
-    n_values: tuple
-    r: float
-    coarse_radii: int = 64
-    coarse_angles: int = 256
-    refine_iters: int = 16
-    disk_source: str = "mobius_image"
-    target: str = "self"
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        if any(n < 1 for n in self.n_values) or not self.n_values:
-            raise ValueError("n_values must be a non-empty list of integers >= 1")
-        if not 0.0 < self.r < 1.0:
-            raise ValueError("need 0 < r < 1")
-        if self.coarse_radii < 16 or self.coarse_angles < 16:
-            raise ValueError("coarse grid must have at least 16 points per axis")
-        if self.refine_iters < 0:
-            raise ValueError("refine_iters must be >= 0")
-        if self.target not in ("self", "base"):
-            raise ValueError("target must be 'self' or 'base'")
-
-
-@dataclass(frozen=True)
-class Violation:
-    """A witnessed escape from the target disk.
-
-    ``margin`` equals |ratio - disk.center| - disk.radius for the stored
-    fields, so every violation is independently re-verifiable.
-    """
-
-    params: JanowskiParams
-    n: int
-    z: complex
-    ratio: complex
-    disk: DiskSpec
-    margin: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.as_dict(),
-            "n": self.n,
-            "z": {"re": self.z.real, "im": self.z.imag},
-            "ratio": {"re": self.ratio.real, "im": self.ratio.imag},
-            "disk": self.disk.to_json_dict(),
-            "margin": self.margin,
-        }
 
 
 @dataclass(frozen=True)
@@ -133,45 +70,22 @@ class SweepCell:
         ]
 
 
-def _coarse_scan(
-    series: TruncatedSeries,
-    params: JanowskiParams,
-    disk: DiskSpec,
-    r: float,
-    n_radii: int,
-    n_angles: int,
-):
-    """Margins, ratio values and sample points on the coarse polar grid."""
-    radii = [(j + 1) * r / n_radii for j in range(n_radii)]
-    L, failed, rho = circle_log_values(series, radii, n_angles)
-    theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    zs = rho[:, None] * np.exp(1j * theta)[None, :]
-    margins, vals, pole = _mobius_power_margins(
-        L, zs, 1.0 / params.lam, params.A, params.B, disk
-    )
-    bad = failed | pole
-    margins = np.where(bad, np.nan, margins)
-    return margins, vals, zs, int(bad.sum()), margins.size
-
-
 def _margin_fn(series, params, disk):
-    """Scalar margin closure used by refinement.
+    """Scalar margin closure used by refinement: (margin, ratio) at z, or
+    (None, None) where the ratio is undefined.
 
-    It keeps its own exp(L / lam) rather than the exp((1 / lam) * L) of
-    ``stability_ratio``: the two round differently, and the latter moves the
-    last digits of 9 of the 24 rows of ``search --A-values -0.3,-0.6
-    --B-values -0.9,-0.7 --lambda-values 0.4,0.8 --n-values 1,2,4 --r 0.95``.
+    Coordinate descent probes many points more than once (a radial step
+    clipped at |z| = r stays put, a step back returns to the last point),
+    so each distinct z is evaluated once per closure.
     """
+    memo = {}
 
     def margin_at(z: complex):
-        L, failed = ray_log_values(series, np.asarray(z))
-        if bool(failed):
-            return None, None
-        den = 1.0 + params.A * z
-        if abs(den) < POLE_EPS:
-            return None, None
-        ratio = (1.0 + params.B * z) / den * complex(np.exp(complex(L) / params.lam))
-        return disk.margin(ratio), ratio
+        if z not in memo:
+            vals, _, bad = ratio_samples(series, params.lam, params.A, params.B, points=(z,))
+            ratio = complex(vals[0])
+            memo[z] = (None, None) if bad[0] else (disk.margin(ratio), ratio)
+        return memo[z]
 
     return margin_at
 
@@ -215,64 +129,32 @@ def _search_cell(
     coarse_angles: int,
     refine_iters: int,
 ):
-    """Coarse scan of |z| <= r for one (params, n) cell, then refinement
-    from the best coarse sample.
-
-    Returns the flattened coarse margins (NaN where a sample failed), ratios
-    and points, the index of the best coarse sample, and the refined
-    (margin, z, ratio), or None when refinement did not run.  More than half
-    of the samples failing is treated as an error rather than a silently
-    shrunken search region.
+    """Best (margin, z, ratio) of one (params, n) cell: a coarse polar scan
+    of |z| <= r, then refinement from the best coarse sample, keeping the
+    better of the two.  More than half of the samples failing is treated as
+    an error rather than a silently shrunken search region.
     """
     series = janowski_series(params, n)
-    margins, vals, zs, failures, total = _coarse_scan(
-        series, params, disk, r, coarse_radii, coarse_angles
-    )
-    if failures * 2 > total:
-        raise RuntimeError(f"{failures} of {total} samples failed branch continuation")
-    margins, vals, zs = margins.ravel(), vals.ravel(), zs.ravel()
-    finite = np.isfinite(margins)
-    best = int(np.argmax(np.where(finite, margins, -np.inf)))
-    refined = None
-    if finite.any() and refine_iters > 0:
+    radii = [(j + 1) * r / coarse_radii for j in range(coarse_radii)]
+    vals, zs, bad = ratio_samples(series, params.lam, params.A, params.B, radii, coarse_angles)
+    failures = int(bad.sum())
+    if failures * 2 > bad.size:
+        raise RuntimeError(f"{failures} of {bad.size} samples failed branch continuation")
+    margins = np.abs(vals - disk.center) - disk.radius
+    k = int(np.argmax(np.where(np.isfinite(margins), margins, -np.inf)))
+    best = (float(margins[k]), complex(zs[k]), complex(vals[k]))
+    if refine_iters > 0:
         history = _refine(
             _margin_fn(series, params, disk),
-            complex(zs[best]),
+            best[1],
             r,
             r / coarse_radii,
             2.0 * np.pi / coarse_angles,
             refine_iters,
         )
-        refined = history[-1] if history else None
-    return margins, vals, zs, best, refined
-
-
-def find_self_stability_violation(spec: SearchSpec) -> list:
-    """Scan |z| <= r for strictly positive margins, refine the best point,
-    and return every violation found sorted by descending margin.
-
-    Branch-failure samples are skipped; more than half of them failing
-    raises ``RuntimeError``.
-    """
-    if spec.target == "base":
-        disk = DiskSpec(1.0 + 0.0j, abs(spec.params.B))
-    else:
-        disk = disk_for(spec.disk_source, spec.params, spec.r)
-    violations = []
-    for n in spec.n_values:
-        margins, vals, zs, _, refined = _search_cell(
-            spec.params, n, disk, spec.r, spec.coarse_radii, spec.coarse_angles, spec.refine_iters
-        )
-        seen = {}
-        for k in np.flatnonzero(np.isfinite(margins) & (margins > 0.0)):
-            z, ratio = complex(zs[k]), complex(vals[k])
-            seen[z] = Violation(spec.params, n, z, ratio, disk, disk.margin(ratio))
-        if refined is not None and refined[0] > 0.0:
-            margin, z, ratio = refined
-            seen[z] = Violation(spec.params, n, z, ratio, disk, margin)
-        violations.extend(seen.values())
-    violations.sort(key=lambda v: (-v.margin, v.z.real, v.z.imag, v.n))
-    return violations
+        if history and history[-1][0] > best[0]:
+            best = history[-1]
+    return best
 
 
 def sweep_parameter_grid(
@@ -307,6 +189,10 @@ def sweep_parameter_grid(
         raise ValueError("n_values must be a non-empty list of integers >= 1")
     if not 0.0 < r < 1.0:
         raise ValueError("need 0 < r < 1")
+    if coarse_radii < 16 or coarse_angles < 16:
+        raise ValueError("coarse grid must have at least 16 points per axis")
+    if refine_iters < 0:
+        raise ValueError("refine_iters must be >= 0")
     cells = []
     for a in a_values:
         for b in b_values:
@@ -316,11 +202,6 @@ def sweep_parameter_grid(
                 params = JanowskiParams(a, b, lam)
                 disk = disk_for(disk_source, params, r)
                 for n in n_values:
-                    margins, vals, zs, k, refined = _search_cell(
-                        params, n, disk, r, coarse_radii, coarse_angles, refine_iters
-                    )
-                    best = (float(margins[k]), complex(zs[k]), complex(vals[k]))
-                    if refined is not None and refined[0] > best[0]:
-                        best = refined
+                    best = _search_cell(params, n, disk, r, coarse_radii, coarse_angles, refine_iters)
                     cells.append(SweepCell(params, n, *best, disk, disk_source))
     return cells

@@ -1,8 +1,8 @@
 """Truncated complex power series and their ray-continued logarithms.
 
 A series here is a Maclaurin polynomial with a fixed truncation order.
-Logarithms and real powers follow the branch continued along the segment
-[0, z] from the origin, not the pointwise principal branch.  It is exact:
+Logarithms follow the branch continued along the segment [0, z] from the
+origin, not the pointwise principal branch.  It is exact:
 s(z) = s(0) * prod_k (1 - z/z_k) over the roots z_k, and each factor's
 segment 1 - t*z/z_k, t in [0, 1], starts at 1 and reaches the negative real
 axis only through 0, so the continued logarithm is Log s(0) plus
@@ -25,7 +25,6 @@ __all__ = [
     "TruncatedSeries",
     "circle_log_values",
     "ray_log_values",
-    "real_power_on_ray",
 ]
 
 EPS_ZERO = 1e-12
@@ -100,7 +99,8 @@ def _continued_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
     c0 = f.coeffs[0]
     ws = f.reciprocal_roots
     turns = np.full(pts.shape, np.angle(c0))
-    failed = (np.abs(vals) < EPS_ZERO) | (abs(c0) < EPS_ZERO)
+    modulus, phase = np.abs(vals), np.angle(vals)
+    failed = (modulus < EPS_ZERO) | (abs(c0) < EPS_ZERO)
     norm2 = pts.real**2 + pts.imag**2
     reach = np.sqrt(norm2.max(initial=0.0)) + EPS_ZERO
     factor = np.empty_like(pts)
@@ -115,13 +115,13 @@ def _continued_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
         for root in 1.0 / ws[np.abs(ws) * reach >= 1.0]:
             t = np.clip(np.where(norm2 > 0, (root * pts.conj()).real / norm2, 0.0), 0.0, 1.0)
             failed |= np.abs(root - t * pts) < EPS_ZERO
-        turns = (turns - np.angle(vals)) / (2.0 * np.pi)
+        turns = (turns - phase) / (2.0 * np.pi)
         m = np.rint(turns)
         failed |= ~(np.abs(turns - m) <= WINDING_SLACK)
         # integer turns: a zero turn adds +0.0, never the -0.0 that rint
         # gives for a tiny negative sum
         m = np.where(failed, 0, m).astype(np.int64)
-        L = np.log(np.abs(vals)) + 1j * (np.angle(vals) + 2.0 * np.pi * m)
+        L = np.log(modulus) + 1j * (phase + 2.0 * np.pi * m)
     if np.any(failed):
         L = np.where(failed, np.nan + 1j * np.nan, L)
     return L, failed
@@ -130,8 +130,8 @@ def _continued_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
 def ray_log_values(f: TruncatedSeries, targets):
     """Continuous logarithm of ``f`` along the segment from 0 to each target.
 
-    Returns ``(L, failed)`` where ``L`` has the shape of ``targets`` and
-    ``exp(L) == f(target)`` on the branch continued from the origin;
+    Returns ``(L, failed)`` where ``L`` has the shape of ``targets`` and is
+    the logarithm of ``f(target)`` on the branch continued from the origin;
     ``failed`` marks the targets where that branch is undefined (see
     :func:`_continued_log`), whose entries of ``L`` are NaN.
     """
@@ -146,10 +146,9 @@ def circle_log_values(f: TruncatedSeries, radii, num_angles: int):
     polynomial degree allows it (angles are ``2*pi*k/num_angles``,
     k = 0..num_angles-1), with the branch of :func:`ray_log_values`.
 
-    Returns ``(L, failed, rho)``: ``L`` and ``failed`` have shape
-    (len(radii), num_angles), ``rho`` holds the radius actually used for
-    each requested circle (``(r / r_max) * r_max``, equal to the request up
-    to one rounding).
+    Returns ``(L, failed, pts)``, each of shape (len(radii), num_angles):
+    ``pts`` holds the points evaluated, on the radius ``(r / r_max) * r_max``
+    (the request up to one rounding).
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -171,25 +170,5 @@ def circle_log_values(f: TruncatedSeries, radii, num_angles: int):
     else:
         vals = _polyval_grid(f.coeffs, pts)
     L, failed = _continued_log(f, pts, vals)
-    return L, failed, rho
+    return L, failed, pts
 
-
-def real_power_on_ray(f: TruncatedSeries, exponent: float, z) -> complex:
-    """Analytic branch of ``f(z) ** exponent`` continued along the ray 0 -> z.
-
-    Requires ``f.coeffs[0] == 1`` so the branch is the one with value 1 at
-    the origin.  Raises :class:`BranchFailureError` when that branch is
-    undefined or unresolved on [0, z] (see :func:`_continued_log`).
-    """
-    if abs(complex(f.coeffs[0]) - 1.0) > 1e-9:
-        raise ValueError("constant term must be 1 for a normalized power")
-    z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise ValueError(f"z must be finite, got {z!r}")
-    L, failed = ray_log_values(f, np.asarray(z))
-    if bool(failed):
-        raise BranchFailureError(
-            f"the continued branch is undefined or unresolved on [0, z] for z = {z!r} "
-            "(a root on the segment, |s_n| < 1e-12, or inaccurate roots)"
-        )
-    return complex(np.exp(exponent * complex(L)))

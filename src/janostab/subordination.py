@@ -29,11 +29,11 @@ import numpy as np
 from .inequalities import InequalityReport, InequalityViolation
 from .janowski import JanowskiParams, janowski_series
 from .series import (
+    BranchFailureError,
     TruncatedSeries,
     _polyval_grid,
     circle_log_values,
     ray_log_values,
-    real_power_on_ray,
 )
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "disk_for",
     "mobius_image_disk",
     "mobius_target",
+    "ratio_samples",
     "reference_disk_comparison",
     "self_margin_at",
     "stability_ratio",
@@ -125,10 +126,6 @@ class SampleGrid:
                 raise ValueError("extra points must be finite")
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "extra_points", extras)
-
-    @classmethod
-    def default(cls) -> "SampleGrid":
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -276,24 +273,65 @@ def reference_disk_comparison(params: JanowskiParams, r: float) -> dict:
     }
 
 
-# --- pointwise values --------------------------------------------------------
+# --- the stability ratio ------------------------------------------------------
+
+def ratio_samples(
+    series: TruncatedSeries,
+    lam: float,
+    a_coef: float,
+    b_coef: float,
+    radii: Sequence[float] = (),
+    num_angles: int = 0,
+    points: Sequence[complex] = (),
+):
+    """(1+Bz) * s(z)**(1/lam) / (1+Az) on the ray-continued branch: the one
+    evaluation of the stability ratio.
+
+    Samples are the full circles of ``radii`` (``num_angles`` equispaced
+    angles from 0, one FFT row each), then the explicit ``points``.  Returns
+    flat arrays ``(vals, zs, bad)``; ``bad`` marks a branch failure or a
+    point within ``POLE_EPS`` of -1/A, where ``vals`` is NaN.
+    """
+    chunks = []
+    if len(radii):
+        chunks.append(circle_log_values(series, radii, num_angles))
+    if len(points):
+        pts = np.asarray(points, dtype=complex)
+        chunks.append((*ray_log_values(series, pts), pts))
+    if not chunks:
+        raise ValueError("sample grid is empty: no circles and no extra points")
+    L, failed, zs = (np.concatenate(part, axis=None) for part in zip(*chunks))
+    den = 1.0 + a_coef * zs
+    bad = failed | (np.abs(den) < POLE_EPS)
+    with np.errstate(invalid="ignore", over="ignore"):
+        vals = (1.0 + b_coef * zs) / np.where(bad, np.nan, den) * np.exp(L / lam)
+    return vals, zs, bad
+
 
 def stability_ratio(params: JanowskiParams, n: int, z) -> complex:
-    """(1+Bz) * s_n(v, z)**(1/lam) / (1+Az) on the ray-continued branch.
+    """The stability ratio of s_n at one point (see :func:`ratio_samples`).
 
     This is the (1/lam)-power of s_n(v)/v; its value at 0 is exactly 1.
-    Raises :class:`PoleError` near z = -1/A and propagates
-    :class:`~janostab.series.BranchFailureError` from the power.
+    Raises :class:`PoleError` near z = -1/A and
+    :class:`~janostab.series.BranchFailureError` where the continued branch
+    is undefined or unresolved on [0, z].
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     z = complex(z)
-    den = 1.0 + params.A * z
-    if abs(den) < POLE_EPS:
+    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+        raise ValueError(f"z must be finite, got {z!r}")
+    if abs(1.0 + params.A * z) < POLE_EPS:
         raise PoleError(f"z={z!r} is within {POLE_EPS:g} of the pole -1/A")
-    s = janowski_series(params, n)
-    power = real_power_on_ray(s, 1.0 / params.lam, z)
-    return (1.0 + params.B * z) / den * power
+    vals, _, bad = ratio_samples(
+        janowski_series(params, n), params.lam, params.A, params.B, points=(z,)
+    )
+    if bad[0]:
+        raise BranchFailureError(
+            f"the continued branch is undefined or unresolved on [0, z] for z = {z!r} "
+            "(a root on the segment, |s_n| < 1e-12, or inaccurate roots)"
+        )
+    return complex(vals[0])
 
 
 def self_margin_at(
@@ -310,7 +348,7 @@ def self_margin_at(
     return disk.margin(ratio), ratio, disk
 
 
-# --- sweep engine ------------------------------------------------------------
+# --- stability checks ---------------------------------------------------------
 
 def _worst_sample(margins: np.ndarray, points: np.ndarray):
     """Max margin with deterministic tie-break (smallest (re, im))."""
@@ -323,66 +361,47 @@ def _worst_sample(margins: np.ndarray, points: np.ndarray):
     return float(m_max), complex(ties[order[0]])
 
 
-def _mobius_power_margins(L, zs, exponent, a_coef, b_coef, disk):
-    """Margins of (1+Bz)/(1+Az)*exp(exponent*L) against ``disk``."""
-    den = 1.0 + a_coef * zs
-    pole = np.abs(den) < POLE_EPS
-    with np.errstate(invalid="ignore", over="ignore"):
-        vals = (1.0 + b_coef * zs) / np.where(pole, 1.0, den) * np.exp(exponent * L)
-        margins = np.abs(vals - disk.center) - disk.radius
-    margins = np.where(pole, np.nan, margins)
-    return margins, vals, pole
-
-
-def _sweep_margins(
+def _stability_report(
     series: TruncatedSeries,
-    exponent: float,
-    a_coef: float,
-    b_coef: float,
+    params: JanowskiParams,
+    n: int,
     disk: DiskSpec,
-    circle_radii: Sequence[float],
-    points_per_circle: int,
-    extra_points: Sequence[complex],
-):
-    """Worst disk margin of the powered Mobius ratio over circles and
-    explicit points.  Returns (worst_margin, worst_point, any_failed)."""
-    margin_chunks = []
-    point_chunks = []
-    any_failed = False
-    if circle_radii:
-        L, failed, rho = circle_log_values(series, circle_radii, points_per_circle)
-        theta = 2.0 * np.pi * np.arange(points_per_circle) / points_per_circle
-        zs = rho[:, None] * np.exp(1j * theta)[None, :]
-        margins, _, pole = _mobius_power_margins(L, zs, exponent, a_coef, b_coef, disk)
-        margins = np.where(failed, np.nan, margins)
-        any_failed = bool((failed | pole).any())
-        margin_chunks.append(margins.ravel())
-        point_chunks.append(zs.ravel())
-    if extra_points:
-        targets = np.array([complex(z) for z in extra_points])
-        L, failed = ray_log_values(series, targets)
-        margins, _, pole = _mobius_power_margins(
-            L, targets, exponent, a_coef, b_coef, disk
-        )
-        margins = np.where(failed, np.nan, margins)
-        any_failed = any_failed or bool((failed | pole).any())
-        margin_chunks.append(np.atleast_1d(margins))
-        point_chunks.append(np.atleast_1d(targets))
-    if not margin_chunks:
-        raise ValueError("sample grid is empty: no circles and no extra points")
-    worst, worst_point = _worst_sample(
-        np.concatenate(margin_chunks), np.concatenate(point_chunks)
+    radii: tuple,
+    grid: SampleGrid,
+    tol: float,
+    **fields,
+) -> StabilityReport:
+    """Worst margin of the stability ratio of ``series`` (with ``params``'
+    A, B and lambda) against ``disk`` over the circles ``radii`` and the
+    grid's explicit points, as a report."""
+    vals, zs, bad = ratio_samples(
+        series, params.lam, params.A, params.B, radii, grid.points_per_circle, grid.extra_points
     )
-    return worst, worst_point, any_failed
+    worst, worst_point = _worst_sample(np.abs(vals - disk.center) - disk.radius, zs)
+    if bad.any():
+        verdict = "branch_failure"
+    else:
+        verdict = "pass" if worst <= tol else "violated"
+    return StabilityReport(
+        verdict=verdict,
+        worst_margin=worst,
+        worst_point=worst_point,
+        n=n,
+        params=params,
+        sample_radii=radii,
+        points_per_circle=grid.points_per_circle,
+        disk=disk,
+        **fields,
+    )
 
 
-def _verdict(worst: float, any_failed: bool, tol: float) -> str:
-    if any_failed:
-        return "branch_failure"
-    return "pass" if worst <= tol else "violated"
+def _require_base_range(params: JanowskiParams, allow_outside: bool) -> None:
+    if not params.base_stable_range and not allow_outside:
+        raise ValueError(
+            "params outside the established range A <= 0; "
+            "pass allow_outside=True for exploratory checks"
+        )
 
-
-# --- stability checks ---------------------------------------------------------
 
 def check_stability_vs_base(
     params: JanowskiParams,
@@ -399,34 +418,10 @@ def check_stability_vs_base(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not params.base_stable_range and not allow_outside:
-        raise ValueError(
-            "params outside the established range A <= 0; "
-            "pass allow_outside=True for exploratory checks"
-        )
-    grid = grid or SampleGrid.default()
-    series = janowski_series(params, n)
+    _require_base_range(params, allow_outside)
+    grid = grid or SampleGrid()
     disk = DiskSpec(1.0 + 0.0j, abs(params.B))
-    worst, worst_point, failed = _sweep_margins(
-        series,
-        1.0 / params.lam,
-        params.A,
-        params.B,
-        disk,
-        grid.radii,
-        grid.points_per_circle,
-        grid.extra_points,
-    )
-    return StabilityReport(
-        verdict=_verdict(worst, failed, tol),
-        worst_margin=worst,
-        worst_point=worst_point,
-        n=n,
-        params=params,
-        sample_radii=grid.radii,
-        points_per_circle=grid.points_per_circle,
-        disk=disk,
-    )
+    return _stability_report(janowski_series(params, n), params, n, disk, grid.radii, grid, tol)
 
 
 def check_stability_vs_self(
@@ -449,30 +444,11 @@ def check_stability_vs_self(
         raise ValueError("n must be >= 1")
     if not 0.0 < r < 1.0:
         raise ValueError("need 0 < r < 1")
-    grid = grid or SampleGrid.default()
+    grid = grid or SampleGrid()
     disk = disk_for(disk_source, params, r)
-    series = janowski_series(params, n)
-    circle_radii = tuple(f * r for f in grid.radii)
-    worst, worst_point, failed = _sweep_margins(
-        series,
-        1.0 / params.lam,
-        params.A,
-        params.B,
-        disk,
-        circle_radii,
-        grid.points_per_circle,
-        grid.extra_points,
-    )
-    return StabilityReport(
-        verdict=_verdict(worst, failed, tol),
-        worst_margin=worst,
-        worst_point=worst_point,
-        n=n,
-        params=params,
-        sample_radii=circle_radii,
-        points_per_circle=grid.points_per_circle,
-        disk_source=disk_source,
-        disk=disk,
+    radii = tuple(f * r for f in grid.radii)
+    return _stability_report(
+        janowski_series(params, n), params, n, disk, radii, grid, tol, disk_source=disk_source
     )
 
 
@@ -498,29 +474,11 @@ def check_cross_order_stability(
         raise ValueError("need -1 <= B < 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    grid = grid or SampleGrid.default()
+    grid = grid or SampleGrid()
     series = janowski_series(JanowskiParams(0.0, b_coef, mu), n)
     disk = DiskSpec(1.0 + 0.0j, abs(b_coef))
-    worst, worst_point, failed = _sweep_margins(
-        series,
-        1.0 / lam,
-        0.0,
-        b_coef,
-        disk,
-        grid.radii,
-        grid.points_per_circle,
-        grid.extra_points,
-    )
-    return StabilityReport(
-        verdict=_verdict(worst, failed, tol),
-        worst_margin=worst,
-        worst_point=worst_point,
-        n=n,
-        params=JanowskiParams(0.0, b_coef, lam),
-        sample_radii=grid.radii,
-        points_per_circle=grid.points_per_circle,
-        disk=disk,
-        mu=mu,
+    return _stability_report(
+        series, JanowskiParams(0.0, b_coef, lam), n, disk, grid.radii, grid, tol, mu=mu
     )
 
 
@@ -564,12 +522,8 @@ def check_derivative_modulus_bound(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not params.base_stable_range and not allow_outside:
-        raise ValueError(
-            "params outside the established range A <= 0; "
-            "pass allow_outside=True for exploratory checks"
-        )
-    grid = grid or SampleGrid.default()
+    _require_base_range(params, allow_outside)
+    grid = grid or SampleGrid()
     series = janowski_series(params, n)
     theta = 2.0 * np.pi * np.arange(grid.points_per_circle) / grid.points_per_circle
     extra = np.array(grid.extra_points, dtype=complex)
@@ -640,7 +594,7 @@ def check_power_product_subordination(
     seeds = [_parse_seed(s) for s in schwarz_seeds]
     if not seeds:
         raise ValueError("need at least one seed")
-    grid = grid or SampleGrid.default()
+    grid = grid or SampleGrid()
     samples = []
     theta = 2.0 * np.pi * np.arange(grid.points_per_circle) / grid.points_per_circle
     ring = np.exp(1j * theta)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from janostab.cli import main
+from janostab.cli import MAX_DEGREE, MAX_POINTS, check_size, main
 
 
 def run(capsys, *argv):
@@ -182,6 +182,17 @@ class TestSearch:
         assert code == 0
         assert len(out.splitlines()) == 3  # header + one row per A value
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--coarse-radii", "1", "--coarse-angles", "1"), ("--refine-iters", "-3")],
+        ids=["one-point-grid", "negative-refine"],
+    )
+    def test_bad_grid_or_refinement_exit_two(self, capsys, flags):
+        code, out, err = run(capsys, "search", "--n-values", "1", *flags)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
     def test_negative_witness_point_parses(self, capsys):
         code, out, _ = run(
             capsys, "self-check", "--z0", "-0.5,0.25", "--samples", "128",
@@ -236,6 +247,17 @@ class TestPlot:
             re_s, im_s = row.split(",")
             assert abs(complex(float(re_s), float(im_s)) - 1.0) < 0.2
 
+    @pytest.mark.parametrize("count", ["0", "-1", "7"])
+    def test_too_few_boundary_samples_exit_two(self, capsys, tmp_path, count):
+        out_svg = tmp_path / "fig.svg"
+        code, _, err = run(
+            capsys, "plot", "--boundary-samples", count, "--out", str(out_svg),
+            "--csv-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert "boundary_samples" in err
+        assert not out_svg.exists()
+
     def test_branch_failure_exit_three(self, capsys, tmp_path):
         # 1 + 2z vanishes at z = -0.5, exactly on the sampled curve |z| = 0.5
         code, _, err = run(
@@ -244,6 +266,31 @@ class TestPlot:
         )
         assert code == 3
         assert "error" in err
+
+
+class TestSizeGuard:
+    def test_limits(self):
+        check_size(MAX_DEGREE, MAX_POINTS)
+        with pytest.raises(ValueError, match="degree"):
+            check_size(MAX_DEGREE + 1, 1)
+        with pytest.raises(ValueError, match="sample points"):
+            check_size(1, MAX_POINTS + 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-stability", "--A", "-0.5", "--B", "-1", "--lambda", "0.5", "--n-max", "257"),
+            ("self-check", "--n", "257"),
+            ("search", "--n-values", "1,257"),
+            ("plot", "--n", "257"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_degree_above_limit_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "degree 257" in err
 
 
 class TestDeterminism:

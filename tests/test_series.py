@@ -1,5 +1,5 @@
-"""Series container, the ray-continued logarithms and powers, and the
-series helpers kept in the test oracles."""
+"""Series container, the ray-continued logarithms and their powers, and
+the series helpers kept in the test oracles."""
 
 import cmath
 from fractions import Fraction
@@ -10,13 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from janostab.janowski import JanowskiParams, janowski_series
-from janostab.series import (
-    BranchFailureError,
-    TruncatedSeries,
-    circle_log_values,
-    ray_log_values,
-    real_power_on_ray,
-)
+from janostab.series import TruncatedSeries, circle_log_values, ray_log_values
 
 from oracles import (
     binomial_series,
@@ -38,6 +32,13 @@ coeff_lists = st.lists(finite_coeff, min_size=1, max_size=8)
 
 def s(*coeffs):
     return TruncatedSeries(np.array(coeffs, dtype=complex))
+
+
+def ray_power(f, p, z):
+    """f(z)**p on the branch continued along [0, z], from the continued log."""
+    L, failed = ray_log_values(f, np.asarray(z))
+    assert not failed
+    return complex(np.exp(p * complex(L)))
 
 
 class TestConstruction:
@@ -196,20 +197,20 @@ class TestBinomialSeries:
             binomial_series(1.5, 0.5, 3)
 
 
-class TestRealPowerOnRay:
+class TestRayPower:
     def test_constant_one(self):
-        assert real_power_on_ray(s(1), 17.3, 0.5 + 0.5j) == 1.0
+        assert ray_power(s(1), 17.3, 0.5 + 0.5j) == 1.0
 
     def test_degree_one_matches_principal_power(self):
         # 1 + 0.0873*z stays in the right half-plane on the segment to Z0,
         # so the principal power is the analytic branch there.
         f = s(1, 0.0873)
         expect = horner([1, 0.0873], Z0) ** (1.0 / 0.3)
-        got = real_power_on_ray(f, 1.0 / 0.3, Z0)
+        got = ray_power(f, 1.0 / 0.3, Z0)
         assert abs(got - expect) < 1e-12
 
     def test_exact_square(self):
-        got = real_power_on_ray(s(1, -0.5), 2.0, 0.4)
+        got = ray_power(s(1, -0.5), 2.0, 0.4)
         assert got == pytest.approx(0.64, abs=1e-12)
 
     def test_analytic_branch_differs_from_principal(self):
@@ -218,19 +219,15 @@ class TestRealPowerOnRay:
         # while the principal root lands on another branch.
         mu = 0.95 * cmath.exp(1.3j)
         f = s(1, -4 * mu, 6 * mu**2, -4 * mu**3, mu**4)
-        got = real_power_on_ray(f, 0.25, 1.0)
+        got = ray_power(f, 0.25, 1.0)
         base = 1 - mu
         assert abs(got - base) < 1e-12
         principal = horner(f.coeffs.tolist(), 1.0) ** 0.25
         assert abs(principal - base) > 1.0
 
     def test_branch_failure_on_ray_zero(self):
-        with pytest.raises(BranchFailureError):
-            real_power_on_ray(s(1, -1), 0.5, 1.0)
-
-    def test_requires_unit_constant_term(self):
-        with pytest.raises(ValueError):
-            real_power_on_ray(s(2, 1), 0.5, 0.3)
+        L, failed = ray_log_values(s(1, -1), np.asarray(1.0))
+        assert failed and np.isnan(L.real)
 
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
     def test_power_consistency_identities(self, p):
@@ -243,9 +240,9 @@ class TestRealPowerOnRay:
             L, failed = ray_log_values(f, np.asarray(z))
             assert not failed
             assert abs(np.exp(complex(L)) - value) < 1e-9 * max(1.0, abs(value))
-            w_p = real_power_on_ray(f, p, z)
-            w_minus = real_power_on_ray(f, -p, z)
-            w_rest = real_power_on_ray(f, 1.0 - p, z)
+            w_p = ray_power(f, p, z)
+            w_minus = ray_power(f, -p, z)
+            w_rest = ray_power(f, 1.0 - p, z)
             assert abs(w_p * w_minus - 1.0) < 1e-9
             assert abs(w_p * w_rest - value) < 1e-9 * max(1.0, abs(value))
 
@@ -255,19 +252,19 @@ class TestCircleEngine:
         rng = np.random.default_rng(5)
         coeffs = np.concatenate([[1.0], 0.5 * rng.normal(size=9) / (1 + np.arange(9))])
         f = TruncatedSeries(coeffs)
-        L, failed, rho = circle_log_values(f, [0.55, 0.97], 64)
+        L, failed, pts = circle_log_values(f, [0.55, 0.97], 64)
         assert not failed.any()
-        theta = 2 * np.pi * np.arange(64) / 64
+        assert np.allclose(np.abs(pts), [[0.55], [0.97]], rtol=0, atol=1e-15)
+        assert np.allclose(np.angle(pts[:, 1]), 2 * np.pi / 64, rtol=0, atol=1e-15)
         for i in range(2):
             for k in range(0, 64, 5):
-                z = rho[i] * np.exp(1j * theta[k])
-                direct = real_power_on_ray(f, 0.7, z)
+                direct = ray_power(f, 0.7, pts[i, k])
                 assert abs(np.exp(0.7 * L[i, k]) - direct) < 1e-12
 
     def test_high_degree_fallback_matches_ray_logs(self):
         coeffs = np.concatenate([[1.0], 0.5 ** np.arange(1, 40)])
         f = TruncatedSeries(coeffs)
-        L1, f1, rho = circle_log_values(f, [0.8], 16)
+        L1, f1, _ = circle_log_values(f, [0.8], 16)
         targets = 0.8 * np.exp(2j * np.pi * np.arange(16) / 16)
         L2, f2 = ray_log_values(f, targets)
         assert not f1.any() and not f2.any()
@@ -276,7 +273,7 @@ class TestCircleEngine:
     def test_flags_rays_through_zeros(self):
         # (1 - 2z) vanishes at 0.5, exactly on the angle-0 ray
         f = s(1, -2)
-        L, failed, rho = circle_log_values(f, [0.5], 8)
+        L, failed, _ = circle_log_values(f, [0.5], 8)
         assert failed[0, 0]
         assert not failed[0, 1:].any()
         assert np.isnan(L[0, 0].real)
@@ -284,7 +281,7 @@ class TestCircleEngine:
     def test_flags_root_between_ray_samples(self):
         # 1 + 1.17z vanishes at -0.8547, between the samples 0.84375 and
         # 0.8578 of a 64-step theta = pi ray to 0.9, inside all three circles
-        L, failed, rho = circle_log_values(s(1, 1.17), [0.9, 0.99, 0.999], 4096)
+        L, failed, _ = circle_log_values(s(1, 1.17), [0.9, 0.99, 0.999], 4096)
         expect = np.zeros((3, 4096), dtype=bool)
         expect[:, 2048] = True
         assert np.array_equal(failed, expect)
@@ -298,11 +295,10 @@ class TestCircleEngine:
         roots = [0.4 * cmath.exp(0.1j), 0.45 * cmath.exp(-0.05j), 0.5 * cmath.exp(0.03j)]
         coeffs = np.polynomial.polynomial.polyfromroots(roots)
         f = TruncatedSeries(coeffs / coeffs[0])
-        L, failed, rho = circle_log_values(f, [0.9], 64)
+        L, failed, pts = circle_log_values(f, [0.9], 64)
         assert not failed.any()
         assert np.abs(L.imag).max() > 2 * np.pi
-        zs = rho[0] * np.exp(2j * np.pi * np.arange(64) / 64)
-        ref, ref_failed, turn = sampled_ray_logs(f.coeffs, zs, steps=4096)
+        ref, ref_failed, turn = sampled_ray_logs(f.coeffs, pts[0], steps=4096)
         assert not ref_failed.any() and turn.max() < np.pi / 4
         assert np.max(np.abs(L[0] - ref)) < 1e-12
 
@@ -358,9 +354,8 @@ class TestSampledReference:
         # beyond the property test's n <= 64: every ray resolved by a fine
         # sampler, no false failure; FFT rows against Horner samples
         f = janowski_series(JanowskiParams(*params), n)
-        L, failed, rho = circle_log_values(f, [0.9, 0.99, 0.999], 512)
-        zs = rho[:, None] * np.exp(2j * np.pi * np.arange(512) / 512)
-        ref, ref_failed, turn = sampled_ray_logs(f.coeffs, zs, steps=256)
+        L, failed, pts = circle_log_values(f, [0.9, 0.99, 0.999], 512)
+        ref, ref_failed, turn = sampled_ray_logs(f.coeffs, pts, steps=256)
         assert not ref_failed.any() and turn.max() < np.pi / 4
         assert not failed.any()
         assert np.max(np.abs(L - ref)) < 1e-11

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from janostab.janowski import JanowskiParams, janowski_series
 from janostab.serialize import dumps
+from janostab.series import BranchFailureError
 from janostab.subordination import (
+    DEFAULT_TOL,
     KNOWN_COUNTEREXAMPLE,
     DiskSpec,
     PoleError,
@@ -84,6 +86,13 @@ class TestStabilityRatio:
         assert abs(got - expect) < 1e-12
         # four printed decimals of the known value
         assert abs(got - complex(0.8697, 0.5845)) < 1e-3
+
+    def test_pole_and_branch_failure_raise(self):
+        with pytest.raises(PoleError):
+            stability_ratio(K.params, K.n, -1.0 / K.params.A)
+        # s_1 = 1 + 2z vanishes at -0.5
+        with pytest.raises(BranchFailureError):
+            stability_ratio(JanowskiParams(1.0, -1.0, 1.0), 1, -0.5)
 
     def test_defect_shares_the_code_path(self):
         # the derivative check's vectorized defect is 1 - ratio
@@ -265,6 +274,26 @@ class TestSelfStability:
     def test_sample_radii_scale_with_r(self):
         report = check_stability_vs_self(K.params, K.n, 0.5, SMALL)
         assert report.sample_radii == tuple(f * 0.5 for f in SMALL.radii)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.floats(-0.99, -0.01),
+        st.floats(0.001, 1.0),
+        st.floats(0.01, 1.0),
+        st.integers(1, 32),
+        st.floats(0.05, 0.99),
+        st.floats(0.05, 0.999),
+        st.integers(8, 256),
+    )
+    def test_circle_and_point_paths_agree(self, a, gap, lam, n, r, f, count):
+        # the same circle through the FFT rows and as explicit Horner points
+        params = JanowskiParams(a, max(a - gap, -1.0), lam)
+        points = tuple(f * r * np.exp(2j * np.pi * np.arange(count) / count))
+        circle = check_stability_vs_self(params, n, r, SampleGrid((f,), count))
+        explicit = check_stability_vs_self(params, n, r, SampleGrid((), count, points))
+        assert abs(circle.worst_margin - explicit.worst_margin) <= 1e-12
+        if abs(circle.worst_margin - DEFAULT_TOL) > 1e-12:
+            assert circle.verdict == explicit.verdict
 
 
 class TestDerivativeModulusBound:

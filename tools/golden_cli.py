@@ -5,12 +5,14 @@
 Each tree is a checkout holding ``src/janostab``.  Every case runs as
 ``python -m janostab ...`` in a fresh temporary directory, once per tree;
 ``{dir}`` in a case stands for that directory.  The tool prints one line
-per case whose stdout, exit code or written files (SVG, CSV) differ, and
-exits 1 if any do.
+per case whose stdout, exit code or written files (SVG, CSV) differ, says
+whether only numbers differ and by how much at most, and exits 1 if any
+case differs.
 """
 
 import argparse
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -45,6 +47,29 @@ CASES = [
 ]
 
 
+NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def number_diff(old: bytes, new: bytes):
+    """Largest absolute difference between the numbers of two texts that
+    differ only in their numbers, else None."""
+    if NUMBER.sub(b"#", old) != NUMBER.sub(b"#", new):
+        return None
+    pairs = zip(NUMBER.findall(old), NUMBER.findall(new))
+    return max((abs(float(a) - float(b)) for a, b in pairs), default=0.0)
+
+
+def describe(old, new) -> str:
+    """What differs between two runs' (exit code, stdout, files)."""
+    if old[0] != new[0] or old[2].keys() != new[2].keys():
+        return "exit code or file set differs"
+    texts = [(old[1], new[1])] + [(old[2][name], new[2][name]) for name in old[2]]
+    diffs = [number_diff(a, b) for a, b in texts]
+    if None in diffs:
+        return "text differs"
+    return f"numbers only, max |diff| {max(diffs):.3g}"
+
+
 def run(tree: Path, case: str):
     """(exit code, stdout, {file name: bytes}) of one case under one tree."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
@@ -70,7 +95,8 @@ def main() -> int:
         what = [name for name, a, b in zip(("exit", "stdout", "files"), old, new) if a != b]
         if what:
             differ += 1
-            print(f"DIFF {', '.join(what)} (exit {old[0]} -> {new[0]}): {case}")
+            detail = describe(old, new)
+            print(f"DIFF {', '.join(what)} (exit {old[0]} -> {new[0]}; {detail}): {case}")
     print(f"{len(CASES) - differ} of {len(CASES)} cases identical")
     return 1 if differ else 0
 
