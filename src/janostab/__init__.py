@@ -11,9 +11,7 @@ from .inequalities import (
     check_weighted_pair_inequality,
 )
 from .janowski import (
-    CoeffSequence,
     JanowskiParams,
-    coeff_recurrence,
     coeff_table,
     convolution_coeffs,
     janowski_series,

@@ -27,7 +27,7 @@ from .inequalities import (
     check_coeff_positivity,
     check_weighted_pair_inequality,
 )
-from .janowski import JanowskiParams, coeff_recurrence, convolution_coeffs
+from .janowski import JanowskiParams, coeff_table, convolution_coeffs, janowski_series
 from .search import SWEEP_CSV_HEADER, sweep_parameter_grid
 from .serialize import csv_text, dumps, write_text_atomic
 from .series import BranchFailureError
@@ -51,6 +51,10 @@ EXIT_BRANCH_FAILURE = 3
 # points peaks at ~176 MB RSS with numpy 2.4 on x86-64 Linux).
 MAX_DEGREE = 256
 MAX_POINTS = 2**20
+# The longest coefficient list (convolutions are quadratic in it), and the most
+# values in a coefficient-pair table or one point's weighted block (4x default).
+MAX_ORDER = 10_000
+MAX_LEMMA_VALUES = 2**23
 
 
 def check_size(degree: int, points: int) -> None:
@@ -60,6 +64,18 @@ def check_size(degree: int, points: int) -> None:
         raise ValueError(f"series degree {degree} exceeds {MAX_DEGREE}")
     if points > MAX_POINTS:
         raise ValueError(f"{points} sample points in one evaluation exceed {MAX_POINTS}")
+
+
+def check_coeff_size(points: float, n_max: int, m_max: int = 0, alt_n_max: int = 0) -> None:
+    """Reject an order above MAX_ORDER, or points x (n_max + 1) coefficient
+    pairs or (m_max + 1) x n_max weighted values above MAX_LEMMA_VALUES."""
+    if max(n_max, alt_n_max) > MAX_ORDER:
+        raise ValueError(f"order {max(n_max, alt_n_max)} exceeds {MAX_ORDER}")
+    if points * (n_max + 1) > MAX_LEMMA_VALUES:
+        raise ValueError(f"{points:.0f} points x {n_max + 1} orders exceed {MAX_LEMMA_VALUES}")
+    if (m_max + 1) * max(n_max, 1) > MAX_LEMMA_VALUES:
+        count = (m_max + 1) * max(n_max, 1)
+        raise ValueError(f"--m-max {m_max}: {count} weighted values exceed {MAX_LEMMA_VALUES}")
 
 
 def _floats_csv(text: str) -> tuple:
@@ -105,9 +121,11 @@ def cmd_coeffs(args) -> int:
     params = JanowskiParams(args.A, args.B, args.lam)
     if args.n_max < 0:
         raise ValueError("--n-max must be >= 0")
+    check_coeff_size(1, args.n_max)
     ns = list(range(args.n_max + 1))
     conv = convolution_coeffs(params, args.n_max) if args.method in ("convolution", "both") else None
-    rec = coeff_recurrence(params, args.n_max).values if args.method in ("recurrence", "both") else None
+    rec = (coeff_table(params.A, params.B, params.lam, args.n_max)
+           if args.method != "convolution" else None)
     if args.method == "both":
         rows = [[n, float(conv[n]), float(rec[n]), float(abs(conv[n] - rec[n]))] for n in ns]
         header = ("n", "a_convolution", "a_recurrence", "abs_diff")
@@ -125,30 +143,16 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
-    grid = GridSpec.default(
-        n_max=args.n_max,
-        m_max=args.m_max,
-        step=args.step,
-        lambda_step=args.lambda_step,
-        allow_positive_A=args.allow_outside,
-    )
-    positivity = check_coeff_positivity(grid, args.tol)
-    pair = check_coeff_pair_inequality(grid, args.tol)
-    weighted = check_weighted_pair_inequality(grid, args.tol)
-    alt_checked = 0
-    alt_violations = []
-    alt_min = float("inf")
-    for lam in grid.lambda_values:
-        rep = check_alternating_identity(lam, args.alt_n_max, args.tol)
-        alt_checked += rep.checked
-        alt_violations.extend(v.to_json_dict() for v in rep.violations)
-        alt_min = min(alt_min, rep.min_margin)
-    total = (
-        len(positivity.violations)
-        + len(pair.violations)
-        + len(weighted.violations)
-        + len(alt_violations)
-    )
+    points = GridSpec.default_size(args.step, args.lambda_step, args.allow_outside)
+    check_coeff_size(points, args.n_max, args.m_max, args.alt_n_max)
+    grid = GridSpec.default(args.n_max, args.m_max, args.step, args.lambda_step, args.allow_outside)
+    reports = {
+        "coeff_positivity": check_coeff_positivity(grid, args.tol),
+        "alternating_identity": check_alternating_identity(grid.lambda_values, args.alt_n_max, args.tol),
+        "coeff_pair_inequality": check_coeff_pair_inequality(grid, args.tol),
+        "weighted_pair_inequality": check_weighted_pair_inequality(grid, args.tol),
+    }
+    total = sum(len(rep.violations) for rep in reports.values())
     doc = {
         "grid": {
             "A_values": list(grid.A_values),
@@ -158,14 +162,7 @@ def cmd_verify_lemmas(args) -> int:
             "m_max": grid.m_max,
         },
         "tol": args.tol,
-        "coeff_positivity": positivity.to_json_dict(),
-        "alternating_identity": {
-            "checked": alt_checked,
-            "violations": alt_violations,
-            "min_margin": alt_min,
-        },
-        "coeff_pair_inequality": pair.to_json_dict(),
-        "weighted_pair_inequality": weighted.to_json_dict(),
+        **{name: rep.to_json_dict() for name, rep in reports.items()},
         "violations_total": total,
     }
     _emit(dumps(doc), args.out)
@@ -194,13 +191,14 @@ def cmd_self_check(args) -> int:
     extra = (args.z0,) if args.z0 is not None else ()
     check_size(args.n, len(args.radii) * args.samples + len(extra))
     grid = SampleGrid(radii=args.radii, points_per_circle=args.samples, extra_points=extra)
+    series = janowski_series(params, args.n)
     report = check_stability_vs_self(
         params, args.n, args.r, grid,
-        disk_source=args.disk_source, tol=args.tol,
+        disk_source=args.disk_source, tol=args.tol, series=series,
     )
     doc = report.to_json_dict()
     if report.worst_point is not None and np.isfinite(report.worst_margin):
-        ratio = stability_ratio(params, args.n, report.worst_point)
+        ratio = stability_ratio(params, args.n, report.worst_point, series)
         doc["witness"] = {
             "z": {"re": report.worst_point.real, "im": report.worst_point.imag},
             "ratio": {"re": ratio.real, "im": ratio.imag},

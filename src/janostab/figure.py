@@ -71,7 +71,7 @@ def compute_figure_geometry(
             "the continued branch is undefined or unresolved on [0, z] for a z on the "
             "ratio curve (a root on the segment, |s_n| < 1e-12, or inaccurate roots)"
         )
-    point = stability_ratio(params, n, z0)
+    point = stability_ratio(params, n, z0, series)
     return FigureGeometry(tuple(boundaries), curve, complex(point))
 
 

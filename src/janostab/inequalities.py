@@ -1,18 +1,19 @@
 """Grid verification of coefficient positivity and related inequalities.
 
 Every check sweeps a parameter grid, evaluates one scalar quantity per grid
-cell, and reports cells where it drops below ``-tol``.  The grid checks
-read their coefficients from one vectorized recurrence call over all kept
-points.  The margin convention is uniform: the checked quantity must stay
->= -tol, and ``min_margin`` is its raw minimum over the whole grid.
-Reports are deterministic: the same grid always produces the same report,
-with violations listed lexicographically by (A, B, lambda) and then by
-indices.
+cell, and reports cells where it drops below ``-tol``.  The coefficient
+checks share one table per grid of consecutive coefficient pairs scaled by
+powers of two (:func:`~janostab.janowski.coeff_pairs`); a statement at
+index n is divided by max(|a_n|, |a_{n+1}|), so it cannot underflow and
+``tol`` applies to values of order one.  ``min_margin`` is the minimum over
+the grid.  Reports are deterministic: violations are listed
+lexicographically by (A, B, lambda) and then by indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -20,8 +21,7 @@ import numpy as np
 from .janowski import (
     JanowskiParams,
     _falling_over_factorial,
-    _rising_over_factorial,
-    coeff_table,
+    coeff_pairs,
 )
 
 __all__ = [
@@ -37,11 +37,14 @@ __all__ = [
 DEFAULT_TOL = 1e-12
 
 
-def _lattice(lo: float, hi: float, step: float) -> tuple:
+def _lattice_size(lo: float, hi: float, step: float) -> float:
     if not 0.0 < step <= hi - lo:
         raise ValueError(f"lattice step must lie in (0, {hi - lo}], got {step!r}")
-    count = int(round((hi - lo) / step))
-    return tuple(round(lo + k * step, 9) for k in range(count + 1))
+    return float(np.rint((hi - lo) / step)) + 1.0
+
+
+def _lattice(lo: float, hi: float, step: float) -> tuple:
+    return tuple(round(lo + k * step, 9) for k in range(int(_lattice_size(lo, hi, step))))
 
 
 @dataclass(frozen=True)
@@ -90,17 +93,30 @@ class GridSpec:
             allow_positive_A=allow_positive_A,
         )
 
+    @staticmethod
+    def default_size(step: float, lambda_step: float, allow_positive_A: bool = False) -> float:
+        """Kept points of :meth:`default` (at most k(k-1)/2 pairs B < A per lambda)."""
+        k = _lattice_size(-1.0, 1.0 if allow_positive_A else 0.0, step)
+        return k * (k - 1.0) / 2.0 * _lattice_size(lambda_step, 1.0, lambda_step)
+
+    def _point_arrays(self):
+        """A, B and lambda of the kept points, in :meth:`iter_params` order."""
+        a_vals, b_vals = np.array(self.A_values), np.array(self.B_values)
+        a_cap = 1.0 if self.allow_positive_A else 0.0
+        ia, ib = np.nonzero((a_vals[:, None] <= a_cap) & (-1.0 <= b_vals) & (b_vals < a_vals[:, None]))
+        lam = np.array(self.lambda_values)
+        return np.repeat(a_vals[ia], lam.size), np.repeat(b_vals[ib], lam.size), np.tile(lam, ia.size)
+
     def iter_params(self) -> Iterator[JanowskiParams]:
         """Kept grid points in lexicographic (A, B, lambda) order."""
-        a_cap = 1.0 if self.allow_positive_A else 0.0
-        for a in self.A_values:
-            if a > a_cap:
-                continue
-            for b in self.B_values:
-                if not -1.0 <= b < a:
-                    continue
-                for lam in self.lambda_values:
-                    yield JanowskiParams(a, b, lam)
+        for a, b, lam in zip(*self._point_arrays()):
+            yield JanowskiParams(a, b, lam)
+
+    @cached_property
+    def _pairs(self):
+        """The kept points' A, B and lambda and their pairs (a_{j-1}, a_j), j <= n_max + 1."""
+        a, b, lam = self._point_arrays()
+        return (a, b, lam, *coeff_pairs(a, b, lam, self.n_max + 1))
 
 
 @dataclass(frozen=True)
@@ -145,51 +161,71 @@ class InequalityReport:
         }
 
 
-def _grid_table(grid: GridSpec, n_max: int):
-    """Kept points in ``iter_params`` order, their B values as a column, and
-    their coefficient rows a_0..a_n_max."""
-    points = list(grid.iter_params())
-    a, b, lam = (np.array([getattr(p, k) for p in points], dtype=float) for k in ("A", "B", "lam"))
-    return points, b[:, None], coeff_table(a, b, lam, n_max)
-
-
-def _table_report(points, vals: np.ndarray, n_offset: int, tol: float) -> InequalityReport:
-    """Report on a points x n table; column j holds order j + ``n_offset``."""
-    violations = tuple(
-        InequalityViolation(
-            points[i].A, points[i].B, points[i].lam, int(j) + n_offset, None, float(vals[i, j])
-        )
-        for i, j in zip(*np.nonzero(vals <= -tol))
-    )
-    return InequalityReport(vals.size, violations, float(vals.min()) if vals.size else np.inf)
+def _sweep(grid: GridSpec, tol, n_lo, n_hi, shift, statement, m_max=None) -> InequalityReport:
+    """Report on ``statement(B, u, v, m, n)`` for the kept points, orders
+    n_lo <= n < n_hi (pair column n + ``shift``) and m = 0..m_max (no m when
+    None), each divided by its pair's max(|a_{j-1}|, |a_j|).  Statements are
+    affine in m: only (point, n) columns whose value at m = 0 or m_max lies
+    within rounding slack of -tol are evaluated at every m, which lists
+    exactly the violations of a full sweep."""
+    a, b, lam, u, v = grid._pairs
+    top = m_max or 0
+    n = np.arange(n_lo, n_hi)
+    m = np.arange(top + 1)[:, None]
+    # values are within 5 roundings of terms bounded by (m+1)(n+1) + m*n <= 3m(n+1)
+    slack = 16.0 * np.finfo(float).eps * top * (n + 1)
+    low_all, violations = np.inf, []
+    for start in range(0, b.size, 128):  # blocks of points keep temporaries small
+        rows, cols = slice(start, start + 128), slice(n_lo + shift, n_hi + shift)
+        pb, pu, pv = b[rows, None], u[rows, cols], v[rows, cols]
+        # max(|u|, |v|) is in [0.5, 1) but for a pair of zeros, whose statements are 0
+        scale = np.maximum(np.maximum(np.abs(pu), np.abs(pv)), 0.5)
+        low = statement(pb, pu, pv, 0, n) / scale
+        if top:
+            np.minimum(low, statement(pb, pu, pv, top, n) / scale, out=low)
+        low_all = min(low_all, low.min(initial=np.inf))
+        near = low <= slack - tol
+        for i in np.flatnonzero(near.any(axis=1)):
+            k, pt = np.flatnonzero(near[i]), start + i
+            vals = np.atleast_2d(statement(pb[i], pu[i, k], pv[i, k], m, n[k]) / scale[i, k])
+            low_all = min(low_all, vals.min())
+            violations.extend(
+                InequalityViolation(float(a[pt]), float(b[pt]), float(lam[pt]), int(n[k[c]]),
+                                    None if m_max is None else int(r), float(vals[r, c]))
+                for r, c in zip(*np.nonzero(vals <= -tol))
+            )
+    return InequalityReport(b.size * n.size * (top + 1), tuple(violations), float(low_all))
 
 
 def check_coeff_positivity(grid: GridSpec, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """All coefficients a_n must be positive on the grid (n = 0..n_max)."""
-    points, _, a = _grid_table(grid, grid.n_max)
-    return _table_report(points, a, 0, tol)
+    """All coefficients a_n must be positive on the grid (n = 0..n_max).
+    Divided by max(|a_{n-1}|, |a_n|) (a_{-1} = 0, so a_0 reads 1) it is
+    q_{n-1} = a_n / a_{n-1} inside the range."""
+    return _sweep(grid, tol, 0, grid.n_max + 1, 0, lambda b, u, v, m, n: v)
 
 
-def check_alternating_identity(
-    lam: float, n_max: int, tol: float = DEFAULT_TOL
-) -> InequalityReport:
+def check_alternating_identity(lams, n_max: int, tol: float = DEFAULT_TOL) -> InequalityReport:
     """The alternating convolution of the two factor-series coefficient
     families telescopes to zero for every n >= 1 (it is the coefficient of
-    z**n in (1-z)**lam * (1-z)**(-lam) = 1).  The checked quantity is
-    -|sum|, so any drift below -tol is a violation."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("need 0 < lam <= 1")
+    z**n in (1-z)**lam * (1-z)**(-lam) = 1), for each lam in ``lams`` (one
+    value or a sequence).  The checked quantity is -|sum|, so any drift
+    below -tol is a violation."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    p = _falling_over_factorial(lam, -1.0, n_max)
-    q = _rising_over_factorial(lam, 1.0, n_max)
-    sums = np.convolve(p, q)[1 : n_max + 1]
-    margins = -np.abs(sums)
-    violations = tuple(
-        InequalityViolation(None, None, lam, int(n) + 1, None, float(margins[n]))
-        for n in np.flatnonzero(margins <= -tol)
-    )
-    return InequalityReport(int(sums.size), violations, float(margins.min()))
+    checked, violations, low = 0, [], np.inf
+    for lam in map(float, np.atleast_1d(lams)):
+        if not 0.0 < lam <= 1.0:
+            raise ValueError("need 0 < lam <= 1")
+        # binom(lam, k) (-1)**k against (lam)_k / k! = binom(-lam, k) (-1)**k
+        p, q = (_falling_over_factorial(mu, -1.0, n_max) for mu in (lam, -lam))
+        margins = -np.abs(np.convolve(p, q)[1 : n_max + 1])
+        violations.extend(
+            InequalityViolation(None, None, lam, int(n) + 1, None, float(margins[n]))
+            for n in np.flatnonzero(margins <= -tol)
+        )
+        checked += margins.size
+        low = min(low, margins.min())
+    return InequalityReport(checked, tuple(violations), float(low))
 
 
 def check_coeff_pair_inequality(
@@ -199,11 +235,9 @@ def check_coeff_pair_inequality(
 
     This is the z**n coefficient of (1+Bz) * d/dz of the series, whose
     closed form has positive coefficients throughout the kept range.
+    Divided by max(|a_n|, |a_{n+1}|) it is (n+1)*q_n + B*n.
     """
-    points, b, a = _grid_table(grid, grid.n_max)
-    n = np.arange(1, grid.n_max)
-    vals = (n + 1) * a[:, 2:] + b * n * a[:, 1:-1]
-    return _table_report(points, vals, 1, tol)
+    return _sweep(grid, tol, 1, grid.n_max, 1, lambda b, u, v, m, n: b * n * u + (n + 1) * v)
 
 
 def check_weighted_pair_inequality(
@@ -213,31 +247,7 @@ def check_weighted_pair_inequality(
 
     Decomposes as m*((n+1)a_{n+1} + B*n*a_n) + (n+1)a_{n+1}, so positivity
     of the pair inequality together with coefficient positivity implies it.
-    The (m, n) block is built one point at a time, which keeps memory at
-    one block instead of points x (m_max+1) x n_max.
+    Divided by max(|a_n|, |a_{n+1}|) it is (m+1)*(n+1)*q_n + B*m*n.
     """
-    points, _, table = _grid_table(grid, grid.n_max + 1)
-    checked = 0
-    violations = []
-    min_margin = np.inf
-    m = np.arange(grid.m_max + 1)[:, None]
-    n = np.arange(1, grid.n_max + 1)[None, :]
-    weight = (m + 1) * (n + 1)
-    for params, a in zip(points, table):
-        vals = weight * a[2:] + params.B * m * n * a[1:-1]
-        checked += vals.size
-        if vals.size:
-            min_margin = min(min_margin, float(vals.min()))
-        bad_m, bad_n = np.nonzero(vals <= -tol)
-        for i, j in zip(bad_m, bad_n):
-            violations.append(
-                InequalityViolation(
-                    params.A,
-                    params.B,
-                    params.lam,
-                    int(j) + 1,
-                    int(i),
-                    float(vals[i, j]),
-                )
-            )
-    return InequalityReport(checked, tuple(violations), float(min_margin))
+    return _sweep(grid, tol, 1, grid.n_max + 1, 1,
+                  lambda b, u, v, m, n: b * m * n * u + (m + 1) * (n + 1) * v, grid.m_max)

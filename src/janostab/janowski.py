@@ -21,9 +21,8 @@ import numpy as np
 from .series import TruncatedSeries
 
 __all__ = [
-    "CoeffSequence",
     "JanowskiParams",
-    "coeff_recurrence",
+    "coeff_pairs",
     "coeff_table",
     "convolution_coeffs",
     "janowski_series",
@@ -62,19 +61,12 @@ class JanowskiParams:
 
 
 def _falling_over_factorial(lam: float, c: float, n_max: int) -> np.ndarray:
-    """Array of binom(lam, k) * c**k for k = 0..n_max via ratio recurrence."""
+    """Array of binom(lam, k) * c**k for k = 0..n_max via ratio recurrence;
+    with -lam and -c it is ((lam)_k / k!) * c**k, bit for bit."""
     if n_max == 0:
         return np.ones(1)
     k = np.arange(1, n_max + 1)
     return np.concatenate(([1.0], np.cumprod(c * (lam - k + 1) / k)))
-
-
-def _rising_over_factorial(lam: float, c: float, n_max: int) -> np.ndarray:
-    """Array of ((lam)_k / k!) * c**k for k = 0..n_max via ratio recurrence."""
-    if n_max == 0:
-        return np.ones(1)
-    k = np.arange(1, n_max + 1)
-    return np.concatenate(([1.0], np.cumprod(c * (lam + k - 1) / k)))
 
 
 def convolution_coeffs(params: JanowskiParams, n_max: int) -> np.ndarray:
@@ -87,32 +79,13 @@ def convolution_coeffs(params: JanowskiParams, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     p = _falling_over_factorial(params.lam, params.A, n_max)
-    q = _rising_over_factorial(params.lam, -params.B, n_max)
+    q = _falling_over_factorial(-params.lam, params.B, n_max)
     return np.convolve(p, q)[: n_max + 1]
 
 
-@dataclass(frozen=True)
-class CoeffSequence:
-    """Real coefficients a_0..a_N with the parameters recorded."""
-
-    values: np.ndarray
-    params: JanowskiParams
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("values must be a non-empty one-dimensional array")
-        if arr[0] != 1.0:
-            raise ValueError("a_0 must be exactly 1")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def n_max(self) -> int:
-        return self.values.size - 1
+def _next_coeff(lead, s, p, n: int, prev, cur):
+    """a_{n+1} from a_{n-1} and a_n: the three-term recurrence."""
+    return ((lead - s * n) * cur - p * (n - 1) * prev) / (n + 1)
 
 
 def coeff_table(a, b, lam, n_max: int) -> np.ndarray:
@@ -130,16 +103,34 @@ def coeff_table(a, b, lam, n_max: int) -> np.ndarray:
     p = a * b
     rows = [lead**0, lead]  # a_0 = 1 and a_1, in the shape of the parameters
     for n in range(1, n_max):
-        rows.append(((lead - s * n) * rows[n] - p * (n - 1) * rows[n - 1]) / (n + 1))
+        rows.append(_next_coeff(lead, s, p, n, rows[n - 1], rows[n]))
     return np.array(rows[: n_max + 1]).T
 
 
-def coeff_recurrence(params: JanowskiParams, n_max: int) -> CoeffSequence:
-    """Coefficients a_0..a_n_max of one parameter point (one row of
-    :func:`coeff_table`)."""
-    return CoeffSequence(coeff_table(params.A, params.B, params.lam, n_max), params)
+def coeff_pairs(a, b, lam, n_max: int):
+    """``(u, v)`` shaped like :func:`coeff_table`: u[i, j] = a_{j-1} * 2**-e
+    and v[i, j] = a_j * 2**-e (a_{-1} = 0), e putting max(|u|, |v|) in
+    [0.5, 1) unless both are 0.  The recurrence runs on these pairs, and
+    power-of-two scaling is exact, so nothing underflows and every sign is
+    exact; where :func:`coeff_table` stays normal, its entries are 2**e u, 2**e v.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    lead = lam * (a - b)
+    s = a + b
+    p = a * b
+    u = np.empty((n_max + 1,) + np.shape(lead))
+    v = np.empty_like(u)
+    prev, cur = 0.0 * lead, lead**0
+    for j in range(n_max + 1):
+        if j:
+            prev, cur = cur, _next_coeff(lead, s, p, j - 1, prev, cur)
+        _, e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
+        prev = np.ldexp(prev, -e, out=u[j, ...])
+        cur = np.ldexp(cur, -e, out=v[j, ...])
+    return u.T, v.T
 
 
 def janowski_series(params: JanowskiParams, order: int) -> TruncatedSeries:
     """The coefficient sequence lifted to a truncated series."""
-    return TruncatedSeries(coeff_recurrence(params, order).values)
+    return TruncatedSeries(coeff_table(params.A, params.B, params.lam, order))

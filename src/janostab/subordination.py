@@ -308,10 +308,11 @@ def ratio_samples(
     return vals, zs, bad
 
 
-def stability_ratio(params: JanowskiParams, n: int, z) -> complex:
+def stability_ratio(params: JanowskiParams, n: int, z, series=None) -> complex:
     """The stability ratio of s_n at one point (see :func:`ratio_samples`).
 
     This is the (1/lam)-power of s_n(v)/v; its value at 0 is exactly 1.
+    ``series`` is s_n if the caller has built it (its roots are solved once).
     Raises :class:`PoleError` near z = -1/A and
     :class:`~janostab.series.BranchFailureError` where the continued branch
     is undefined or unresolved on [0, z].
@@ -323,9 +324,9 @@ def stability_ratio(params: JanowskiParams, n: int, z) -> complex:
         raise ValueError(f"z must be finite, got {z!r}")
     if abs(1.0 + params.A * z) < POLE_EPS:
         raise PoleError(f"z={z!r} is within {POLE_EPS:g} of the pole -1/A")
-    vals, _, bad = ratio_samples(
-        janowski_series(params, n), params.lam, params.A, params.B, points=(z,)
-    )
+    if series is None:
+        series = janowski_series(params, n)
+    vals, _, bad = ratio_samples(series, params.lam, params.A, params.B, points=(z,))
     if bad[0]:
         raise BranchFailureError(
             f"the continued branch is undefined or unresolved on [0, z] for z = {z!r} "
@@ -431,6 +432,7 @@ def check_stability_vs_self(
     grid: Optional[SampleGrid] = None,
     disk_source: str = "mobius_image",
     tol: float = DEFAULT_TOL,
+    series: Optional[TruncatedSeries] = None,
 ) -> StabilityReport:
     """Check whether the ratio maps |z| <= r into the image of |z| <= r
     under the Mobius target, the criterion for self-subordination.
@@ -438,7 +440,7 @@ def check_stability_vs_self(
     ``grid.radii`` are read as fractions of ``r`` so the circles stay inside
     the probed subdisk; ``grid.extra_points`` are absolute and may probe any
     point.  Verdict is ``violated`` as soon as one sample escapes the disk
-    by more than ``tol``.
+    by more than ``tol``.  ``series`` is s_n if the caller has built it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -447,9 +449,9 @@ def check_stability_vs_self(
     grid = grid or SampleGrid()
     disk = disk_for(disk_source, params, r)
     radii = tuple(f * r for f in grid.radii)
-    return _stability_report(
-        janowski_series(params, n), params, n, disk, radii, grid, tol, disk_source=disk_source
-    )
+    if series is None:
+        series = janowski_series(params, n)
+    return _stability_report(series, params, n, disk, radii, grid, tol, disk_source=disk_source)
 
 
 def check_cross_order_stability(

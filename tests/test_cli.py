@@ -2,9 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from janostab.cli import MAX_DEGREE, MAX_POINTS, check_size, main
+from janostab.cli import (
+    MAX_DEGREE,
+    MAX_LEMMA_VALUES,
+    MAX_ORDER,
+    MAX_POINTS,
+    check_coeff_size,
+    check_size,
+    main,
+)
+from janostab.inequalities import GridSpec
 
 
 def run(capsys, *argv):
@@ -291,6 +301,75 @@ class TestSizeGuard:
         assert code == 2
         assert out == ""
         assert "degree 257" in err
+
+
+class TestCoeffSizeGuard:
+    def test_limits(self):
+        # the default verify-lemmas grid: 4,200 points x 501 orders, m_max 100
+        check_coeff_size(4200, 500, 100, 100)
+        check_coeff_size(MAX_LEMMA_VALUES // 501, 500, MAX_LEMMA_VALUES // 500 - 1, MAX_ORDER)
+        check_coeff_size(1, MAX_ORDER)
+        with pytest.raises(ValueError, match="points"):
+            check_coeff_size(MAX_LEMMA_VALUES // 501 + 1, 500, 100, 100)
+        with pytest.raises(ValueError, match="points"):
+            check_coeff_size(float("inf"), 0, 0, 1)
+        with pytest.raises(ValueError, match="--m-max"):
+            check_coeff_size(4200, 500, MAX_LEMMA_VALUES // 500, 100)
+        with pytest.raises(ValueError, match="--m-max"):
+            check_coeff_size(1, 0, MAX_LEMMA_VALUES, 1)
+        for args in ((4200, 500, 100, MAX_ORDER + 1), (1, MAX_ORDER + 1)):
+            with pytest.raises(ValueError, match="order"):
+                check_coeff_size(*args)
+
+    def test_default_grid_size_is_counted_from_the_steps(self):
+        for step, lam_step, outside in ((0.05, 0.05, False), (0.05, 0.05, True), (0.25, 0.5, True)):
+            grid = GridSpec.default(n_max=1, step=step, lambda_step=lam_step, allow_positive_A=outside)
+            kept = sum(1 for _ in grid.iter_params())
+            assert GridSpec.default_size(step, lam_step, outside) == kept
+        assert GridSpec.default_size(5e-324, 0.5) == float("inf")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # step 1/32 and lambda step 1/8 keep 33 * 32 / 2 * 8 = 4,224 points;
+            # 4,224 x 1,986 orders = 8,388,864 pairs is just above 2**23
+            # (1,985 orders fit)
+            ("verify-lemmas", "--step", "0.03125", "--lambda-step", "0.125", "--n-max", "1985"),
+            ("verify-lemmas", "--m-max", "16777"),
+            ("verify-lemmas", "--alt-n-max", "10001"),
+            ("verify-lemmas", "--step", "1e-9"),
+            ("coeffs", "--A", "-0.5", "--B", "-1", "--lambda", "0.5", "--n-max", "10001"),
+        ],
+        ids=("table", "m-max", "alt-n-max", "fine-step", "coeffs"),
+    )
+    def test_oversized_request_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "exceed" in err
+
+
+class TestRootSolves:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("self-check", "--n", "64", "--samples", "256"),
+            ("plot", "--n", "64", "--angles", "256", "--boundary-samples", "64"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_root_solve_per_command(self, capsys, monkeypatch, argv):
+        degrees = []
+        roots = np.roots
+
+        def counted(coeffs):
+            degrees.append(len(coeffs) - 1)
+            return roots(coeffs)
+
+        monkeypatch.setattr(np, "roots", counted)
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1) and out
+        assert degrees == [64]
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from janostab.inequalities import (
@@ -15,12 +15,17 @@ from janostab.inequalities import (
     check_coeff_positivity,
     check_weighted_pair_inequality,
 )
-from janostab.janowski import JanowskiParams, coeff_recurrence
+from janostab.janowski import JanowskiParams
 from janostab.serialize import dumps
 
 from oracles import alternating_sum_exact, coeff_recurrence_scalar
 
 POINT = GridSpec(A_values=(-0.5,), B_values=(-1.0,), lambda_values=(0.5,), n_max=2, m_max=1)
+
+
+def pair_scale(a, n):
+    """max(|a_n|, |a_{n+1}|), the scale every statement at index n is divided by."""
+    return max(abs(a[n]), abs(a[n + 1]))
 
 
 class TestGridSpec:
@@ -52,10 +57,13 @@ class TestGridSpec:
 
 class TestPositivity:
     def test_single_point_margin(self):
+        # a = 1, 1/4, 7/32: the values a_n / max(|a_{n-1}|, |a_n|) are 1, 1/4, 7/8
+        a = coeff_recurrence_scalar(-0.5, -1.0, 0.5, 2)
         report = check_coeff_positivity(POINT)
         assert report.passed
         assert report.checked == 3
-        assert report.min_margin == pytest.approx(0.21875, abs=1e-15)
+        assert report.min_margin == pytest.approx(a[1] / pair_scale(a, 0), abs=1e-15)
+        assert report.min_margin == pytest.approx(0.25, abs=1e-15)
 
     def test_zero_order_grid_sees_only_a0(self):
         grid = GridSpec(A_values=(-0.3,), B_values=(-0.9,), lambda_values=(0.7,), n_max=0)
@@ -72,17 +80,26 @@ class TestPositivity:
         assert report.min_margin < 0
 
     def test_violations_keep_grid_then_order_sequence(self):
-        # the per-point loop the grid table replaced, run on the scalar oracle
+        # a per-point loop on the scalar oracle, in grid then order sequence;
+        # the scale-free values flag every (point, n) the raw coefficients
+        # flag, plus negative coefficients smaller than tol in magnitude
         grid = GridSpec.default(n_max=30, step=0.25, lambda_step=0.25, allow_positive_A=True)
         expected = []
+        extra = 0
         for p in grid.iter_params():
             a = np.array(coeff_recurrence_scalar(p.A, p.B, p.lam, grid.n_max))
+            assert not np.any((a != 0) & (np.abs(a) < 1e-200))  # raw values stay normal
+            scale = np.maximum(np.abs(a), np.abs(np.concatenate(([0.0], a[:-1]))))
+            vals = a / np.where(scale > 0, scale, 1.0)  # a run of exact zeros reads 0
+            flagged = np.flatnonzero(vals <= -1e-12)
+            assert set(np.flatnonzero(a <= -1e-12)) <= set(flagged)
+            assert np.all(a[flagged] < 0)
+            extra += int(np.sum(a[flagged] > -1e-12))
             expected.extend(
-                InequalityViolation(p.A, p.B, p.lam, int(n), None, float(a[n]))
-                for n in np.flatnonzero(a <= -1e-12)
+                InequalityViolation(p.A, p.B, p.lam, int(n), None, float(vals[n])) for n in flagged
             )
         report = check_coeff_positivity(grid)
-        assert len(expected) > 10
+        assert len(expected) > 10 and extra > 0
         assert report.violations == tuple(expected)
 
 
@@ -112,10 +129,13 @@ class TestAlternatingIdentity:
 
 class TestPairInequality:
     def test_single_point_value(self):
+        # (2 a_2 + B a_1) / max(a_1, a_2) = (7/16 - 1/4) / (1/4)
+        a = coeff_recurrence_scalar(-0.5, -1.0, 0.5, 2)
         report = check_coeff_pair_inequality(POINT)
         assert report.passed
         assert report.checked == 1  # n = 1 only for n_max = 2
-        assert report.min_margin == pytest.approx(0.1875, abs=1e-15)
+        assert report.min_margin == pytest.approx((2 * a[2] - a[1]) / pair_scale(a, 1), abs=1e-15)
+        assert report.min_margin == pytest.approx(0.75, abs=1e-15)
 
     def test_equal_coefficients_shape(self):
         # with a_{n+1} == a_n and B = -1 the value collapses to a_n > 0
@@ -126,17 +146,20 @@ class TestPairInequality:
 
 class TestWeightedPairInequality:
     def test_m_zero_collapse(self):
-        # with m_max = 0 the weighted values are (n+1)*a_{n+1}
+        # with m_max = 0 the weighted values are (n+1)*a_{n+1} / max(|a_n|, |a_{n+1}|)
         grid = GridSpec(A_values=(-0.3,), B_values=(-0.8,), lambda_values=(0.6,), n_max=7)
-        a = coeff_recurrence(JanowskiParams(-0.3, -0.8, 0.6), 8).values
+        a = coeff_recurrence_scalar(-0.3, -0.8, 0.6, 8)
         report = check_weighted_pair_inequality(grid)
         assert report.checked == 7
-        assert report.min_margin == min((n + 1) * a[n + 1] for n in range(1, 8))
+        assert report.min_margin == min((n + 1) * a[n + 1] / pair_scale(a, n) for n in range(1, 8))
 
     def test_grid_minimum_comes_from_m_zero_row(self):
+        # rows m = 0, 1 at n = 1, 2: 1.75, 2.5 and 2.68, 3.36
+        a = coeff_recurrence_scalar(-0.5, -1.0, 0.5, 3)
         report = check_weighted_pair_inequality(POINT)
         assert report.passed
-        assert report.min_margin == pytest.approx(2 * 0.21875, abs=1e-15)
+        assert report.min_margin == pytest.approx(2 * a[2] / pair_scale(a, 1), abs=1e-15)
+        assert report.min_margin == pytest.approx(1.75, abs=1e-15)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -151,12 +174,12 @@ class TestWeightedPairInequality:
         if not b < a:
             return
         params = JanowskiParams(a, b, lam)
-        coeffs = coeff_recurrence(params, n + 1).values
+        coeffs = coeff_recurrence_scalar(params.A, params.B, params.lam, n + 1)
         rebuilt = []
         for mm in range(m + 1):
             for nn in range(1, n + 1):
                 pair = (nn + 1) * coeffs[nn + 1] + params.B * nn * coeffs[nn]
-                rebuilt.append(mm * pair + (nn + 1) * coeffs[nn + 1])
+                rebuilt.append((mm * pair + (nn + 1) * coeffs[nn + 1]) / pair_scale(coeffs, nn))
         grid = GridSpec(A_values=(a,), B_values=(b,), lambda_values=(lam,), n_max=n, m_max=m)
         report = check_weighted_pair_inequality(grid)
         assert report.checked == len(rebuilt)
@@ -176,6 +199,79 @@ class TestWeightedPairInequality:
         assert check_coeff_positivity(grid).passed
         assert check_coeff_pair_inequality(grid).passed
         assert check_weighted_pair_inequality(grid).passed
+
+
+def raw_statements(grid: GridSpec) -> dict:
+    """Every statement of the three coefficient checks in raw form, from the
+    scalar oracle: {(check, A, B, lambda, n, m): (raw value, scale)}, where
+    scale is the max(|a_n|, |a_{n+1}|) the check divides by (for positivity
+    of a_n, max(|a_{n-1}|, |a_n|) with a_{-1} = 0).  Statements are kept only
+    while every coefficient up to a_{n+1} exceeds 1e-200 in magnitude."""
+    out = {}
+    for p in grid.iter_params():
+        a = coeff_recurrence_scalar(p.A, p.B, p.lam, grid.n_max + 1)
+        normal = len(a)
+        for k, c in enumerate(a):
+            if not abs(c) > 1e-200:
+                normal = k
+                break
+        key = (p.A, p.B, p.lam)
+        for n in range(min(grid.n_max, normal - 1) + 1):
+            scale = max(abs(a[n - 1]) if n else 0.0, abs(a[n]))
+            out[("positivity", *key, n, None)] = (a[n], scale)
+        for n in range(1, min(grid.n_max + 1, normal - 1)):
+            scale = max(abs(a[n]), abs(a[n + 1]))
+            if n < grid.n_max:
+                out[("pair", *key, n, None)] = ((n + 1) * a[n + 1] + p.B * n * a[n], scale)
+            for m in range(grid.m_max + 1):
+                raw = (m + 1) * (n + 1) * a[n + 1] + p.B * m * n * a[n]
+                out[("weighted", *key, n, m)] = (raw, scale)
+    return out
+
+
+CHECKS = {
+    "positivity": check_coeff_positivity,
+    "pair": check_coeff_pair_inequality,
+    "weighted": check_weighted_pair_inequality,
+}
+
+
+class TestScaleFreeValues:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3, unique=True),
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3, unique=True),
+        st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=2, unique=True),
+        st.integers(0, 60),
+        st.integers(0, 5),
+        st.booleans(),
+    )
+    def test_agree_with_raw_statements(self, a_vals, b_vals, lam_vals, n_max, m_max, outside):
+        # in the lemma range (A <= 0) and, with allow_positive_A, beyond it
+        grid = GridSpec(a_vals, b_vals, lam_vals, n_max, m_max, allow_positive_A=outside)
+        assume(any(True for _ in grid.iter_params()))
+        raw = raw_statements(grid)
+        for name, check in CHECKS.items():
+            # tol = -inf lists every value as a violation, in report order
+            every = check(grid, -np.inf).violations
+            flagged = {
+                (v.A, v.B, v.lam, v.n, v.m) for v in check(grid, 1e-12).violations
+            }
+            seen = 0
+            for v in every:
+                key = (name, v.A, v.B, v.lam, v.n, v.m)
+                if key not in raw:
+                    continue
+                seen += 1
+                value, scale = raw[key]
+                expect = value / scale if scale else 0.0
+                assert np.sign(v.value) == np.sign(expect), key
+                assert abs(v.value - expect) <= 1e-14 * abs(expect), key
+                # a raw violation is still found where the scale is at most
+                # 1, which holds throughout the lemma range
+                if value <= -1e-12 and scale <= 1.0:
+                    assert key[1:] in flagged, key
+            assert seen == sum(1 for key in raw if key[0] == name)
 
 
 class TestReports:

@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from janostab.janowski import (
-    CoeffSequence,
     JanowskiParams,
     _falling_over_factorial,
-    _rising_over_factorial,
-    coeff_recurrence,
+    coeff_pairs,
     coeff_table,
     convolution_coeffs,
     janowski_series,
@@ -28,8 +26,8 @@ from oracles import (
 
 class TestFactorials:
     """Falling and rising factorials through the factor-series terms
-    binom(lam, k) * c**k and (lam)_k / k! * c**k at c = 1, so each expected
-    value is the factorial divided by k!."""
+    binom(lam, k) * c**k and (lam)_k / k! * c**k = binom(-lam, k) * (-c)**k
+    at c = 1, so each expected value is the factorial divided by k!."""
 
     def test_falling_empty_product(self):
         assert _falling_over_factorial(0.5, 1.0, 0).tolist() == [1.0]
@@ -41,20 +39,21 @@ class TestFactorials:
         assert _falling_over_factorial(1.0, 1.0, 3)[3] == 0.0
 
     def test_rising_three_terms(self):
-        assert _rising_over_factorial(0.5, 1.0, 3)[3] == pytest.approx(1.875 / 6, abs=1e-15)
+        # (lam)_k / k! * c**k as binom(-lam, k) * (-c)**k
+        assert _falling_over_factorial(-0.5, -1.0, 3)[3] == pytest.approx(1.875 / 6, abs=1e-15)
 
     def test_rising_is_factorial_at_one(self):
-        assert _rising_over_factorial(1.0, 1.0, 4)[4] == 1.0
+        assert _falling_over_factorial(-1.0, -1.0, 4)[4] == 1.0
 
     def test_rising_single_factor(self):
-        assert _rising_over_factorial(0.3, 1.0, 1)[1] == pytest.approx(0.3, abs=1e-15)
+        assert _falling_over_factorial(-0.3, -1.0, 1)[1] == pytest.approx(0.3, abs=1e-15)
 
     def test_negative_k_rejected(self):
         params = JanowskiParams(-0.5, -1.0, 0.5)
         with pytest.raises(ValueError):
             convolution_coeffs(params, -1)
         with pytest.raises(ValueError):
-            coeff_recurrence(params, -1)
+            coeff_table(params.A, params.B, params.lam, -1)
 
 
 class TestParams:
@@ -118,27 +117,26 @@ class TestConvolution:
 
 class TestRecurrence:
     def test_hand_step(self):
-        seq = coeff_recurrence(JanowskiParams(-0.5, -1.0, 0.5), 2)
-        assert seq.values[2] == pytest.approx(((0.25 + 1.5) * 0.25) / 2, abs=1e-16)
+        a = coeff_table(-0.5, -1.0, 0.5, 2)
+        assert a[2] == pytest.approx(((0.25 + 1.5) * 0.25) / 2, abs=1e-16)
 
     def test_normalization(self):
-        assert coeff_recurrence(JanowskiParams(0.3, -0.2, 0.7), 0).values[0] == 1.0
+        assert coeff_table(0.3, -0.2, 0.7, 0).tolist() == [1.0]
 
     def test_base_member_binomial_closed_form(self):
         # A = 0 reduces to (1+Bz)**(-lam)
-        params = JanowskiParams(0.0, -1.0, 0.5)
-        seq = coeff_recurrence(params, 30)
+        a = coeff_table(0.0, -1.0, 0.5, 30)
         ref = binomial_series(-1.0, -0.5, 30)  # (1-z)^(-1/2)
-        assert np.max(np.abs(seq.values - ref.coeffs.real)) < 1e-12
-        assert seq.values[2] == pytest.approx(0.375, abs=1e-15)
+        assert np.max(np.abs(a - ref.coeffs.real)) < 1e-12
+        assert a[2] == pytest.approx(0.375, abs=1e-15)
 
     def test_lam_one_closed_form(self):
         # lam = 1: a_n = (A-B) * (-B)**(n-1)
         for a, b in ((-0.5, -1.0), (0.3, -0.7)):
-            seq = coeff_recurrence(JanowskiParams(a, b, 1.0), 20)
+            coeffs = coeff_table(a, b, 1.0, 20)
             n = np.arange(1, 21)
             expect = (a - b) * (-b) ** (n - 1)
-            assert np.max(np.abs(seq.values[1:] - expect)) < 1e-12
+            assert np.max(np.abs(coeffs[1:] - expect)) < 1e-12
 
     def test_reciprocal_pair_truncates_to_one(self):
         # ((1+z)/(1-z))**lam times its reciprocal built from binomials
@@ -163,7 +161,7 @@ class TestRecurrence:
         if not b < a:
             return
         params = JanowskiParams(a, b, lam)
-        rec = coeff_recurrence(params, 60).values
+        rec = coeff_table(a, b, lam, 60)
         conv = convolution_coeffs(params, 60)
         scale = np.maximum(1.0, np.abs(rec))
         assert np.max(np.abs(rec - conv) / scale) < 1e-10
@@ -188,21 +186,36 @@ class TestCoeffTable:
             assert np.array_equal(row, coeff_recurrence_scalar(pa, pb, plam, n_max))
 
     def test_one_point_view(self):
-        params = JanowskiParams(0.4, -0.9, 0.35)
-        seq = coeff_recurrence(params, 50)
-        assert np.array_equal(seq.values, coeff_recurrence_scalar(0.4, -0.9, 0.35, 50))
+        a = coeff_table(0.4, -0.9, 0.35, 50)
+        assert a.shape == (51,)
+        assert np.array_equal(a, coeff_recurrence_scalar(0.4, -0.9, 0.35, 50))
 
 
-class TestCoeffSequence:
-    def test_values_read_only(self):
-        seq = coeff_recurrence(JanowskiParams(-0.5, -1.0, 0.5), 3)
-        with pytest.raises(ValueError):
-            seq.values[1] = 9.0
+class TestCoeffPairs:
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(PARAM_POINT, min_size=1, max_size=12), st.integers(0, 600))
+    def test_pairs_are_power_of_two_scalings_of_the_table(self, points, n_max):
+        a, b, lam = (np.array(col) for col in zip(*points))
+        u, v = coeff_pairs(a, b, lam, n_max)
+        table = np.hstack([np.zeros((len(points), 1)), coeff_table(a, b, lam, n_max)])
+        assert u.shape == v.shape == (len(points), n_max + 1)
+        scale = np.maximum(np.abs(u), np.abs(v))
+        assert np.all((scale == 0) | ((0.5 <= scale) & (scale < 1.0)))
+        for j in range(n_max + 1):
+            # wherever the raw coefficients stay normal, u and v are a_{j-1}
+            # and a_j (table columns j and j + 1) times one power of two
+            normal = np.all(np.abs(table[:, 1 : j + 2]) > 1e-300, axis=1)
+            _, e = np.frexp(np.maximum(np.abs(table[:, j]), np.abs(table[:, j + 1])))
+            assert np.array_equal(u[normal, j], np.ldexp(table[normal, j], -e[normal]))
+            assert np.array_equal(v[normal, j], np.ldexp(table[normal, j + 1], -e[normal]))
 
-    def test_rejects_bad_leading_value(self):
-        params = JanowskiParams(-0.5, -1.0, 0.5)
-        with pytest.raises(ValueError):
-            CoeffSequence(np.array([0.5, 0.1]), params)
+    def test_exact_zeros_and_deep_decay_keep_their_signs(self):
+        # A = 0.5, B = 0, lambda = 1 is 1 + z/2: exact zeros from a_2 on;
+        # A = -0.05, B = -0.1, lambda = 0.05 decays below the double range
+        u, v = coeff_pairs(np.array([0.5, -0.05]), np.array([0.0, -0.1]), np.array([1.0, 0.05]), 500)
+        assert u[0, 0] == 0 and np.all(u[0, 3:] == 0) and np.all(v[0, 2:] == 0)
+        assert coeff_table(-0.05, -0.1, 0.05, 500)[-1] == 0.0
+        assert np.all(u[1, 1:] > 0) and np.all(v[1] > 0)
 
 
 class TestJanowskiSeries:

@@ -40,6 +40,9 @@ CASES = [
     "search --A-values -0.3,-0.6 --B-values -0.9,-0.7 --lambda-values 0.4,0.8 "
     "--n-values 1,2,4 --r 0.95",
     "verify-lemmas --step 0.1 --lambda-step 0.1 --n-max 130 --m-max 40",
+    "verify-lemmas",
+    "verify-lemmas --step 0.25 --lambda-step 0.25 --n-max 120 --m-max 30 --alt-n-max 20 "
+    "--allow-outside",
     # high degree, where the roots of s_n come from larger eigenproblems
     "check-stability --A -0.5 --B -1 --lambda 0.5 --n-max 128",
     "self-check --A -0.8 --B -1 --lambda 0.3 --n 256 --r 0.999",
