@@ -95,7 +95,8 @@ class GridSpec:
 
     @staticmethod
     def default_size(step: float, lambda_step: float, allow_positive_A: bool = False) -> float:
-        """Kept points of :meth:`default` (at most k(k-1)/2 pairs B < A per lambda)."""
+        """An upper bound on the kept points of :meth:`default` from the steps
+        alone: k lattice values give at most k(k-1)/2 pairs B < A per lambda."""
         k = _lattice_size(-1.0, 1.0 if allow_positive_A else 0.0, step)
         return k * (k - 1.0) / 2.0 * _lattice_size(lambda_step, 1.0, lambda_step)
 
@@ -172,7 +173,7 @@ def _sweep(grid: GridSpec, tol, n_lo, n_hi, shift, statement, m_max=None) -> Ine
     top = m_max or 0
     n = np.arange(n_lo, n_hi)
     m = np.arange(top + 1)[:, None]
-    # values are within 5 roundings of terms bounded by (m+1)(n+1) + m*n <= 3m(n+1)
+    # 5 roundings of terms <= 3m(n+1) put a value within 7.5 eps m(n+1); twice that bounds a dip
     slack = 16.0 * np.finfo(float).eps * top * (n + 1)
     low_all, violations = np.inf, []
     for start in range(0, b.size, 128):  # blocks of points keep temporaries small
