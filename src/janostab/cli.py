@@ -34,6 +34,7 @@ from .series import BranchFailureError
 from .subordination import (
     DISK_SOURCES,
     KNOWN_COUNTEREXAMPLE,
+    PoleError,
     SampleGrid,
     check_stability_vs_base,
     check_stability_vs_self,
@@ -371,7 +372,7 @@ def main(argv=None) -> int:
     except BranchFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BRANCH_FAILURE
-    except (ValueError, OSError) as exc:
+    except (ValueError, PoleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -115,14 +115,16 @@ def load_geometry_csvs(directory) -> FigureGeometry:
     return FigureGeometry(boundaries, curve, complex(float(re_s), float(im_s)))
 
 
-def _xy(w: complex):
-    return _SCALE * w.real, -_SCALE * w.imag
+def _xy(pts) -> np.ndarray:
+    """SVG (x, y) coordinates of complex points, one row per point."""
+    pts = np.asarray(pts, dtype=complex)
+    return np.column_stack((_SCALE * pts.real, -_SCALE * pts.imag))
 
 
 def _path(points: np.ndarray, color: str, extra: str = "") -> str:
-    coords = " ".join(
-        f"{fmt6(x)},{fmt6(y)}" for x, y in (_xy(complex(w)) for w in points)
-    )
+    xy = _xy(points)
+    # one %-format over every coordinate: the 6-decimal rounding of fmt6
+    coords = " ".join(["%.6f,%.6f"] * len(xy)) % tuple(xy.ravel().tolist())
     return (
         f'<path d="M {coords} Z" fill="none" stroke="{color}" '
         f'stroke-width="2" {extra}/>'
@@ -136,11 +138,9 @@ def render_svg(geom: FigureGeometry) -> str:
     drawn through the origin with tick marks at unit steps.  Coordinates
     carry exactly 6 decimals, so identical geometry yields identical bytes.
     """
-    pts = [complex(w) for _, b in geom.boundaries for w in b]
-    pts.extend(complex(w) for w in geom.curve)
-    pts.append(geom.point)
-    pts.append(0j)  # keep the axes' origin inside the viewport
-    xs, ys = zip(*(_xy(w) for w in pts))
+    # the origin keeps the axes inside the viewport
+    pts = [*(b for _, b in geom.boundaries), geom.curve, [geom.point, 0j]]
+    xs, ys = _xy(np.concatenate(pts)).T.tolist()
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     pad = 0.05 * max(x1 - x0, y1 - y0, 1.0)
@@ -190,7 +190,7 @@ def render_svg(geom: FigureGeometry) -> str:
         color, extra = _STYLE.get(source, ("#555555", ""))
         out.append(_path(boundary, color, extra))
     out.append(_path(geom.curve, _CURVE_COLOR))
-    px, py = _xy(geom.point)
+    ((px, py),) = _xy([geom.point]).tolist()
     out.append(f'<circle cx="{fmt6(px)}" cy="{fmt6(py)}" r="4" fill="#000000"/>')
     out.append(
         f'<text x="{fmt6(px + 8)}" y="{fmt6(py - 8)}" font-family="monospace" '

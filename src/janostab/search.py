@@ -71,48 +71,60 @@ class SweepCell:
 
 
 def _margin_fn(series, params, disk):
-    """Scalar margin closure used by refinement: (margin, ratio) at z, or
-    (None, None) where the ratio is undefined.
+    """Batch margin closure used by refinement: a list of points in, their
+    (margin, ratio) out, (None, None) where the ratio is undefined.
 
     Coordinate descent probes many points more than once (a radial step
     clipped at |z| = r stays put, a step back returns to the last point),
-    so each distinct z is evaluated once per closure.
+    so each distinct z is evaluated once per closure, and the new points of
+    a batch in one ``ratio_samples`` call (a value does not depend on its batch).
     """
     memo = {}
 
-    def margin_at(z: complex):
-        if z not in memo:
-            vals, _, bad = ratio_samples(series, params.lam, params.A, params.B, points=(z,))
-            ratio = complex(vals[0])
-            memo[z] = (None, None) if bad[0] else (disk.margin(ratio), ratio)
-        return memo[z]
+    def margins_at(zs):
+        new = list(dict.fromkeys(z for z in zs if z not in memo))
+        if new:
+            vals, _, bad = ratio_samples(series, params.lam, params.A, params.B, points=new)
+            for z, ratio, failed in zip(new, vals.tolist(), bad.tolist()):
+                memo[z] = (None, None) if failed else (disk.margin(ratio), ratio)
+        return [memo[z] for z in zs]
 
-    return margin_at
+    return margins_at
 
 
-def _refine(margin_at, z_start: complex, r_limit: float, step_r: float, step_t: float, iters: int):
+def _moves(rho: float, theta: float, step_r: float, step_t: float, r_limit: float, tried: int):
+    """(|z|, arg z) after each move from (rho, theta) that a round has not
+    tried yet, in the order they are tried; |z| stays in [0, r_limit]."""
+    moves = ((step_r, 0.0), (-step_r, 0.0), (0.0, step_t), (0.0, -step_t))[tried:]
+    return [(min(max(rho + d_rho, 0.0), r_limit), theta + d_theta) for d_rho, d_theta in moves]
+
+
+def _refine(margins_at, z_start: complex, r_limit: float, step_r: float, step_t: float, iters: int):
     """Coordinate descent on (|z|, arg z) with shrinking steps.
 
+    A round tries the four moves in turn and takes each improvement.  Its
+    untried moves are evaluated as one batch, sent again from the new
+    centre after an acceptance; the start point joins round 1's batch.
     Returns the per-round best (margin, z, ratio) history; the best value
     never decreases from one round to the next.
     """
-    rho = abs(z_start)
-    theta = cmath.phase(z_start)
-    best_margin, best_ratio = margin_at(z_start)
+    rho, theta = abs(z_start), cmath.phase(z_start)
+    first = _moves(rho, theta, step_r, step_t, r_limit, 0) if iters else []
+    (best_margin, best_ratio), *_ = margins_at([z_start, *(cmath.rect(*c) for c in first)])
     if best_margin is None:
         return []
     history = [(best_margin, z_start, best_ratio)]
     for _ in range(iters):
-        improved = False
-        for d_rho, d_theta in ((step_r, 0.0), (-step_r, 0.0), (0.0, step_t), (0.0, -step_t)):
-            cand_rho = min(max(rho + d_rho, 0.0), r_limit)
-            cand_theta = theta + d_theta
-            z = cmath.rect(cand_rho, cand_theta)
-            margin, ratio = margin_at(z)
-            if margin is not None and margin > best_margin:
-                best_margin, best_ratio = margin, ratio
-                rho, theta = cand_rho, cand_theta
-                improved = True
+        improved, tried = False, 0
+        while tried < 4:
+            cands = _moves(rho, theta, step_r, step_t, r_limit, tried)
+            for cand, (margin, ratio) in zip(cands, margins_at([cmath.rect(*c) for c in cands])):
+                tried += 1
+                if margin is not None and margin > best_margin:
+                    best_margin, best_ratio = margin, ratio
+                    rho, theta = cand
+                    improved = True
+                    break
         if not improved:
             step_r *= 0.5
             step_t *= 0.5

@@ -96,13 +96,13 @@ def _continued_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
     NaN) when a root lies within ``EPS_ZERO`` of [0, z], when |s(z)| or
     |s(0)| is below ``EPS_ZERO``, or when the root sum is more than
     ``WINDING_SLACK`` turns from every Arg s(z) + 2*pi*m."""
+    shape = pts.shape
+    pts, vals = pts.ravel(), vals.ravel()  # 1-d and contiguous: the passes below work in place
     c0 = f.coeffs[0]
     ws = f.reciprocal_roots
     turns = np.full(pts.shape, np.angle(c0))
     modulus, phase = np.abs(vals), np.angle(vals)
     failed = (modulus < EPS_ZERO) | (abs(c0) < EPS_ZERO)
-    norm2 = pts.real**2 + pts.imag**2
-    reach = np.sqrt(norm2.max(initial=0.0)) + EPS_ZERO
     factor = np.empty_like(pts)
     arg = np.empty(pts.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -110,21 +110,31 @@ def _continued_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
             np.multiply(pts, -w, out=factor)
             factor += 1.0
             turns += np.arctan2(factor.imag, factor.real, out=arg)
-        # only a root within ``reach`` of 0 can come near a segment; the
-        # point of [0, z] nearest the root is t*z, t clipped to [0, 1]
-        for root in 1.0 / ws[np.abs(ws) * reach >= 1.0]:
-            t = np.clip(np.where(norm2 > 0, (root * pts.conj()).real / norm2, 0.0), 0.0, 1.0)
-            failed |= np.abs(root - t * pts) < EPS_ZERO
-        turns = (turns - phase) / (2.0 * np.pi)
+        # only a root within ``reach`` of 0 can come near a segment; 1.5 times
+        # the largest |Re z| or |Im z| bounds |z|, so most calls skip |z|**2
+        bound = 1.5 * np.abs(pts.view(np.float64)).max(initial=0.0) + EPS_ZERO
+        if np.any(np.abs(ws) * bound >= 1.0):
+            norm2 = pts.real**2 + pts.imag**2
+            reach = np.sqrt(norm2.max(initial=0.0)) + EPS_ZERO
+            # the point of [0, z] nearest the root is t*z, t clipped to [0, 1]
+            for root in 1.0 / ws[np.abs(ws) * reach >= 1.0]:
+                t = np.clip(np.where(norm2 > 0, (root * pts.conj()).real / norm2, 0.0), 0.0, 1.0)
+                failed |= np.abs(root - t * pts) < EPS_ZERO
+        turns -= phase
+        turns /= 2.0 * np.pi
         m = np.rint(turns)
-        failed |= ~(np.abs(turns - m) <= WINDING_SLACK)
+        turns -= m
+        failed |= ~(np.abs(turns, out=turns) <= WINDING_SLACK)
         # integer turns: a zero turn adds +0.0, never the -0.0 that rint
         # gives for a tiny negative sum
-        m = np.where(failed, 0, m).astype(np.int64)
-        L = np.log(modulus) + 1j * (phase + 2.0 * np.pi * m)
-    if np.any(failed):
-        L = np.where(failed, np.nan + 1j * np.nan, L)
-    return L, failed
+        m += 0.0
+        m *= 2.0 * np.pi
+        L = np.empty_like(pts)
+        np.log(modulus, out=L.real)
+        np.add(phase, m, out=L.imag)
+    if failed.any():
+        L[failed] = np.nan + 1j * np.nan
+    return L.reshape(shape)[()], failed.reshape(shape)[()]  # 0-d targets give scalars
 
 
 def ray_log_values(f: TruncatedSeries, targets):

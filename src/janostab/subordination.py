@@ -296,11 +296,14 @@ def ratio_samples(
     if len(radii):
         chunks.append(circle_log_values(series, radii, num_angles))
     if len(points):
-        pts = np.asarray(points, dtype=complex)
+        pts = np.array(points, dtype=complex)  # a copy: it is returned as zs
         chunks.append((*ray_log_values(series, pts), pts))
     if not chunks:
         raise ValueError("sample grid is empty: no circles and no extra points")
-    L, failed, zs = (np.concatenate(part, axis=None) for part in zip(*chunks))
+    L, failed, zs = (
+        np.concatenate(part, axis=None) if len(part) > 1 else part[0].ravel()
+        for part in zip(*chunks)
+    )
     den = 1.0 + a_coef * zs
     bad = failed | (np.abs(den) < POLE_EPS)
     with np.errstate(invalid="ignore", over="ignore"):

@@ -278,6 +278,13 @@ class TestPlot:
         assert "error" in err
 
 
+    def test_witness_at_the_pole_exit_two(self, capsys):
+        # -1/A for the default A = -0.679
+        code, out, err = run(capsys, "plot", "--z0", "1.4727540500736376,0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "pole" in err
+
 class TestSizeGuard:
     def test_limits(self):
         check_size(MAX_DEGREE, MAX_POINTS)

@@ -2,10 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from janostab.janowski import janowski_series
+import janostab.search as search
+from janostab.janowski import JanowskiParams, janowski_series
 from janostab.search import _margin_fn, _refine, sweep_parameter_grid
-from janostab.subordination import KNOWN_COUNTEREXAMPLE, disk_for, ratio_samples, stability_ratio
+from janostab.series import BranchFailureError
+from janostab.subordination import (
+    KNOWN_COUNTEREXAMPLE,
+    PoleError,
+    disk_for,
+    ratio_samples,
+    stability_ratio,
+)
+
+from oracles import sequential_refine
 
 K = KNOWN_COUNTEREXAMPLE
 
@@ -14,8 +26,8 @@ class TestRefinement:
     def test_best_margin_is_monotone_across_rounds(self):
         series = janowski_series(K.params, K.n)
         disk = disk_for("mobius_image", K.params, 0.983)
-        margin_at = _margin_fn(series, K.params, disk)
-        history = _refine(margin_at, K.z0, 0.983, 0.02, 0.05, iters=12)
+        margins_at = _margin_fn(series, K.params, disk)
+        history = _refine(margins_at, K.z0, 0.983, 0.02, 0.05, iters=12)
         margins = [h[0] for h in history]
         assert all(b >= a for a, b in zip(margins, margins[1:]))
         assert margins[-1] >= margins[0]
@@ -27,17 +39,79 @@ class TestRefinement:
         vals, zs, _ = ratio_samples(series, K.params.lam, K.params.A, K.params.B, radii, 32)
         margins = np.abs(vals - disk.center) - disk.radius
         k = int(np.nanargmax(margins))
-        margin_at = _margin_fn(series, K.params, disk)
-        history = _refine(margin_at, complex(zs[k]), 0.983, 0.983 / 16, 2 * np.pi / 32, 16)
+        margins_at = _margin_fn(series, K.params, disk)
+        history = _refine(margins_at, complex(zs[k]), 0.983, 0.983 / 16, 2 * np.pi / 32, 16)
         assert history[-1][0] >= float(margins[k])
 
     def test_margin_fn_agrees_with_stability_ratio(self):
         series = janowski_series(K.params, K.n)
         disk = disk_for("mobius_image", K.params, 0.983)
-        margin, ratio = _margin_fn(series, K.params, disk)(K.z0)
-        expect = stability_ratio(K.params, K.n, K.z0)
-        assert ratio == expect
-        assert margin == disk.margin(expect)
+        pole = -1.0 / K.params.A
+        points = [K.z0, 0.5j, K.z0, pole]
+        results = _margin_fn(series, K.params, disk)(points)
+        assert len(results) == len(points)
+        for z, (margin, ratio) in zip(points[:3], results):
+            expect = stability_ratio(K.params, K.n, z)
+            assert ratio == expect
+            assert margin == disk.margin(expect)
+        assert results[3] == (None, None)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.floats(-0.95, -0.05),
+        st.floats(0.01, 1.0),
+        st.floats(0.1, 1.0),
+        st.sampled_from((1, 2, 4, 8)),
+        st.floats(0.0, 1.0),
+        st.floats(-np.pi, np.pi),
+        st.sampled_from((16, 64)),
+        st.sampled_from((32, 256)),
+        st.integers(0, 12),
+    )
+    def test_batched_descent_matches_sequential(
+        self, a, gap, lam, n, f, angle, radii, angles, iters
+    ):
+        # the history of the batched descent is that of the descent that
+        # evaluates one probe at a time
+        params = JanowskiParams(a, max(-1.0, a - gap), lam)
+        r = 0.983
+        series = janowski_series(params, n)
+        disk = disk_for("mobius_image", params, r)
+
+        def margin_at(z):
+            try:
+                ratio = stability_ratio(params, n, z, series)
+            except (BranchFailureError, PoleError):
+                return None, None
+            return disk.margin(ratio), ratio
+
+        z_start = complex(f * r * np.cos(angle), f * r * np.sin(angle))
+        args = (z_start, r, r / radii, 2 * np.pi / angles, iters)
+        assert _refine(_margin_fn(series, params, disk), *args) == sequential_refine(
+            margin_at, *args
+        )
+
+    def test_one_evaluation_per_round_plus_one_per_improving_round(self, monkeypatch):
+        calls, histories = [], []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return ratio_samples(*args, **kwargs)
+
+        def recording(*args, **kwargs):
+            histories.append(_refine(*args, **kwargs))
+            return histories[-1]
+
+        monkeypatch.setattr(search, "ratio_samples", counting)
+        monkeypatch.setattr(search, "_refine", recording)
+        for n in (1, 2, 4):
+            calls.clear()
+            histories.clear()
+            # the default shape: 64 x 256 coarse samples, 8 refinement rounds
+            sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), (n,), 0.983)
+            (history,) = histories
+            improving = sum(b[0] > a[0] for a, b in zip(history, history[1:]))
+            assert len(calls) <= 1 + 8 + improving
 
 
 class TestSweep:

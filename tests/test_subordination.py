@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from janostab.janowski import JanowskiParams, janowski_series
 from janostab.serialize import dumps
-from janostab.series import BranchFailureError
+from janostab.series import BranchFailureError, ray_log_values
 from janostab.subordination import (
     DEFAULT_TOL,
     KNOWN_COUNTEREXAMPLE,
@@ -25,6 +25,7 @@ from janostab.subordination import (
     closed_form_disk,
     mobius_image_disk,
     mobius_target,
+    ratio_samples,
     reference_disk_comparison,
     self_margin_at,
     stability_ratio,
@@ -294,6 +295,54 @@ class TestSelfStability:
         assert abs(circle.worst_margin - explicit.worst_margin) <= 1e-12
         if abs(circle.worst_margin - DEFAULT_TOL) > 1e-12:
             assert circle.verdict == explicit.verdict
+
+
+def _bits(values) -> list:
+    """Raw IEEE bits of each entry, NaN payloads and signed zeros included."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+class TestBatchIndependence:
+    """A point's ratio does not depend on the batch it is evaluated in; the
+    search's batched refinement relies on it."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.floats(-0.99, -0.01),
+        st.floats(0.001, 1.0),
+        st.floats(0.05, 1.0),
+        st.integers(1, 32),
+        st.lists(
+            st.tuples(st.floats(0.0, 1.2), st.floats(-np.pi, np.pi)), min_size=1, max_size=8
+        ),
+        st.sampled_from(((), (0.5,), (0.3, 0.9, 0.999))),
+        st.sampled_from((8, 64)),
+    )
+    def test_each_point_alone_and_in_a_batch(self, a, gap, lam, n, polar, radii, angles):
+        params = JanowskiParams(a, max(a - gap, -1.0), lam)
+        series = janowski_series(params, n)
+        ws = series.reciprocal_roots
+        root = 1.0 / ws[np.argmax(np.abs(ws))]  # the root nearest the origin
+        points = [rho * cmath.exp(1j * phi) for rho, phi in polar]
+        # a root on [0, z], one just off it, the pole, the origin, signed zeros
+        points += [1.5 * root, root * (1 + 1e-13j), -1.0 / a, 0j, complex(0.5, -0.0)]
+        args = (series, params.lam, params.A, params.B)
+        vals, zs, bad = ratio_samples(*args, radii, angles, points)
+        k = zs.size - len(points)
+        if radii:
+            circles, _, circles_bad = ratio_samples(*args, radii, angles)
+            assert _bits(vals[:k]) == _bits(circles)
+            assert bad[:k].tolist() == circles_bad.tolist()
+        assert bad[k + len(polar) + 2]  # the pole
+        logs, failed = ray_log_values(series, np.array(points))
+        for i, z in enumerate(points):
+            alone, _, alone_bad = ratio_samples(*args, points=[z])
+            assert _bits(vals[k + i : k + i + 1]) == _bits(alone)
+            assert bad[k + i] == alone_bad[0]
+            log, log_failed = ray_log_values(series, np.asarray(z))
+            assert np.ndim(log) == 0 and np.ndim(log_failed) == 0
+            assert _bits([log]) == _bits(logs[i : i + 1])
+            assert log_failed == failed[i]
 
 
 class TestDerivativeModulusBound:

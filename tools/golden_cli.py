@@ -47,6 +47,12 @@ CASES = [
     "check-stability --A -0.5 --B -1 --lambda 0.5 --n-max 128",
     "self-check --A -0.8 --B -1 --lambda 0.3 --n 256 --r 0.999",
     "search --n-values 64,128,256",
+    # the counterexample path: one search cell, the figure at its best
+    # witness, and a witness at the pole z = -1/A (a usage error)
+    "search --A-values -0.3 --B-values -0.9 --lambda-values 0.7 --n-values 1,2,4 --r 0.983",
+    "plot --A -0.3 --B -0.9 --lambda 0.7 --n 1 --r 0.983 "
+    "--z0 0.51567165807293502,0.83688215482247552 --csv-dir {dir}",
+    "plot --z0 1.4727540500736376,0",
 ]
 
 
