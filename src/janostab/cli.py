@@ -153,7 +153,7 @@ def cmd_verify_lemmas(args) -> int:
         "coeff_pair_inequality": check_coeff_pair_inequality(grid, args.tol),
         "weighted_pair_inequality": check_weighted_pair_inequality(grid, args.tol),
     }
-    total = sum(len(rep.violations) for rep in reports.values())
+    total = sum(rep.found for rep in reports.values())
     doc = {
         "grid": {
             "A_values": list(grid.A_values),

@@ -7,7 +7,8 @@ powers of two (:func:`~janostab.janowski.coeff_pairs`); a statement at
 index n is divided by max(|a_n|, |a_{n+1}|), so it cannot underflow and
 ``tol`` applies to values of order one.  ``min_margin`` is the minimum over
 the grid.  Reports are deterministic: violations are listed
-lexicographically by (A, B, lambda) and then by indices.
+lexicographically by (A, B, lambda) and then by indices, at most
+``MAX_LISTED_VIOLATIONS`` per check; every violation is counted.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
+# Violations listed per check; the rest are only counted, so a report stays
+# bounded (under 20 MB of JSON per check) however much of a grid fails.
+MAX_LISTED_VIOLATIONS = 2**17
 
 
 def _lattice_size(lo: float, hi: float, step: float) -> float:
@@ -115,7 +119,8 @@ class GridSpec:
 
     @cached_property
     def _pairs(self):
-        """The kept points' A, B and lambda and their pairs (a_{j-1}, a_j), j <= n_max + 1."""
+        """The kept points' A, B and lambda, their pairs (a_{j-1}, a_j),
+        j <= n_max + 1, and each pair's max(|a_{j-1}|, |a_j|), all scaled."""
         a, b, lam = self._point_arrays()
         return (a, b, lam, *coeff_pairs(a, b, lam, self.n_max + 1))
 
@@ -146,20 +151,33 @@ class InequalityViolation:
 
 @dataclass(frozen=True)
 class InequalityReport:
+    """``violations`` lists the first violations found, ``unlisted`` counts
+    the ones found after them."""
+
     checked: int
     violations: tuple
     min_margin: float
+    unlisted: int = 0
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
+    @property
+    def found(self) -> int:
+        return len(self.violations) + self.unlisted
+
     def to_json_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "violations": [v.to_json_dict() for v in self.violations],
-            "min_margin": self.min_margin,
-        }
+        doc = {"checked": self.checked, "violations": [v.to_json_dict() for v in self.violations]}
+        if self.unlisted:
+            doc["violations_found"] = self.found
+        doc["min_margin"] = self.min_margin
+        return doc
+
+
+def _room(violations: list) -> int:
+    """How many more violations a report lists."""
+    return max(MAX_LISTED_VIOLATIONS - len(violations), 0)
 
 
 def _sweep(grid: GridSpec, tol, n_lo, n_hi, shift, statement, m_max=None) -> InequalityReport:
@@ -169,18 +187,18 @@ def _sweep(grid: GridSpec, tol, n_lo, n_hi, shift, statement, m_max=None) -> Ine
     affine in m: only (point, n) columns whose value at m = 0 or m_max lies
     within rounding slack of -tol are evaluated at every m, which lists
     exactly the violations of a full sweep."""
-    a, b, lam, u, v = grid._pairs
+    a, b, lam, u, v, pair_max = grid._pairs
     top = m_max or 0
     n = np.arange(n_lo, n_hi)
     m = np.arange(top + 1)[:, None]
     # 5 roundings of terms <= 3m(n+1) put a value within 7.5 eps m(n+1); twice that bounds a dip
     slack = 16.0 * np.finfo(float).eps * top * (n + 1)
-    low_all, violations = np.inf, []
+    low_all, violations, unlisted = np.inf, [], 0
     for start in range(0, b.size, 128):  # blocks of points keep temporaries small
         rows, cols = slice(start, start + 128), slice(n_lo + shift, n_hi + shift)
         pb, pu, pv = b[rows, None], u[rows, cols], v[rows, cols]
         # max(|u|, |v|) is in [0.5, 1) but for a pair of zeros, whose statements are 0
-        scale = np.maximum(np.maximum(np.abs(pu), np.abs(pv)), 0.5)
+        scale = np.maximum(pair_max[rows, cols], 0.5)
         low = statement(pb, pu, pv, 0, n) / scale
         if top:
             np.minimum(low, statement(pb, pu, pv, top, n) / scale, out=low)
@@ -190,12 +208,15 @@ def _sweep(grid: GridSpec, tol, n_lo, n_hi, shift, statement, m_max=None) -> Ine
             k, pt = np.flatnonzero(near[i]), start + i
             vals = np.atleast_2d(statement(pb[i], pu[i, k], pv[i, k], m, n[k]) / scale[i, k])
             low_all = min(low_all, vals.min())
+            hits = np.argwhere(vals <= -tol)
+            listed = hits[: _room(violations)]
+            unlisted += len(hits) - len(listed)
             violations.extend(
                 InequalityViolation(float(a[pt]), float(b[pt]), float(lam[pt]), int(n[k[c]]),
                                     None if m_max is None else int(r), float(vals[r, c]))
-                for r, c in zip(*np.nonzero(vals <= -tol))
+                for r, c in listed
             )
-    return InequalityReport(b.size * n.size * (top + 1), tuple(violations), float(low_all))
+    return InequalityReport(b.size * n.size * (top + 1), tuple(violations), float(low_all), unlisted)
 
 
 def check_coeff_positivity(grid: GridSpec, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -213,20 +234,22 @@ def check_alternating_identity(lams, n_max: int, tol: float = DEFAULT_TOL) -> In
     below -tol is a violation."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    checked, violations, low = 0, [], np.inf
+    checked, violations, unlisted, low = 0, [], 0, np.inf
     for lam in map(float, np.atleast_1d(lams)):
         if not 0.0 < lam <= 1.0:
             raise ValueError("need 0 < lam <= 1")
         # binom(lam, k) (-1)**k against (lam)_k / k! = binom(-lam, k) (-1)**k
         p, q = (_falling_over_factorial(mu, -1.0, n_max) for mu in (lam, -lam))
         margins = -np.abs(np.convolve(p, q)[1 : n_max + 1])
+        hits = np.flatnonzero(margins <= -tol)
+        listed = hits[: _room(violations)]
+        unlisted += len(hits) - len(listed)
         violations.extend(
-            InequalityViolation(None, None, lam, int(n) + 1, None, float(margins[n]))
-            for n in np.flatnonzero(margins <= -tol)
+            InequalityViolation(None, None, lam, int(n) + 1, None, float(margins[n])) for n in listed
         )
         checked += margins.size
         low = min(low, margins.min())
-    return InequalityReport(checked, tuple(violations), float(low))
+    return InequalityReport(checked, tuple(violations), float(low), unlisted)
 
 
 def check_coeff_pair_inequality(

@@ -83,9 +83,20 @@ def convolution_coeffs(params: JanowskiParams, n_max: int) -> np.ndarray:
     return np.convolve(p, q)[: n_max + 1]
 
 
-def _next_coeff(lead, s, p, n: int, prev, cur):
-    """a_{n+1} from a_{n-1} and a_n: the three-term recurrence."""
-    return ((lead - s * n) * cur - p * (n - 1) * prev) / (n + 1)
+def _weights(lead, s, p, n, out=(None, None)):
+    """lead - s*n and p*(n-1): the weights of a_n and a_{n-1} in (n+1) a_{n+1}."""
+    w_cur = np.subtract(lead, np.multiply(s, n, out=out[0]), out=out[0])
+    return w_cur, np.multiply(p, n - 1, out=out[1])
+
+
+def _next_coeff(w, n: int, prev, cur, out=None):
+    """a_{n+1} from a_{n-1}, a_n and their weights ``w`` at n: the three-term
+    recurrence, computed in ``out`` when given (a ufunc call on floats costs
+    more than the arithmetic)."""
+    nxt = w[0] * cur if out is None else np.multiply(w[0], cur, out=out)
+    nxt -= w[1] * prev
+    nxt /= n + 1
+    return nxt
 
 
 def coeff_table(a, b, lam, n_max: int) -> np.ndarray:
@@ -102,33 +113,104 @@ def coeff_table(a, b, lam, n_max: int) -> np.ndarray:
     s = a + b
     p = a * b
     rows = [lead**0, lead]  # a_0 = 1 and a_1, in the shape of the parameters
-    for n in range(1, n_max):
-        rows.append(_next_coeff(lead, s, p, n, rows[n - 1], rows[n]))
+    n = np.arange(1.0, n_max).reshape((-1,) + (1,) * np.ndim(lead))
+    for k, w in enumerate(zip(*_weights(lead, s, p, n)), start=1):
+        rows.append(_next_coeff(w, k, rows[k - 1], rows[k]))
     return np.array(rows[: n_max + 1]).T
 
 
+# Orders per block of coeff_pairs: the recurrence runs unscaled inside a
+# block, and its pairs are rescaled once per block.
+PAIR_BLOCK = 32
+
+
+def _scales_exactly(mags, w_lo, w_hi) -> bool:
+    """Whether a block of unscaled values with moduli ``mags``, started from
+    a scaled pair, scales to the pairs of rescaling after every order, for
+    weights whose nonzero moduli lie in [w_lo, w_hi].
+
+    Rescaled after every order, each value is its unscaled self times 2**-f
+    with 2**f <= 2 max(1, hi), hi the largest modulus; so at either scale a
+    nonzero value is at least lo / (2 max(1, hi)), lo the smallest nonzero
+    modulus, and a nonzero product with a weight at least w_lo times that.
+    While these bounds, and w_hi max(1, hi), lie in [2**-900, 2**900], every
+    product, difference (a multiple of 2**-952) and quotient by n + 1 < 2**60
+    is normal at both scales, where power-of-two scaling commutes with
+    rounding.  NaN or infinite values fail the test.
+    """
+    hi = max(mags.max(), 1.0)
+    lo = mags.min()
+    if lo == 0.0:
+        lo = np.min(mags, where=mags > 0, initial=np.inf)
+    return min(1.0, w_lo) * lo / (2.0 * hi) >= 2.0**-900 and w_hi * hi <= 2.0**900
+
+
+def _scale_pairs(rows, mags, u, v, m, e) -> None:
+    """u, v = the pairs (rows[i], rows[i+1]) times the power of two putting
+    m = max(|u|, |v|) in [0.5, 1); ``mags`` is abs(rows), ``e`` scratch for
+    the exponents."""
+    np.maximum(mags[:-1], mags[1:], out=m)
+    np.frexp(m, out=(m, e))
+    np.negative(e, out=e)
+    np.ldexp(rows[:-1], e, out=u)
+    np.ldexp(rows[1:], e, out=v)
+
+
 def coeff_pairs(a, b, lam, n_max: int):
-    """``(u, v)`` shaped like :func:`coeff_table`: u[i, j] = a_{j-1} * 2**-e
-    and v[i, j] = a_j * 2**-e (a_{-1} = 0), e putting max(|u|, |v|) in
+    """``(u, v, m)`` shaped like :func:`coeff_table`: u[i, j] = a_{j-1} * 2**-e
+    and v[i, j] = a_j * 2**-e (a_{-1} = 0), e putting m = max(|u|, |v|) in
     [0.5, 1) unless both are 0.  The recurrence runs on these pairs, and
     power-of-two scaling is exact, so nothing underflows and every sign is
     exact; where :func:`coeff_table` stays normal, its entries are 2**e u, 2**e v.
+
+    The tables are those of rescaling after every order.  The recurrence runs
+    unscaled over blocks of ``PAIR_BLOCK`` orders from the last scaled pair,
+    and each block is scaled in one pass; a block whose values or products
+    could leave the normal range, where scaling would not commute with
+    rounding, is run again one order at a time.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     lead = lam * (a - b)
     s = a + b
     p = a * b
-    u = np.empty((n_max + 1,) + np.shape(lead))
-    v = np.empty_like(u)
-    prev, cur = 0.0 * lead, lead**0
-    for j in range(n_max + 1):
-        if j:
-            prev, cur = cur, _next_coeff(lead, s, p, j - 1, prev, cur)
-        _, e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
-        prev = np.ldexp(prev, -e, out=u[j, ...])
-        cur = np.ldexp(cur, -e, out=v[j, ...])
-    return u.T, v.T
+    shape = np.shape(lead)
+    u, v, m = (np.empty((n_max + 1,) + shape) for _ in range(3))
+    # every block works in these buffers, and in views of their rows made
+    # once: large temporaries, and indexing a row, cost more than the
+    # arithmetic on it
+    rows = np.empty((PAIR_BLOCK + 2,) + shape)
+    mags = np.empty((PAIR_BLOCK + 1,) + shape)
+    w = np.empty((2, PAIR_BLOCK) + shape)
+    e = np.empty((PAIR_BLOCK,) + shape, dtype=np.int32)
+    row = [rows[i, ...] for i in range(PAIR_BLOCK + 2)]
+    w_row = [(w[0, i, ...], w[1, i, ...]) for i in range(PAIR_BLOCK)]
+    rows[1], rows[2] = 0.0 * lead, lead**0  # a_{-1} and a_0
+    np.abs(rows[1:3], out=mags[:2])
+    _scale_pairs(rows[1:3], mags[:2], u[:1], v[:1], m[:1], e[:1])
+    # nonzero weights lie in [w_lo, w_hi]: |p (n-1)| >= |p|, and a nonzero
+    # lead - s n is at least one unit in the last place of the smaller of
+    # |lead| and |s n| >= |s|
+    wmag = np.abs([lead, s, p])
+    w_lo = 2.0**-53 * np.min(wmag, where=wmag > 0, initial=np.inf)
+    w_hi = 2.0 * np.max(wmag[0] + (wmag[1] + wmag[2]) * n_max, initial=0.0)
+    j, exact_to = 1, 1
+    while j <= n_max:
+        size = 1 if j < exact_to else min(PAIR_BLOCK, n_max + 1 - j)
+        n = np.arange(j - 1.0, j - 1 + size).reshape((-1,) + (1,) * len(shape))
+        _weights(lead, s, p, n, w[:, :size])
+        rows[0], rows[1] = u[j - 1], v[j - 1]
+        for k in range(size):
+            _next_coeff(w_row[k], j - 1 + k, row[k], row[k + 1], row[k + 2])
+        block, block_mags = rows[1 : size + 2], mags[: size + 1]
+        np.abs(block, out=block_mags)
+        if size > 1 and not _scales_exactly(block_mags, w_lo, w_hi):
+            exact_to = j + size  # run these orders again one at a time
+            continue
+        orders = slice(j, j + size)
+        _scale_pairs(block, block_mags, u[orders], v[orders], m[orders], e[:size])
+        j += size
+    return u.T, v.T, m.T
 
 
 def janowski_series(params: JanowskiParams, order: int) -> TruncatedSeries:

@@ -35,9 +35,10 @@ WINDING_SLACK = 0.25
 
 class BranchFailureError(ArithmeticError):
     """The continued branch is undefined or unresolved on [0, z]: a root of
-    s_n lies on the segment (within ``EPS_ZERO``), |s_n| < ``EPS_ZERO``, or
-    the roots are too inaccurate to fix the winding.  The continued
-    logarithm, and any power built from it, is then not reported."""
+    s_n lies on the segment (within ``EPS_ZERO`` * max(1, |root|)),
+    |s_n| < ``EPS_ZERO``, or the roots are too inaccurate to fix the
+    winding.  The continued logarithm, and any power built from it, is then
+    not reported."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +94,9 @@ def _continued_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
     """Continued logarithm ``(L, failed)`` of ``f`` at ``pts`` from its
     values ``vals`` there: log|s| + i*(Arg s + 2*pi*m), where the root sum
     Arg s(0) + sum_k Arg(1 - z/z_k) fixes the turns m.  A point fails (L is
-    NaN) when a root lies within ``EPS_ZERO`` of [0, z], when |s(z)| or
-    |s(0)| is below ``EPS_ZERO``, or when the root sum is more than
-    ``WINDING_SLACK`` turns from every Arg s(z) + 2*pi*m."""
+    NaN) when a root z_k lies within ``EPS_ZERO`` * max(1, |z_k|) of [0, z],
+    when |s(z)| or |s(0)| is below ``EPS_ZERO``, or when the root sum is
+    more than ``WINDING_SLACK`` turns from every Arg s(z) + 2*pi*m."""
     shape = pts.shape
     pts, vals = pts.ravel(), vals.ravel()  # 1-d and contiguous: the passes below work in place
     c0 = f.coeffs[0]
@@ -111,15 +112,18 @@ def _continued_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
             factor += 1.0
             turns += np.arctan2(factor.imag, factor.real, out=arg)
         # only a root within ``reach`` of 0 can come near a segment; 1.5 times
-        # the largest |Re z| or |Im z| bounds |z|, so most calls skip |z|**2
-        bound = 1.5 * np.abs(pts.view(np.float64)).max(initial=0.0) + EPS_ZERO
+        # the largest |Re z| or |Im z|, plus 2 EPS_ZERO, bounds reach, so most
+        # calls skip |z|**2
+        bound = 1.5 * np.abs(pts.view(np.float64)).max(initial=0.0) + 2.0 * EPS_ZERO
         if np.any(np.abs(ws) * bound >= 1.0):
             norm2 = pts.real**2 + pts.imag**2
-            reach = np.sqrt(norm2.max(initial=0.0)) + EPS_ZERO
+            # a root z_k is near the segment within EPS_ZERO * max(1, |z_k|):
+            # the rounding of t*z grows with |z_k|
+            reach = (np.sqrt(norm2.max(initial=0.0)) + EPS_ZERO) / (1.0 - EPS_ZERO)
             # the point of [0, z] nearest the root is t*z, t clipped to [0, 1]
             for root in 1.0 / ws[np.abs(ws) * reach >= 1.0]:
                 t = np.clip(np.where(norm2 > 0, (root * pts.conj()).real / norm2, 0.0), 0.0, 1.0)
-                failed |= np.abs(root - t * pts) < EPS_ZERO
+                failed |= np.abs(root - t * pts) < EPS_ZERO * max(1.0, abs(root))
         turns -= phase
         turns /= 2.0 * np.pi
         m = np.rint(turns)

@@ -7,7 +7,9 @@ container, so agreement is meaningful cross-validation.  The series helpers
 (``multiply``, ``partial_sum``, ``derivative``, ``evaluate``,
 ``binomial_series``) have no caller in the package and live here for the
 tests that build reference series from them.  ``sequential_refine`` is the
-search's coordinate descent one probe at a time, over any margin function.
+search's coordinate descent one probe at a time, over any margin function;
+``sequential_coeff_pairs`` is the renormalised coefficient-pair table
+rescaled after every order.
 """
 
 import cmath
@@ -72,6 +74,27 @@ def coeff_recurrence_scalar(a: float, b: float, lam: float, n_max: int):
     for n in range(1, n_max):
         out.append(((lead - s * n) * out[n] - p * (n - 1) * out[n - 1]) / (n + 1))
     return out
+
+
+def sequential_coeff_pairs(a, b, lam, n_max: int):
+    """Consecutive coefficient pairs rescaled after every order: the three-term
+    recurrence on (a_{j-1}, a_j) (a_{-1} = 0), with both values multiplied by
+    the power of two that puts the larger modulus in [0.5, 1) before the next
+    order is computed.  Returns ``(u, v)`` with row i for point i."""
+    lead = lam * (a - b)
+    s = a + b
+    p = a * b
+    u = np.empty((n_max + 1,) + np.shape(lead))
+    v = np.empty_like(u)
+    prev, cur = 0.0 * lead, lead**0
+    for j in range(n_max + 1):
+        if j:
+            n = j - 1
+            prev, cur = cur, ((lead - s * n) * cur - p * (n - 1) * prev) / (n + 1)
+        _, e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
+        prev = np.ldexp(prev, -e, out=u[j, ...])
+        cur = np.ldexp(cur, -e, out=v[j, ...])
+    return u.T, v.T
 
 
 def horner(coeffs, z):

@@ -14,6 +14,7 @@ from janostab.cli import (
     check_size,
     main,
 )
+from janostab import inequalities
 from janostab.inequalities import GridSpec
 
 
@@ -102,6 +103,20 @@ class TestVerifyLemmas:
         doc = json.loads(out)
         assert doc["violations_total"] > 0
         assert doc["coeff_positivity"]["violations"]
+
+    def test_listing_cap_keeps_counts_and_exit_code(self, capsys, monkeypatch):
+        argv = ("verify-lemmas", "--step", "0.5", "--lambda-step", "0.5", "--n-max", "40",
+                "--m-max", "5", "--alt-n-max", "20", "--allow-outside")
+        whole = json.loads(run(capsys, *argv)[1])
+        monkeypatch.setattr(inequalities, "MAX_LISTED_VIOLATIONS", 3)
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["violations_total"] == whole["violations_total"]
+        for name in ("coeff_positivity", "coeff_pair_inequality", "weighted_pair_inequality"):
+            assert "violations_found" not in whole[name]
+            assert doc[name]["violations"] == whole[name]["violations"][:3]
+            assert doc[name]["violations_found"] == len(whole[name]["violations"])
 
 
 class TestCheckStability:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from janostab import inequalities
 from janostab.inequalities import (
     GridSpec,
     InequalityViolation,
@@ -294,3 +295,21 @@ class TestReports:
         assert set(doc) == {"checked", "violations", "min_margin"}
         assert doc["violations"], "expected violations outside the proven range"
         assert set(doc["violations"][0]) == {"A", "B", "lambda", "n", "m", "value"}
+
+    def test_listing_stops_at_the_cap_and_counting_does_not(self, monkeypatch):
+        grid = GridSpec.default(n_max=40, m_max=5, step=0.5, lambda_step=0.5, allow_positive_A=True)
+        checks = {**{name: lambda tol, c=c: c(grid, tol) for name, c in CHECKS.items()},
+                  "alternating": lambda tol: check_alternating_identity((0.5, 1.0), 20, tol)}
+        # tol = -inf makes every alternating value a violation
+        tols = {"alternating": -np.inf}
+        full = {name: run(tols.get(name, 1e-12)) for name, run in checks.items()}
+        monkeypatch.setattr(inequalities, "MAX_LISTED_VIOLATIONS", 3)
+        for name, run in checks.items():
+            capped, whole = run(tols.get(name, 1e-12)), full[name]
+            assert len(whole.violations) > 3 and "violations_found" not in whole.to_json_dict()
+            assert capped.violations == whole.violations[:3]
+            assert capped.found == whole.found == len(whole.violations)
+            doc = capped.to_json_dict()
+            assert list(doc) == ["checked", "violations", "violations_found", "min_margin"]
+            assert doc["violations_found"] == whole.found
+            assert capped.min_margin == whole.min_margin and not capped.passed

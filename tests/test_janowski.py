@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from janostab.janowski import (
+    PAIR_BLOCK,
     JanowskiParams,
     _falling_over_factorial,
     coeff_pairs,
@@ -21,6 +22,7 @@ from oracles import (
     coeff_recurrence_scalar,
     multiply,
     partial_sum,
+    sequential_coeff_pairs,
 )
 
 
@@ -175,6 +177,18 @@ PARAM_POINT = st.tuples(
 ).map(lambda t: (t[0], max(t[0] - t[1], -1.0), t[2])).filter(lambda t: t[1] < t[0])
 
 
+# |A|, |B| down to 1e-300 and A = 0: raw coefficients that leave the double
+# range within one block of orders
+SCALED = st.builds(lambda m, k: m * 10.0**-k, st.floats(1.0, 10.0), st.integers(1, 300))
+TINY_POINT = st.tuples(
+    st.one_of(st.just(0.0), SCALED, SCALED.map(lambda x: -x)),
+    SCALED,
+    st.floats(0.0, 1.0, exclude_min=True, allow_nan=False),
+).map(lambda t: (t[0], t[0] - t[1], t[2])).filter(lambda t: t[1] < t[0])
+# where 32-order blocks scaled without a range check differ from the table
+HAZARDS = [(0.0, -1e-12, 1.0), (0.0, -1e-100, 0.3)]
+
+
 class TestCoeffTable:
     @settings(deadline=None, max_examples=60)
     @given(st.lists(PARAM_POINT, min_size=1, max_size=12), st.integers(0, 600))
@@ -196,10 +210,11 @@ class TestCoeffPairs:
     @given(st.lists(PARAM_POINT, min_size=1, max_size=12), st.integers(0, 600))
     def test_pairs_are_power_of_two_scalings_of_the_table(self, points, n_max):
         a, b, lam = (np.array(col) for col in zip(*points))
-        u, v = coeff_pairs(a, b, lam, n_max)
+        u, v, pair_max = coeff_pairs(a, b, lam, n_max)
         table = np.hstack([np.zeros((len(points), 1)), coeff_table(a, b, lam, n_max)])
         assert u.shape == v.shape == (len(points), n_max + 1)
         scale = np.maximum(np.abs(u), np.abs(v))
+        assert np.array_equal(pair_max, scale)
         assert np.all((scale == 0) | ((0.5 <= scale) & (scale < 1.0)))
         for j in range(n_max + 1):
             # wherever the raw coefficients stay normal, u and v are a_{j-1}
@@ -209,10 +224,27 @@ class TestCoeffPairs:
             assert np.array_equal(u[normal, j], np.ldexp(table[normal, j], -e[normal]))
             assert np.array_equal(v[normal, j], np.ldexp(table[normal, j + 1], -e[normal]))
 
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.lists(st.one_of(PARAM_POINT, TINY_POINT, st.sampled_from(HAZARDS)), min_size=1, max_size=8),
+        st.one_of(st.sampled_from([0, 1, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1]), st.integers(0, 300)),
+        st.booleans(),
+    )
+    @example([HAZARDS[0]], 100, True)
+    @example([HAZARDS[1]], 100, False)
+    def test_blocks_match_rescaling_after_every_order(self, points, n_max, scalar):
+        # bit for bit, signs of zero and the blocks the range check redoes included
+        args = points[0] if scalar else [np.array(col) for col in zip(*points)]
+        u, v = sequential_coeff_pairs(*args, n_max)
+        got = coeff_pairs(*args, n_max)
+        for g, w in zip(got, (u, v, np.maximum(np.abs(u), np.abs(v)))):
+            assert g.shape == w.shape
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
     def test_exact_zeros_and_deep_decay_keep_their_signs(self):
         # A = 0.5, B = 0, lambda = 1 is 1 + z/2: exact zeros from a_2 on;
         # A = -0.05, B = -0.1, lambda = 0.05 decays below the double range
-        u, v = coeff_pairs(np.array([0.5, -0.05]), np.array([0.0, -0.1]), np.array([1.0, 0.05]), 500)
+        u, v, _ = coeff_pairs(np.array([0.5, -0.05]), np.array([0.0, -0.1]), np.array([1.0, 0.05]), 500)
         assert u[0, 0] == 0 and np.all(u[0, 3:] == 0) and np.all(v[0, 2:] == 0)
         assert coeff_table(-0.05, -0.1, 0.05, 500)[-1] == 0.0
         assert np.all(u[1, 1:] > 0) and np.all(v[1] > 0)

@@ -229,6 +229,16 @@ class TestRayPower:
         L, failed = ray_log_values(s(1, -1), np.asarray(1.0))
         assert failed and np.isnan(L.real)
 
+    def test_branch_failure_at_a_far_root_on_the_ray(self):
+        # s_1 vanishes at -18285.7; t*z misses that root by more than 1e-12
+        # in rounding, so the test on [0, z] scales with |root|
+        f = janowski_series(JanowskiParams(-0.5, -0.501, 0.0546875), 1)
+        root = -1.0 / f.coeffs[1].real
+        for k in (1.0, 1.5, 2.0):
+            L, failed = ray_log_values(f, np.asarray(k * root))
+            assert failed and np.isnan(L.real), k
+        assert not ray_log_values(f, np.asarray(0.5 * root))[1]
+
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
     def test_power_consistency_identities(self, p):
         # exp of the tracked log reproduces the value, and exponents compose

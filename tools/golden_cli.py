@@ -43,6 +43,13 @@ CASES = [
     "verify-lemmas",
     "verify-lemmas --step 0.25 --lambda-step 0.25 --n-max 120 --m-max 30 --alt-n-max 20 "
     "--allow-outside",
+    # lemma tables across the edges of the 32-order blocks (orders 0..n-max + 1),
+    # and a widened grid whose violations are all listed
+    "verify-lemmas --step 0.25 --lambda-step 0.2 --n-max 31 --m-max 9 --alt-n-max 31",
+    "verify-lemmas --step 0.2 --lambda-step 0.25 --n-max 32 --m-max 7",
+    "verify-lemmas --step 0.125 --lambda-step 0.1 --n-max 33 --m-max 33 --alt-n-max 33",
+    "verify-lemmas --step 0.2 --lambda-step 0.2 --n-max 33 --m-max 12 --alt-n-max 20 "
+    "--allow-outside",
     # high degree, where the roots of s_n come from larger eigenproblems
     "check-stability --A -0.5 --B -1 --lambda 0.5 --n-max 128",
     "self-check --A -0.8 --B -1 --lambda 0.3 --n 256 --r 0.999",
