@@ -138,10 +138,10 @@ def _scales_exactly(mags, w_lo, w_hi) -> bool:
     is normal at both scales, where power-of-two scaling commutes with
     rounding.  NaN or infinite values fail the test.
     """
-    hi = max(mags.max(), 1.0)
-    lo = mags.min()
+    hi = max(float(mags.max()), 1.0)  # Python floats: no warning on inf or NaN
+    lo = float(mags.min())
     if lo == 0.0:
-        lo = np.min(mags, where=mags > 0, initial=np.inf)
+        lo = float(np.min(mags, where=mags > 0, initial=np.inf))
     return min(1.0, w_lo) * lo / (2.0 * hi) >= 2.0**-900 and w_hi * hi <= 2.0**900
 
 
@@ -192,8 +192,8 @@ def coeff_pairs(a, b, lam, n_max: int):
     # lead - s n is at least one unit in the last place of the smaller of
     # |lead| and |s n| >= |s|
     wmag = np.abs([lead, s, p])
-    w_lo = 2.0**-53 * np.min(wmag, where=wmag > 0, initial=np.inf)
-    w_hi = 2.0 * np.max(wmag[0] + (wmag[1] + wmag[2]) * n_max, initial=0.0)
+    w_lo = 2.0**-53 * float(np.min(wmag, where=wmag > 0, initial=np.inf))
+    w_hi = 2.0 * float(np.max(wmag[0] + (wmag[1] + wmag[2]) * n_max, initial=0.0))
     j, exact_to = 1, 1
     while j <= n_max:
         size = 1 if j < exact_to else min(PAIR_BLOCK, n_max + 1 - j)
