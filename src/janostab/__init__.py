@@ -31,9 +31,7 @@ from .subordination import (
     check_stability_vs_self,
     closed_form_disk,
     mobius_image_disk,
-    mobius_target,
     reference_disk_comparison,
-    self_margin_at,
     stability_ratio,
 )
 

@@ -9,10 +9,9 @@ flags always produce byte-identical output; files are written atomically.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
-
-import numpy as np
 
 from .figure import (
     compute_figure_geometry,
@@ -27,7 +26,7 @@ from .inequalities import (
     check_coeff_positivity,
     check_weighted_pair_inequality,
 )
-from .janowski import JanowskiParams, coeff_table, convolution_coeffs, janowski_series
+from .janowski import JanowskiParams, coeff_table, convolution_coeffs
 from .search import SWEEP_CSV_HEADER, sweep_parameter_grid
 from .serialize import csv_text, dumps, write_text_atomic
 from .series import BranchFailureError
@@ -39,7 +38,6 @@ from .subordination import (
     check_stability_vs_base,
     check_stability_vs_self,
     reference_disk_comparison,
-    stability_ratio,
 )
 
 EXIT_OK = 0
@@ -77,6 +75,18 @@ def check_coeff_size(points: float, n_max: int, m_max: int = 0, alt_n_max: int =
     if (m_max + 1) * max(n_max, 1) > MAX_LEMMA_VALUES:
         count = (m_max + 1) * max(n_max, 1)
         raise ValueError(f"--m-max {m_max}: {count} weighted values exceed {MAX_LEMMA_VALUES}")
+
+
+def _finite_float(text: str) -> float:
+    """A tolerance; with nan or inf a margin comparison no longer depends
+    on the margin."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _floats_csv(text: str) -> tuple:
@@ -192,14 +202,12 @@ def cmd_self_check(args) -> int:
     extra = (args.z0,) if args.z0 is not None else ()
     check_size(args.n, len(args.radii) * args.samples + len(extra))
     grid = SampleGrid(radii=args.radii, points_per_circle=args.samples, extra_points=extra)
-    series = janowski_series(params, args.n)
     report = check_stability_vs_self(
-        params, args.n, args.r, grid,
-        disk_source=args.disk_source, tol=args.tol, series=series,
+        params, args.n, args.r, grid, disk_source=args.disk_source, tol=args.tol
     )
     doc = report.to_json_dict()
-    if report.worst_point is not None and np.isfinite(report.worst_margin):
-        ratio = stability_ratio(params, args.n, report.worst_point, series)
+    if report.worst_point is not None:
+        ratio = report.worst_ratio
         doc["witness"] = {
             "z": {"re": report.worst_point.real, "im": report.worst_point.imag},
             "ratio": {"re": ratio.real, "im": ratio.imag},
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=100)
     p.add_argument("--alt-n-max", type=int, default=100,
                    help="order bound for the alternating identity")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_finite_float, default=1e-12)
     p.add_argument("--allow-outside", action="store_true",
                    help="widen the A lattice beyond 0 (no positivity guarantee there)")
     p.add_argument("--out", default=None)
@@ -312,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--radii", type=_floats_csv, default=(0.9, 0.99, 0.999))
     p.add_argument("--samples", type=int, default=4096)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_finite_float, default=1e-6)
     p.add_argument("--allow-outside", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check_stability)
@@ -325,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", type=_floats_csv, default=(0.9, 0.99, 0.999),
                    help="sample circles as fractions of r")
     p.add_argument("--samples", type=int, default=4096)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_finite_float, default=1e-6)
     p.add_argument("--z0", type=_complex_pair,
                    default=complex(known.z0.real, known.z0.imag),
                    help="extra probe point 're,im'; pass '' to drop it")

@@ -27,8 +27,6 @@ __all__ = [
     "render_svg",
 ]
 
-CSV_NAMES = ("disk_boundary.csv", "g_curve.csv", "point.csv")
-
 _STYLE = {
     "closed_form": ("#4878cf", 'stroke-dasharray="8,5" '),
     "mobius_image": ("#d65f5f", ""),
@@ -65,7 +63,7 @@ def compute_figure_geometry(
         disk = disk_for(source, params, r)
         boundaries.append((source, disk.boundary_points(boundary_samples)))
     series = janowski_series(params, n)
-    curve, _, bad = ratio_samples(series, params.lam, params.A, params.B, [r], curve_angles)
+    curve, _, bad = ratio_samples(series, params, [r], curve_angles)
     if bad.any():
         raise BranchFailureError(
             "the continued branch is undefined or unresolved on [0, z] for a z on the "

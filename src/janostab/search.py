@@ -84,7 +84,7 @@ def _margin_fn(series, params, disk):
     def margins_at(zs):
         new = list(dict.fromkeys(z for z in zs if z not in memo))
         if new:
-            vals, _, bad = ratio_samples(series, params.lam, params.A, params.B, points=new)
+            vals, _, bad = ratio_samples(series, params, points=new)
             for z, ratio, failed in zip(new, vals.tolist(), bad.tolist()):
                 memo[z] = (None, None) if failed else (disk.margin(ratio), ratio)
         return [memo[z] for z in zs]
@@ -148,7 +148,7 @@ def _search_cell(
     """
     series = janowski_series(params, n)
     radii = [(j + 1) * r / coarse_radii for j in range(coarse_radii)]
-    vals, zs, bad = ratio_samples(series, params.lam, params.A, params.B, radii, coarse_angles)
+    vals, zs, bad = ratio_samples(series, params, radii, coarse_angles)
     failures = int(bad.sum())
     if failures * 2 > bad.size:
         raise RuntimeError(f"{failures} of {bad.size} samples failed branch continuation")

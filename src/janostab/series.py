@@ -90,6 +90,12 @@ def _polyval_grid(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _circle_points(radii, count: int) -> np.ndarray:
+    """``r * exp(2*pi*i*k/count)``, k = 0..count-1, one row per radius r."""
+    theta = 2.0 * np.pi * np.arange(count) / count
+    return np.asarray(radii, dtype=np.float64)[:, None] * np.exp(1j * theta)[None, :]
+
+
 def _continued_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
     """Continued logarithm ``(L, failed)`` of ``f`` at ``pts`` from its
     values ``vals`` there: log|s| + i*(Arg s + 2*pi*m), where the root sum
@@ -174,8 +180,7 @@ def circle_log_values(f: TruncatedSeries, radii, num_angles: int):
     r_max = max(radii)
     rho = np.array([r / r_max for r in radii]) * r_max
     deg = f.truncation_order
-    theta = 2.0 * np.pi * np.arange(num_angles) / num_angles
-    pts = rho[:, None] * np.exp(1j * theta)[None, :]
+    pts = _circle_points(rho, num_angles)
     if deg < num_angles:
         powers = rho[:, None] ** np.arange(deg + 1)[None, :]
         padded = np.zeros((rho.size, num_angles), dtype=np.complex128)

@@ -31,6 +31,7 @@ from .janowski import JanowskiParams, janowski_series
 from .series import (
     BranchFailureError,
     TruncatedSeries,
+    _circle_points,
     _polyval_grid,
     circle_log_values,
     ray_log_values,
@@ -51,10 +52,8 @@ __all__ = [
     "closed_form_disk",
     "disk_for",
     "mobius_image_disk",
-    "mobius_target",
     "ratio_samples",
     "reference_disk_comparison",
-    "self_margin_at",
     "stability_ratio",
 ]
 
@@ -89,8 +88,7 @@ class DiskSpec:
 
     def boundary_points(self, count: int) -> np.ndarray:
         """``count`` equispaced boundary points, starting at angle 0."""
-        theta = 2.0 * np.pi * np.arange(count) / count
-        return self.center + self.radius * np.exp(1j * theta)
+        return self.center + _circle_points([self.radius], count)[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,7 +133,9 @@ class StabilityReport:
     ``verdict`` is ``pass`` when the worst sampled margin stays within
     tolerance, ``violated`` when some sample escapes the target disk, and
     ``branch_failure`` when any sample's ray power was undefined (the
-    worst margin then covers the valid samples only).
+    worst margin then covers the valid samples only).  ``worst_ratio`` is
+    the evaluated stability ratio at ``worst_point``, the value that gave
+    the worst margin; it is not part of the JSON form.
     """
 
     verdict: str
@@ -145,6 +145,7 @@ class StabilityReport:
     params: JanowskiParams
     sample_radii: tuple
     points_per_circle: int
+    worst_ratio: Optional[complex] = None
     disk_source: Optional[str] = None
     disk: Optional[DiskSpec] = None
     mu: Optional[float] = None
@@ -169,16 +170,7 @@ class StabilityReport:
         return doc
 
 
-# --- Mobius target and image disks -----------------------------------------
-
-def mobius_target(params: JanowskiParams, z) -> complex:
-    """(1+Bz)/(1+Az), the univalent target of the self-stability check."""
-    z = complex(z)
-    den = 1.0 + params.A * z
-    if abs(den) < POLE_EPS:
-        raise PoleError(f"z={z!r} is within {POLE_EPS:g} of the pole -1/A")
-    return (1.0 + params.B * z) / den
-
+# --- image disks of the Mobius target (1+Bz)/(1+Az) -------------------------
 
 def closed_form_disk(params: JanowskiParams, r: float) -> DiskSpec:
     """Disk from the closed-form center/radius expressions
@@ -277,15 +269,13 @@ def reference_disk_comparison(params: JanowskiParams, r: float) -> dict:
 
 def ratio_samples(
     series: TruncatedSeries,
-    lam: float,
-    a_coef: float,
-    b_coef: float,
+    params: JanowskiParams,
     radii: Sequence[float] = (),
     num_angles: int = 0,
     points: Sequence[complex] = (),
 ):
-    """(1+Bz) * s(z)**(1/lam) / (1+Az) on the ray-continued branch: the one
-    evaluation of the stability ratio.
+    """(1+Bz) * s(z)**(1/lam) / (1+Az) on the ray-continued branch, with
+    ``params``' A, B and lambda: the one evaluation of the stability ratio.
 
     Samples are the full circles of ``radii`` (``num_angles`` equispaced
     angles from 0, one FFT row each), then the explicit ``points``.  Returns
@@ -304,11 +294,20 @@ def ratio_samples(
         np.concatenate(part, axis=None) if len(part) > 1 else part[0].ravel()
         for part in zip(*chunks)
     )
-    den = 1.0 + a_coef * zs
+    den = 1.0 + params.A * zs
     bad = failed | (np.abs(den) < POLE_EPS)
     with np.errstate(invalid="ignore", over="ignore"):
-        vals = (1.0 + b_coef * zs) / np.where(bad, np.nan, den) * np.exp(L / lam)
+        vals = (1.0 + params.B * zs) / np.where(bad, np.nan, den) * np.exp(L / params.lam)
     return vals, zs, bad
+
+
+def _reject_pole(params: JanowskiParams, points) -> None:
+    """Raise :class:`PoleError` for an explicit point that
+    :func:`ratio_samples` would mark bad as within ``POLE_EPS`` of -1/A."""
+    pts = np.array(points, dtype=complex)
+    near = pts[np.abs(1.0 + params.A * pts) < POLE_EPS]
+    if near.size:
+        raise PoleError(f"z={complex(near[0])!r} is within {POLE_EPS:g} of the pole -1/A")
 
 
 def stability_ratio(params: JanowskiParams, n: int, z, series=None) -> complex:
@@ -325,11 +324,10 @@ def stability_ratio(params: JanowskiParams, n: int, z, series=None) -> complex:
     z = complex(z)
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise ValueError(f"z must be finite, got {z!r}")
-    if abs(1.0 + params.A * z) < POLE_EPS:
-        raise PoleError(f"z={z!r} is within {POLE_EPS:g} of the pole -1/A")
+    _reject_pole(params, (z,))
     if series is None:
         series = janowski_series(params, n)
-    vals, _, bad = ratio_samples(series, params.lam, params.A, params.B, points=(z,))
+    vals, _, bad = ratio_samples(series, params, points=(z,))
     if bad[0]:
         raise BranchFailureError(
             f"the continued branch is undefined or unresolved on [0, z] for z = {z!r} "
@@ -338,31 +336,16 @@ def stability_ratio(params: JanowskiParams, n: int, z, series=None) -> complex:
     return complex(vals[0])
 
 
-def self_margin_at(
-    params: JanowskiParams, n: int, z, r: float, disk_source: str = "mobius_image"
-):
-    """Margin of the stability ratio at one probe point against the
-    self-stability target disk for |z| <= r.
-
-    Returns ``(margin, ratio, disk)``; a positive margin is a witnessed
-    subordination violation.
-    """
-    disk = disk_for(disk_source, params, r)
-    ratio = stability_ratio(params, n, z)
-    return disk.margin(ratio), ratio, disk
-
-
 # --- stability checks ---------------------------------------------------------
 
-def _worst_sample(margins: np.ndarray, points: np.ndarray):
-    """Max margin with deterministic tie-break (smallest (re, im))."""
+def _worst_sample(margins: np.ndarray, points: np.ndarray) -> Optional[int]:
+    """Index of the max finite margin with deterministic tie-break (smallest
+    (re, im)); None when no margin is finite."""
     valid = np.isfinite(margins)
     if not valid.any():
-        return float("nan"), None
-    m_max = margins[valid].max()
-    ties = points[valid & (margins == m_max)]
-    order = np.lexsort((ties.imag, ties.real))
-    return float(m_max), complex(ties[order[0]])
+        return None
+    ties = np.flatnonzero(margins == margins[valid].max())
+    return int(ties[np.lexsort((points[ties].imag, points[ties].real))[0]])
 
 
 def _stability_report(
@@ -377,11 +360,16 @@ def _stability_report(
 ) -> StabilityReport:
     """Worst margin of the stability ratio of ``series`` (with ``params``'
     A, B and lambda) against ``disk`` over the circles ``radii`` and the
-    grid's explicit points, as a report."""
-    vals, zs, bad = ratio_samples(
-        series, params.lam, params.A, params.B, radii, grid.points_per_circle, grid.extra_points
+    grid's explicit points, as a report.  An explicit point at the pole
+    -1/A raises :class:`PoleError`."""
+    _reject_pole(params, grid.extra_points)
+    vals, zs, bad = ratio_samples(series, params, radii, grid.points_per_circle, grid.extra_points)
+    margins = np.abs(vals - disk.center) - disk.radius
+    k = _worst_sample(margins, zs)
+    worst, worst_point, worst_ratio = (
+        (float("nan"), None, None) if k is None
+        else (float(margins[k]), complex(zs[k]), complex(vals[k]))
     )
-    worst, worst_point = _worst_sample(np.abs(vals - disk.center) - disk.radius, zs)
     if bad.any():
         verdict = "branch_failure"
     else:
@@ -390,6 +378,7 @@ def _stability_report(
         verdict=verdict,
         worst_margin=worst,
         worst_point=worst_point,
+        worst_ratio=worst_ratio,
         n=n,
         params=params,
         sample_radii=radii,
@@ -435,7 +424,6 @@ def check_stability_vs_self(
     grid: Optional[SampleGrid] = None,
     disk_source: str = "mobius_image",
     tol: float = DEFAULT_TOL,
-    series: Optional[TruncatedSeries] = None,
 ) -> StabilityReport:
     """Check whether the ratio maps |z| <= r into the image of |z| <= r
     under the Mobius target, the criterion for self-subordination.
@@ -443,7 +431,7 @@ def check_stability_vs_self(
     ``grid.radii`` are read as fractions of ``r`` so the circles stay inside
     the probed subdisk; ``grid.extra_points`` are absolute and may probe any
     point.  Verdict is ``violated`` as soon as one sample escapes the disk
-    by more than ``tol``.  ``series`` is s_n if the caller has built it.
+    by more than ``tol``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -452,9 +440,9 @@ def check_stability_vs_self(
     grid = grid or SampleGrid()
     disk = disk_for(disk_source, params, r)
     radii = tuple(f * r for f in grid.radii)
-    if series is None:
-        series = janowski_series(params, n)
-    return _stability_report(series, params, n, disk, radii, grid, tol, disk_source=disk_source)
+    return _stability_report(
+        janowski_series(params, n), params, n, disk, radii, grid, tol, disk_source=disk_source
+    )
 
 
 def check_cross_order_stability(
@@ -530,9 +518,8 @@ def check_derivative_modulus_bound(
     _require_base_range(params, allow_outside)
     grid = grid or SampleGrid()
     series = janowski_series(params, n)
-    theta = 2.0 * np.pi * np.arange(grid.points_per_circle) / grid.points_per_circle
     extra = np.array(grid.extra_points, dtype=complex)
-    points = np.concatenate([np.outer(grid.radii, np.exp(1j * theta)).ravel(), extra])
+    points = np.concatenate([_circle_points(grid.radii, grid.points_per_circle).ravel(), extra])
     moduli = np.concatenate([np.repeat(grid.radii, grid.points_per_circle), np.abs(extra)])
     _, deriv, bad = _defect_and_slope(series, params, points)
     # d'(|z|) depends on |z| only: evaluate once per distinct modulus
@@ -600,16 +587,12 @@ def check_power_product_subordination(
     if not seeds:
         raise ValueError("need at least one seed")
     grid = grid or SampleGrid()
-    samples = []
-    theta = 2.0 * np.pi * np.arange(grid.points_per_circle) / grid.points_per_circle
-    ring = np.exp(1j * theta)
-    for r in grid.radii:
-        samples.append(r * ring)
-    if grid.extra_points:
-        samples.append(np.array(grid.extra_points))
-    if not samples:
+    zs = np.concatenate([
+        _circle_points(grid.radii, grid.points_per_circle).ravel(),
+        np.array(grid.extra_points, dtype=complex),
+    ])
+    if not zs.size:
         raise ValueError("sample grid is empty: no circles and no extra points")
-    zs = np.concatenate(samples)
     images = []
     for idx, seed in enumerate(seeds):
         u = _schwarz_eval(seed, zs)

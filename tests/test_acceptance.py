@@ -32,9 +32,9 @@ from janostab.subordination import (
     check_derivative_modulus_bound,
     check_power_product_subordination,
     check_stability_vs_base,
+    disk_for,
     mobius_image_disk,
     reference_disk_comparison,
-    self_margin_at,
     stability_ratio,
 )
 
@@ -49,8 +49,8 @@ def finish(name: str, ok: bool, detail: str):
 def test_a01_counterexample_reproduction():
     t0 = time.perf_counter()
     ratio = stability_ratio(K.params, K.n, K.z0)
-    margin_closed, _, _ = self_margin_at(K.params, K.n, K.z0, 0.98, "closed_form")
-    margin_mobius, _, _ = self_margin_at(K.params, K.n, K.z0, 0.983, "mobius_image")
+    margin_closed = disk_for("closed_form", K.params, 0.98).margin(ratio)
+    margin_mobius = disk_for("mobius_image", K.params, 0.983).margin(ratio)
     elapsed = time.perf_counter() - t0
     component_err = max(abs(ratio.real - 0.8697), abs(ratio.imag - 0.5845))
     ok = (

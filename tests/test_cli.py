@@ -159,6 +159,10 @@ class TestSelfCheck:
         assert "witness" in doc
         w = doc["witness"]
         assert w["margin"] == doc["worst_margin"]
+        # the witness ratio is the evaluated value that gave the margin
+        ratio = complex(w["ratio"]["re"], w["ratio"]["im"])
+        center = complex(doc["disk"]["center"]["re"], doc["disk"]["center"]["im"])
+        assert np.abs(ratio - center) - doc["disk"]["radius"] == w["margin"]
 
     def test_closed_form_reference_block(self, capsys):
         code, out, _ = run(
@@ -293,12 +297,35 @@ class TestPlot:
         assert "error" in err
 
 
-    def test_witness_at_the_pole_exit_two(self, capsys):
+    @pytest.mark.parametrize("command", ["plot", "self-check"])
+    def test_witness_at_the_pole_exit_two(self, capsys, command):
         # -1/A for the default A = -0.679
-        code, out, err = run(capsys, "plot", "--z0", "1.4727540500736376,0")
+        code, out, err = run(capsys, command, "--z0", "1.4727540500736376,0")
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "pole" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-lemmas", "--step", "0.5", "--lambda-step", "0.5", "--n-max", "5"),
+        ("check-stability", "--A", "-0.5", "--B", "-1", "--lambda", "0.5", "--n-max", "1"),
+        ("self-check", "--samples", "128"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_finite_tol_exit_two(capsys, argv, tol):
+    # a nan or infinite tolerance silently flips verdicts (verify-lemmas
+    # finds no violation at either): argument parsing rejects both
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--tol={tol}"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "--tol" in err and "finite" in err
+
 
 class TestSizeGuard:
     def test_limits(self):

@@ -36,7 +36,7 @@ class TestRefinement:
         series = janowski_series(K.params, K.n)
         disk = disk_for("mobius_image", K.params, 0.983)
         radii = [(j + 1) * 0.983 / 16 for j in range(16)]
-        vals, zs, _ = ratio_samples(series, K.params.lam, K.params.A, K.params.B, radii, 32)
+        vals, zs, _ = ratio_samples(series, K.params, radii, 32)
         margins = np.abs(vals - disk.center) - disk.radius
         k = int(np.nanargmax(margins))
         margins_at = _margin_fn(series, K.params, disk)

@@ -23,11 +23,10 @@ from janostab.subordination import (
     check_stability_vs_base,
     check_stability_vs_self,
     closed_form_disk,
+    disk_for,
     mobius_image_disk,
-    mobius_target,
     ratio_samples,
     reference_disk_comparison,
-    self_margin_at,
     stability_ratio,
 )
 
@@ -46,22 +45,32 @@ def ratio_oracle(params, a1, z):
     return (1 + params.B * z) / (1 + params.A * z) * s_val ** (1.0 / params.lam)
 
 
+def mobius(params, z):
+    """(1+Bz)/(1+Az), the univalent target of the self-stability check."""
+    return (1 + params.B * z) / (1 + params.A * z)
+
+
 class TestMobiusTarget:
     def test_value_at_zero(self):
-        assert mobius_target(K.params, 0) == 1.0
+        assert mobius(K.params, 0) == 1.0
 
     def test_positive_axis_value(self):
-        got = mobius_target(K.params, 0.98)
+        got = mobius(K.params, 0.98)
         assert got.real == pytest.approx((1 - 0.9506) / (1 - 0.66542), abs=1e-12)
         assert got.real == pytest.approx(0.14765, abs=1e-5)
 
     def test_negative_axis_value(self):
-        got = mobius_target(K.params, -0.98)
+        got = mobius(K.params, -0.98)
         assert got.real == pytest.approx(1.17124, abs=1e-5)
 
     def test_pole_guard(self):
+        # an explicit probe at the pole of the target is an error, not a
+        # branch failure, in the stability checks
+        pole = -1.0 / K.params.A
         with pytest.raises(PoleError):
-            mobius_target(K.params, -1.0 / K.params.A)
+            check_stability_vs_self(K.params, K.n, 0.983, SampleGrid((0.9,), 8, (0.5, pole)))
+        with pytest.raises(PoleError):
+            check_stability_vs_base(K.params, K.n, SampleGrid((), 8, (pole,)))
 
 
 class TestStabilityRatio:
@@ -147,8 +156,8 @@ class TestDisks:
     def test_mobius_image_matches_diameter_midpoint(self):
         r = 0.98
         disk = mobius_image_disk(K.params, r)
-        h_plus = mobius_target(K.params, r)
-        h_minus = mobius_target(K.params, -r)
+        h_plus = mobius(K.params, r)
+        h_minus = mobius(K.params, -r)
         assert disk.center.real == pytest.approx((h_plus + h_minus).real / 2, abs=1e-12)
         assert disk.radius == pytest.approx(abs(h_minus - h_plus) / 2, abs=1e-12)
         assert disk.center.real == pytest.approx(0.6594419409148014, abs=1e-12)
@@ -255,6 +264,11 @@ class TestSelfStability:
         assert report.verdict == "violated"
         assert report.worst_margin > 0
         assert report.worst_point == K.z0
+        # the report carries the value that gave its margin
+        assert report.worst_ratio == stability_ratio(K.params, K.n, K.z0)
+        assert np.abs(report.worst_ratio - report.disk.center) - report.disk.radius == (
+            report.worst_margin
+        )
 
     def test_origin_is_inside_every_target_disk(self):
         for source in ("closed_form", "mobius_image"):
@@ -264,12 +278,12 @@ class TestSelfStability:
             assert report.verdict == "pass"
 
     def test_margin_at_witness_against_both_disks(self):
-        margin_mobius, ratio, disk = self_margin_at(K.params, K.n, K.z0, 0.983)
+        ratio = stability_ratio(K.params, K.n, K.z0)
+        disk = disk_for("mobius_image", K.params, 0.983)
+        margin_mobius = disk.margin(ratio)
         assert margin_mobius == pytest.approx(0.1065779488, abs=1e-9)
         assert abs(ratio - disk.center) - disk.radius == margin_mobius
-        margin_closed, _, _ = self_margin_at(
-            K.params, K.n, K.z0, 0.98, disk_source="closed_form"
-        )
+        margin_closed = disk_for("closed_form", K.params, 0.98).margin(ratio)
         assert margin_closed == pytest.approx(0.0561655402, abs=1e-9)
 
     def test_sample_radii_scale_with_r(self):
@@ -326,7 +340,7 @@ class TestBatchIndependence:
         points = [rho * cmath.exp(1j * phi) for rho, phi in polar]
         # a root on [0, z], one just off it, the pole, the origin, signed zeros
         points += [1.5 * root, root * (1 + 1e-13j), -1.0 / a, 0j, complex(0.5, -0.0)]
-        args = (series, params.lam, params.A, params.B)
+        args = (series, params)
         vals, zs, bad = ratio_samples(*args, radii, angles, points)
         k = zs.size - len(points)
         if radii:

@@ -60,6 +60,10 @@ CASES = [
     "plot --A -0.3 --B -0.9 --lambda 0.7 --n 1 --r 0.983 "
     "--z0 0.51567165807293502,0.83688215482247552 --csv-dir {dir}",
     "plot --z0 1.4727540500736376,0",
+    "self-check --z0 1.4727540500736376,0",
+    # a non-finite tolerance is a usage error, not a clean run
+    "verify-lemmas --step 0.25 --lambda-step 0.25 --n-max 120 --m-max 30 --alt-n-max 20 "
+    "--allow-outside --tol nan",
 ]
 
 
