@@ -11,6 +11,7 @@ the original file byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -89,28 +90,35 @@ def geometry_csv_documents(geom: FigureGeometry) -> dict:
     }
 
 
-def load_geometry_csvs(directory) -> FigureGeometry:
-    """Rebuild geometry from the three CSV files in ``directory``."""
-    from pathlib import Path
+def _csv_points(path, header: tuple) -> tuple:
+    """(first cells, points) of the data rows of an exported CSV, whose last
+    two cells are re and im.  Raises ``ValueError`` unless the file has
+    ``header``, rows of as many cells, at least one, and finite numbers."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    if lines[:1] != [",".join(header)] or not rows or {len(r) for r in rows} != {len(header)}:
+        raise ValueError(f"{path.name} needs the header {','.join(header)} and rows of "
+                         f"{len(header)} cells, at least one")
+    xy = np.array([[float(x) for x in row[-2:]] for row in rows])
+    if not np.isfinite(xy).all():
+        raise ValueError(f"{path.name} holds a non-finite number")
+    return [row[0] for row in rows], xy.view(complex).ravel()
 
+
+def load_geometry_csvs(directory) -> FigureGeometry:
+    """Rebuild geometry from the three CSV files in ``directory``; raises
+    ``ValueError`` for a malformed file (see :func:`_csv_points`), a
+    ``point.csv`` without exactly one row, or an unknown disk source."""
     directory = Path(directory)
-    grouped: dict = {}
-    order = []
-    lines = (directory / "disk_boundary.csv").read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
-        source, re_s, im_s = line.split(",")
-        if source not in grouped:
-            grouped[source] = []
-            order.append(source)
-        grouped[source].append(complex(float(re_s), float(im_s)))
-    boundaries = tuple((s, np.array(grouped[s])) for s in order)
-    lines = (directory / "g_curve.csv").read_text(encoding="utf-8").splitlines()
-    curve = np.array(
-        [complex(float(a), float(b)) for a, b in (ln.split(",") for ln in lines[1:])]
-    )
-    lines = (directory / "point.csv").read_text(encoding="utf-8").splitlines()
-    re_s, im_s = lines[1].split(",")
-    return FigureGeometry(boundaries, curve, complex(float(re_s), float(im_s)))
+    sources, pts = _csv_points(directory / "disk_boundary.csv", ("source", "re", "im"))
+    if not set(sources) <= set(DISK_SOURCES):
+        raise ValueError(f"disk_boundary.csv: the disk sources are {', '.join(DISK_SOURCES)}")
+    boundaries = tuple((s, pts[[src == s for src in sources]]) for s in dict.fromkeys(sources))
+    _, curve = _csv_points(directory / "g_curve.csv", ("re", "im"))
+    _, point = _csv_points(directory / "point.csv", ("re", "im"))
+    if point.size != 1:
+        raise ValueError(f"point.csv must hold one row, not {point.size}")
+    return FigureGeometry(boundaries, curve, complex(point[0]))
 
 
 def _xy(pts) -> np.ndarray:
@@ -185,7 +193,7 @@ def render_svg(geom: FigureGeometry) -> str:
             )
         k += 1
     for source, boundary in geom.boundaries:
-        color, extra = _STYLE.get(source, ("#555555", ""))
+        color, extra = _STYLE[source]
         out.append(_path(boundary, color, extra))
     out.append(_path(geom.curve, _CURVE_COLOR))
     ((px, py),) = _xy([geom.point]).tolist()

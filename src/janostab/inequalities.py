@@ -7,8 +7,10 @@ powers of two (:func:`~janostab.janowski.coeff_pairs`); a statement at
 index n is divided by max(|a_n|, |a_{n+1}|), so it cannot underflow and
 ``tol`` applies to values of order one.  ``min_margin`` is the minimum over
 the grid.  Reports are deterministic: violations are listed
-lexicographically by (A, B, lambda) and then by indices, at most
-``MAX_LISTED_VIOLATIONS`` per check; every violation is counted.
+lexicographically by (A, B, lambda) and then by indices.  Every
+:class:`InequalityReport`, these and the derivative and product checks of
+:mod:`janostab.subordination`, lists at most ``MAX_LISTED_VIOLATIONS`` and
+counts every violation.
 """
 
 from __future__ import annotations
@@ -42,9 +44,12 @@ MAX_LISTED_VIOLATIONS = 2**17
 
 
 def _lattice_size(lo: float, hi: float, step: float) -> float:
-    if not 0.0 < step <= hi - lo:
-        raise ValueError(f"lattice step must lie in (0, {hi - lo}], got {step!r}")
-    return float(np.rint((hi - lo) / step)) + 1.0
+    """How many values lo + k*step, k = 0, 1, ..., do not exceed hi, with a
+    relative slack of 1e-9 for rounding; a step beyond the range leaves lo
+    alone.  A float, so a tiny step gives inf rather than a huge int."""
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"lattice step must be finite and positive, got {step!r}")
+    return float(np.floor(max(hi - lo, 0.0) / step * (1.0 + 1e-9))) + 1.0
 
 
 def _lattice(lo: float, hi: float, step: float) -> tuple:
@@ -175,9 +180,13 @@ class InequalityReport:
         return doc
 
 
-def _room(violations: list) -> int:
-    """How many more violations a report lists."""
-    return max(MAX_LISTED_VIOLATIONS - len(violations), 0)
+def _list_hits(violations: list, hits, violation) -> int:
+    """Append ``violation(hit)`` for each of ``hits`` in order until
+    ``MAX_LISTED_VIOLATIONS`` are listed; return how many hits are left
+    unlisted."""
+    listed = hits[: max(MAX_LISTED_VIOLATIONS - len(violations), 0)]
+    violations.extend(map(violation, listed))
+    return len(hits) - len(listed)
 
 
 def _sweep(grid: GridSpec, tol, n_lo, n_hi, shift, statement, m_max=None) -> InequalityReport:
@@ -208,14 +217,10 @@ def _sweep(grid: GridSpec, tol, n_lo, n_hi, shift, statement, m_max=None) -> Ine
             k, pt = np.flatnonzero(near[i]), start + i
             vals = np.atleast_2d(statement(pb[i], pu[i, k], pv[i, k], m, n[k]) / scale[i, k])
             low_all = min(low_all, vals.min())
-            hits = np.argwhere(vals <= -tol)
-            listed = hits[: _room(violations)]
-            unlisted += len(hits) - len(listed)
-            violations.extend(
-                InequalityViolation(float(a[pt]), float(b[pt]), float(lam[pt]), int(n[k[c]]),
-                                    None if m_max is None else int(r), float(vals[r, c]))
-                for r, c in listed
-            )
+            unlisted += _list_hits(violations, np.argwhere(vals <= -tol), lambda hit: (
+                InequalityViolation(float(a[pt]), float(b[pt]), float(lam[pt]), int(n[k[hit[1]]]),
+                                    None if m_max is None else int(hit[0]), float(vals[tuple(hit)]))
+            ))
     return InequalityReport(b.size * n.size * (top + 1), tuple(violations), float(low_all), unlisted)
 
 
@@ -241,12 +246,9 @@ def check_alternating_identity(lams, n_max: int, tol: float = DEFAULT_TOL) -> In
         # binom(lam, k) (-1)**k against (lam)_k / k! = binom(-lam, k) (-1)**k
         p, q = (_falling_over_factorial(mu, -1.0, n_max) for mu in (lam, -lam))
         margins = -np.abs(np.convolve(p, q)[1 : n_max + 1])
-        hits = np.flatnonzero(margins <= -tol)
-        listed = hits[: _room(violations)]
-        unlisted += len(hits) - len(listed)
-        violations.extend(
-            InequalityViolation(None, None, lam, int(n) + 1, None, float(margins[n])) for n in listed
-        )
+        unlisted += _list_hits(violations, np.flatnonzero(margins <= -tol), lambda n: (
+            InequalityViolation(None, None, lam, int(n) + 1, None, float(margins[n]))
+        ))
         checked += margins.size
         low = min(low, margins.min())
     return InequalityReport(checked, tuple(violations), float(low), unlisted)

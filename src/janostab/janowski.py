@@ -138,8 +138,8 @@ def _scales_exactly(mags, w_lo, w_hi) -> bool:
     is normal at both scales, where power-of-two scaling commutes with
     rounding.  NaN or infinite values fail the test.
     """
-    hi = max(float(mags.max()), 1.0)  # Python floats: no warning on inf or NaN
-    lo = float(mags.min())
+    hi = max(float(mags.max(initial=0.0)), 1.0)  # Python floats: no warning on inf or NaN
+    lo = float(mags.min(initial=np.inf))
     if lo == 0.0:
         lo = float(np.min(mags, where=mags > 0, initial=np.inf))
     return min(1.0, w_lo) * lo / (2.0 * hi) >= 2.0**-900 and w_hi * hi <= 2.0**900

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .inequalities import InequalityReport, InequalityViolation
+from .inequalities import InequalityReport, InequalityViolation, _list_hits
 from .janowski import JanowskiParams, janowski_series
 from .series import (
     BranchFailureError,
@@ -477,27 +477,22 @@ def check_cross_order_stability(
 
 # --- defect-derivative bound ---------------------------------------------------
 
-def _defect_and_slope(series: TruncatedSeries, params: JanowskiParams, pts: np.ndarray):
-    """Defect d = 1 - ratio and its analytic derivative over an array of
-    points, with the mask of points where they are undefined.
+def _defect_and_slope(series, params, radii=(), num_angles=0, points=()):
+    """``(d, d', zs, bad)``: the defect d = 1 - ratio and its derivative
 
-    d'(z) = -ratio(z) * (B/(1+Bz) - A/(1+Az) + s_n'(z)/(lam * s_n(z))),
-    evaluated with the Mobius factor differentiated directly,
-    ((1+Bz)/(1+Az))' = (B-A)/(1+Az)**2, so it stays finite where 1+Bz = 0.
+        d'(z) = -ratio(z) * ((B-A)/((1+Az)(1+Bz)) + s_n'(z)/(lam * s_n(z)))
+
+    on the samples ``zs`` of :func:`ratio_samples` with the same arguments.
+    For |z| < 1, 1 + Bz != 0 (|B| <= 1): d' is finite wherever the ratio is.
     """
-    L, failed = ray_log_values(series, pts)
-    den = 1.0 + params.A * pts
-    pole = np.abs(den) < POLE_EPS
-    den = np.where(pole, 1.0, den)
-    coeffs = series.coeffs
+    vals, zs, bad = ratio_samples(series, params, radii, num_angles, points)
+    a, b, coeffs = params.A, params.B, series.coeffs
+    s_prime = _polyval_grid(coeffs[1:] * np.arange(1, coeffs.size), zs)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        power = np.exp(L / params.lam) / den
-        ratio = (1.0 + params.B * pts) * power
-        # s_n(z) = exp(L); s_n' is the derivative polynomial's Horner value
-        s_prime = _polyval_grid(coeffs[1:] * np.arange(1, coeffs.size), pts)
-        log_slope = s_prime / (params.lam * np.exp(L))
-        slope = -power * ((params.B - params.A) / den + (1.0 + params.B * pts) * log_slope)
-    return 1.0 - ratio, slope, failed | pole
+        log_slope = (b - a) / ((1.0 + a * zs) * (1.0 + b * zs)) + s_prime / (
+            params.lam * _polyval_grid(coeffs, zs)
+        )
+    return 1.0 - vals, -vals * log_slope, zs, bad
 
 
 def check_derivative_modulus_bound(
@@ -511,31 +506,30 @@ def check_derivative_modulus_bound(
 
     d' is the analytic derivative of :func:`_defect_and_slope` at both z
     and |z|.  The checked quantity is d'(|z|) - |d'(z)|, which must stay
-    >= -tol.
+    >= -tol.  Explicit points must lie in the open unit disk.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _require_base_range(params, allow_outside)
     grid = grid or SampleGrid()
+    if any(abs(z) >= 1.0 for z in grid.extra_points):
+        raise ValueError("explicit points must lie in |z| < 1")
     series = janowski_series(params, n)
-    extra = np.array(grid.extra_points, dtype=complex)
-    points = np.concatenate([_circle_points(grid.radii, grid.points_per_circle).ravel(), extra])
-    moduli = np.concatenate([np.repeat(grid.radii, grid.points_per_circle), np.abs(extra)])
-    _, deriv, bad = _defect_and_slope(series, params, points)
+    extra = grid.extra_points
+    _, deriv, zs, bad = _defect_and_slope(series, params, grid.radii, grid.points_per_circle, extra)
     # d'(|z|) depends on |z| only: evaluate once per distinct modulus
+    moduli = np.concatenate([np.repeat(grid.radii, grid.points_per_circle), np.abs(extra)])
     radii, inverse = np.unique(moduli, return_inverse=True)
-    _, slopes, bad_real = _defect_and_slope(series, params, radii.astype(complex))
-    slopes, bad_real = slopes[inverse], bad_real[inverse]
-    margins = np.where(bad | bad_real, np.nan, slopes.real - np.abs(deriv))
+    _, slopes, _, bad_real = _defect_and_slope(series, params, points=radii)
+    margins = np.where(bad | bad_real[inverse], np.nan, slopes.real[inverse] - np.abs(deriv))
     good = np.isfinite(margins)
-    violations = tuple(
-        InequalityViolation(
-            params.A, params.B, params.lam, n, None, float(margins[k]), point=complex(points[k])
-        )
-        for k in np.flatnonzero(good & (margins < -tol))
-    )
+    violations = []
+    unlisted = _list_hits(violations, np.flatnonzero(good & (margins < -tol)), lambda k: (
+        InequalityViolation(params.A, params.B, params.lam, n, None, float(margins[k]),
+                            point=complex(zs[k]))
+    ))
     min_margin = float(margins[good].min()) if good.any() else float("inf")
-    return InequalityReport(int(good.sum()), violations, min_margin)
+    return InequalityReport(int(good.sum()), tuple(violations), min_margin, unlisted)
 
 
 # --- product subordination ------------------------------------------------------
@@ -593,32 +587,24 @@ def check_power_product_subordination(
     ])
     if not zs.size:
         raise ValueError("sample grid is empty: no circles and no extra points")
-    images = []
-    for idx, seed in enumerate(seeds):
+    logs = []
+    for seed in seeds:
         u = _schwarz_eval(seed, zs)
         excess = float((np.abs(u) - np.abs(zs)).max())
         if excess > 1e-12:
             raise ValueError(
                 f"invalid seed {list(seed)!r}: |u(z)| exceeds |z| by {excess:g}"
             )
-        images.append(u)
-    checked = 0
-    violations = []
-    min_margin = np.inf
-    total = alpha + beta
-    for i, u in enumerate(images):
-        for j, v in enumerate(images):
-            w = np.exp(
-                (alpha * np.log(1.0 + b_coef * u) + beta * np.log(1.0 + b_coef * v))
-                / total
-            )
-            margins = abs(b_coef) - np.abs(w - 1.0)
-            checked += margins.size
-            min_margin = min(min_margin, float(margins.min()))
-            for k in np.flatnonzero(margins < -tol):
-                violations.append(
-                    InequalityViolation(
-                        None, b_coef, None, j, i, float(margins[k]), point=complex(zs[k])
-                    )
-                )
-    return InequalityReport(checked, tuple(violations), float(min_margin))
+        logs.append(np.log(1.0 + b_coef * u))
+    logs = np.array(logs)
+    violations, unlisted, min_margin = [], 0, np.inf
+    for i, log_u in enumerate(logs):
+        # W for the pairs (seed i, seed j), one row per j
+        w = np.exp((alpha * log_u + beta * logs) / (alpha + beta))
+        margins = abs(b_coef) - np.abs(w - 1.0)
+        min_margin = min(min_margin, float(margins.min()))
+        unlisted += _list_hits(violations, np.argwhere(margins < -tol), lambda hit: (
+            InequalityViolation(None, b_coef, None, int(hit[0]), i, float(margins[tuple(hit)]),
+                                point=complex(zs[hit[1]]))
+        ))
+    return InequalityReport(logs.size * len(seeds), tuple(violations), min_margin, unlisted)

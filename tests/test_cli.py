@@ -104,6 +104,24 @@ class TestVerifyLemmas:
         assert doc["violations_total"] > 0
         assert doc["coeff_positivity"]["violations"]
 
+    @pytest.mark.parametrize("flags, key, values", [
+        (("--step", "0.5", "--lambda-step", "1"), "lambda_values", [1.0]),
+        (("--step", "0.5", "--lambda-step", "0.6"), "lambda_values", [0.6]),
+        (("--step", "0.5", "--lambda-step", "0.35"), "lambda_values", [0.35, 0.7]),
+        (("--step", "0.35", "--lambda-step", "0.5"), "A_values", [-1.0, -0.65, -0.3]),
+        (("--step", "2", "--lambda-step", "0.5"), "B_values", [-1.0]),
+        (("--step", "0.5", "--lambda-step", "inf"), None, None),
+        (("--step", "0", "--lambda-step", "0.5"), None, None),
+    ])
+    def test_lattice_holds_the_steps_up_to_the_top(self, capsys, flags, key, values):
+        code, out, err = run(capsys, "verify-lemmas", *flags,
+                             "--n-max", "5", "--m-max", "2", "--alt-n-max", "3")
+        if key is None:
+            assert code == 2 and "finite and positive" in err
+        else:
+            assert code == 0
+            assert json.loads(out)["grid"][key] == values
+
     def test_listing_cap_keeps_counts_and_exit_code(self, capsys, monkeypatch):
         argv = ("verify-lemmas", "--step", "0.5", "--lambda-step", "0.5", "--n-max", "40",
                 "--m-max", "5", "--alt-n-max", "20", "--allow-outside")
@@ -263,6 +281,28 @@ class TestPlot:
         )
         assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("name, edit", [
+        ("point.csv", lambda text: "re,im\n"),
+        ("point.csv", lambda text: "re,im\nnan,inf\n"),
+        ("point.csv", lambda text: text + "0.5,0.5\n"),
+        ("g_curve.csv", lambda text: "re,im\n"),
+        ("g_curve.csv", lambda text: text.split("\n", 1)[1]),
+        ("disk_boundary.csv", lambda text: ""),
+        ("disk_boundary.csv", lambda text: text.replace("mobius_image", "other")),
+        ("disk_boundary.csv", lambda text: text + "closed_form,1\n"),
+    ])
+    def test_malformed_replot_csv_exit_two(self, capsys, tmp_path, name, edit):
+        csv_dir = tmp_path / "csvs"
+        run(capsys, "plot", "--angles", "64", "--boundary-samples", "64",
+            "--out", str(tmp_path / "a.svg"), "--csv-dir", str(csv_dir))
+        path = csv_dir / name
+        path.write_text(edit(path.read_text()))
+        out_svg = tmp_path / "b.svg"
+        code, _, err = run(capsys, "plot", "--replot-from", str(csv_dir), "--out", str(out_svg))
+        assert code == 2
+        assert err.startswith("error: ") and name in err
+        assert not out_svg.exists()
 
     def test_small_radius_curve_stays_near_one(self, capsys, tmp_path):
         csv_dir = tmp_path / "csvs"

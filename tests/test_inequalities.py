@@ -18,6 +18,11 @@ from janostab.inequalities import (
 )
 from janostab.janowski import JanowskiParams
 from janostab.serialize import dumps
+from janostab.subordination import (
+    SampleGrid,
+    check_derivative_modulus_bound,
+    check_power_product_subordination,
+)
 
 from oracles import alternating_sum_exact, coeff_recurrence_scalar
 
@@ -298,10 +303,15 @@ class TestReports:
 
     def test_listing_stops_at_the_cap_and_counting_does_not(self, monkeypatch):
         grid = GridSpec.default(n_max=40, m_max=5, step=0.5, lambda_step=0.5, allow_positive_A=True)
+        samples = SampleGrid((0.5, 0.9), 8, (0.3j,))
         checks = {**{name: lambda tol, c=c: c(grid, tol) for name, c in CHECKS.items()},
-                  "alternating": lambda tol: check_alternating_identity((0.5, 1.0), 20, tol)}
-        # tol = -inf makes every alternating value a violation
-        tols = {"alternating": -np.inf}
+                  "alternating": lambda tol: check_alternating_identity((0.5, 1.0), 20, tol),
+                  "derivative": lambda tol: check_derivative_modulus_bound(
+                      JanowskiParams(-0.5, -1.0, 0.5), 3, samples, tol),
+                  "product": lambda tol: check_power_product_subordination(
+                      0.4, 0.9, -0.8, [[0.5], [-0.7, 0.2]], samples, tol)}
+        # tol = -inf makes every finite value a violation
+        tols = {"alternating": -np.inf, "derivative": -np.inf, "product": -np.inf}
         full = {name: run(tols.get(name, 1e-12)) for name, run in checks.items()}
         monkeypatch.setattr(inequalities, "MAX_LISTED_VIOLATIONS", 3)
         for name, run in checks.items():

@@ -104,12 +104,18 @@ class TestStabilityRatio:
         with pytest.raises(BranchFailureError):
             stability_ratio(JanowskiParams(1.0, -1.0, 1.0), 1, -0.5)
 
-    def test_defect_shares_the_code_path(self):
-        # the derivative check's vectorized defect is 1 - ratio
-        series = janowski_series(K.params, K.n)
-        vals, _, failed = _defect_and_slope(series, K.params, np.array([K.z0]))
-        assert not failed[0]
-        assert abs(vals[0] - (1.0 - stability_ratio(K.params, K.n, K.z0))) < 1e-14
+    @pytest.mark.parametrize("params, n, z", [
+        (K.params, K.n, K.z0),
+        (JanowskiParams(-0.5, -1.0, 0.5), 8, 0.6 - 0.7j),
+        (JanowskiParams(-0.2, -0.8, 0.3), 3, -0.95j),
+    ])
+    def test_defect_shares_the_code_path(self, params, n, z):
+        # the derivative check's defect is 1 - ratio from the one evaluator,
+        # whose values do not depend on the batch
+        series = janowski_series(params, n)
+        defect, _, zs, bad = _defect_and_slope(series, params, (0.9,), 64, (0.5, z))
+        assert not bad.any() and zs[-1] == z
+        assert defect[-1] == 1.0 - stability_ratio(params, n, z)
 
     def test_defect_zero_at_origin(self):
         assert 1.0 - stability_ratio(K.params, K.n, 0) == 0.0
@@ -382,6 +388,12 @@ class TestDerivativeModulusBound:
         with pytest.raises(ValueError):
             check_derivative_modulus_bound(JanowskiParams(0.4, -1.0, 0.5), 2, SMALL)
 
+    @pytest.mark.parametrize("z", (1.0, -1.0, 0.6 + 0.8j, 2j))
+    def test_rejects_points_outside_the_open_disk(self, z):
+        grid = SampleGrid(radii=(0.9,), points_per_circle=64, extra_points=(0.5, z))
+        with pytest.raises(ValueError, match=r"\|z\| < 1"):
+            check_derivative_modulus_bound(JanowskiParams(-0.5, -1.0, 0.5), 3, grid)
+
     @pytest.mark.parametrize("a, b, lam", A08_PARAMS)
     @pytest.mark.parametrize("n", (1, 3, 8))
     def test_bound_holds_to_roundoff_on_the_a08_cases(self, a, b, lam, n):
@@ -397,10 +409,9 @@ class TestDerivativeModulusBound:
         series = janowski_series(params, n)
         h = 1e-6
         zs = np.concatenate([r * np.exp(2j * np.pi * np.arange(64) / 64) for r in (0.5, 0.9, 0.99)])
-        _, slope, failed = _defect_and_slope(series, params, zs)
-        above, _, _ = _defect_and_slope(series, params, zs + h)
-        below, _, _ = _defect_and_slope(series, params, zs - h)
-        assert not failed.any()
+        _, slope, _, bad = _defect_and_slope(series, params, points=zs)
+        above, below = (_defect_and_slope(series, params, points=w)[0] for w in (zs + h, zs - h))
+        assert not bad.any()
         assert np.max(np.abs(slope - (above - below) / (2 * h))) < 1e-6
 
 

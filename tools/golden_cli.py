@@ -64,6 +64,9 @@ CASES = [
     # a non-finite tolerance is a usage error, not a clean run
     "verify-lemmas --step 0.25 --lambda-step 0.25 --n-max 120 --m-max 30 --alt-n-max 20 "
     "--allow-outside --tol nan",
+    # lattices whose step does not divide the range, or spans it
+    "verify-lemmas --step 0.5 --lambda-step 1 --n-max 20 --m-max 4 --alt-n-max 10",
+    "verify-lemmas --step 0.35 --lambda-step 0.35 --n-max 20 --m-max 4 --alt-n-max 10",
 ]
 
 
