@@ -228,14 +228,13 @@ def cmd_self_check(args) -> int:
 
 
 def cmd_search(args) -> int:
-    check_size(max(args.n_values, default=0), args.coarse_radii * args.coarse_angles)
+    check_size(max(args.n_values, default=0), args.coarse_angles)
     cells = sweep_parameter_grid(
         args.A_values,
         args.B_values,
         args.lambda_values,
         args.n_values,
         args.r,
-        coarse_radii=args.coarse_radii,
         coarse_angles=args.coarse_angles,
         refine_iters=args.refine_iters,
         disk_source=args.disk_source,
@@ -346,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-values", type=_floats_csv, default=(known.params.lam,))
     p.add_argument("--n-values", type=_ints_csv, default=(1, 2, 4))
     p.add_argument("--r", type=float, default=0.983)
-    p.add_argument("--coarse-radii", type=int, default=64)
     p.add_argument("--coarse-angles", type=int, default=256)
     p.add_argument("--refine-iters", type=int, default=8)
     p.add_argument("--disk-source", choices=DISK_SOURCES, default="mobius_image")

@@ -82,9 +82,10 @@ class DiskSpec:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
 
-    def margin(self, w: complex) -> float:
-        """Signed distance of w outside the disk (positive = outside)."""
-        return abs(complex(w) - self.center) - self.radius
+    def margin(self, w):
+        """Signed distance of w outside the disk (positive = outside); w
+        may be a value or an array of values."""
+        return np.abs(w - self.center) - self.radius
 
     def boundary_points(self, count: int) -> np.ndarray:
         """``count`` equispaced boundary points, starting at angle 0."""
@@ -364,7 +365,7 @@ def _stability_report(
     -1/A raises :class:`PoleError`."""
     _reject_pole(params, grid.extra_points)
     vals, zs, bad = ratio_samples(series, params, radii, grid.points_per_circle, grid.extra_points)
-    margins = np.abs(vals - disk.center) - disk.radius
+    margins = disk.margin(vals)
     k = _worst_sample(margins, zs)
     worst, worst_point, worst_ratio = (
         (float("nan"), None, None) if k is None

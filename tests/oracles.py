@@ -1,18 +1,16 @@
 """Independent oracles used to freeze expected test values.
 
 Everything here recomputes quantities from first principles (rational
-arithmetic, plain cmath, scalar loops, step-by-step sampling) and never
+arithmetic, plain complex arithmetic, scalar loops, step-by-step sampling) and never
 touches the package implementations beyond the ``TruncatedSeries``
 container, so agreement is meaningful cross-validation.  The series helpers
 (``multiply``, ``partial_sum``, ``derivative``, ``evaluate``,
 ``binomial_series``) have no caller in the package and live here for the
-tests that build reference series from them.  ``sequential_refine`` is the
-search's coordinate descent one probe at a time, over any margin function;
+tests that build reference series from them.
 ``sequential_coeff_pairs`` is the renormalised coefficient-pair table
 rescaled after every order.
 """
 
-import cmath
 from fractions import Fraction
 from math import factorial
 
@@ -208,32 +206,3 @@ def sampled_ray_logs(coeffs, targets, steps: int = 64):
     with np.errstate(divide="ignore", invalid="ignore"):
         L = np.log(np.abs(vals[-1])) + 1j * phase[-1]
     return np.where(failed, np.nan + 1j * np.nan, L), failed, max_turn
-
-
-def sequential_refine(margin_at, z_start, r_limit, step_r, step_t, iters):
-    """Coordinate descent on (|z|, arg z) that evaluates one probe at a time:
-    ``margin_at(z)`` gives (margin, ratio), or (None, None) where the ratio
-    is undefined.  Each round tries the four moves in order from the current
-    centre and takes every improvement; a round without one halves the
-    steps.  Returns the per-round best (margin, z, ratio) history."""
-    rho = abs(z_start)
-    theta = cmath.phase(z_start)
-    best_margin, best_ratio = margin_at(z_start)
-    if best_margin is None:
-        return []
-    history = [(best_margin, z_start, best_ratio)]
-    for _ in range(iters):
-        improved = False
-        for d_rho, d_theta in ((step_r, 0.0), (-step_r, 0.0), (0.0, step_t), (0.0, -step_t)):
-            cand_rho = min(max(rho + d_rho, 0.0), r_limit)
-            cand_theta = theta + d_theta
-            margin, ratio = margin_at(cmath.rect(cand_rho, cand_theta))
-            if margin is not None and margin > best_margin:
-                best_margin, best_ratio = margin, ratio
-                rho, theta = cand_rho, cand_theta
-                improved = True
-        if not improved:
-            step_r *= 0.5
-            step_t *= 0.5
-        history.append((best_margin, cmath.rect(rho, theta), best_ratio))
-    return history

@@ -285,8 +285,7 @@ CLI_CASES = [
     ["check-stability", "--A", "-0.5", "--B", "-1", "--lambda", "0.5",
      "--n-max", "2", "--radii", "0.9,0.99", "--samples", "256"],
     ["self-check", "--samples", "256", "--radii", "0.9,0.99"],
-    ["search", "--n-values", "1,2", "--coarse-radii", "16", "--coarse-angles", "32",
-     "--refine-iters", "4"],
+    ["search", "--n-values", "1,2", "--coarse-angles", "32", "--refine-iters", "4"],
 ]
 
 # Documented exit codes of the cases above: self-check probes the built-in

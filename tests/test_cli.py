@@ -208,8 +208,7 @@ class TestSelfCheck:
 class TestSearch:
     def test_csv_header_and_positive_margin(self, capsys):
         code, out, _ = run(
-            capsys, "search", "--n-values", "1", "--coarse-radii", "16",
-            "--coarse-angles", "32", "--refine-iters", "2",
+            capsys, "search", "--n-values", "1", "--coarse-angles", "32", "--refine-iters", "2",
         )
         assert code == 0
         lines = out.splitlines()
@@ -223,16 +222,16 @@ class TestSearch:
         # comma lists of negative floats must survive argparse tokenization
         code, out, _ = run(
             capsys, "search", "--A-values", "-0.7,-0.679", "--B-values", "-0.97",
-            "--lambda-values", "0.3", "--n-values", "1", "--coarse-radii", "16",
-            "--coarse-angles", "32", "--refine-iters", "0",
+            "--lambda-values", "0.3", "--n-values", "1", "--coarse-angles", "32",
+            "--refine-iters", "0",
         )
         assert code == 0
         assert len(out.splitlines()) == 3  # header + one row per A value
 
     @pytest.mark.parametrize(
         "flags",
-        [("--coarse-radii", "1", "--coarse-angles", "1"), ("--refine-iters", "-3")],
-        ids=["one-point-grid", "negative-refine"],
+        [("--coarse-angles", "1"), ("--refine-iters", "-3"), ("--refine-iters", "65")],
+        ids=["one-point-grid", "negative-refine", "refine-above-bound"],
     )
     def test_bad_grid_or_refinement_exit_two(self, capsys, flags):
         code, out, err = run(capsys, "search", "--n-values", "1", *flags)
@@ -470,8 +469,7 @@ class TestDeterminism:
         ("check-stability", "--A", "-0.5", "--B", "-1", "--lambda", "0.5",
          "--n-max", "2", "--radii", "0.9,0.99", "--samples", "128"),
         ("self-check", "--samples", "128", "--radii", "0.9,0.99"),
-        ("search", "--n-values", "1", "--coarse-radii", "16", "--coarse-angles", "32",
-         "--refine-iters", "2"),
+        ("search", "--n-values", "1", "--coarse-angles", "32", "--refine-iters", "2"),
     ]
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])

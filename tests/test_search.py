@@ -2,123 +2,107 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import janostab.search as search
-from janostab.janowski import JanowskiParams, janowski_series
-from janostab.search import _margin_fn, _refine, sweep_parameter_grid
-from janostab.series import BranchFailureError
-from janostab.subordination import (
-    KNOWN_COUNTEREXAMPLE,
-    PoleError,
-    disk_for,
-    ratio_samples,
-    stability_ratio,
-)
-
-from oracles import sequential_refine
+from janostab.cli import main
+from janostab.janowski import janowski_series
+from janostab.search import sweep_parameter_grid
+from janostab.series import BranchFailureError, TruncatedSeries
+from janostab.subordination import KNOWN_COUNTEREXAMPLE, ratio_samples, stability_ratio
 
 K = KNOWN_COUNTEREXAMPLE
 
+# a small lattice of cells on both sides of the violation boundary
+LATTICE = dict(
+    a_values=(-0.679, -0.3, -0.05),
+    b_values=(-1.0, -0.97, -0.5),
+    lambda_values=(0.1, 0.3, 1.0),
+    n_values=(1, 4),
+    r=0.983,
+)
 
-class TestRefinement:
-    def test_best_margin_is_monotone_across_rounds(self):
-        series = janowski_series(K.params, K.n)
-        disk = disk_for("mobius_image", K.params, 0.983)
-        margins_at = _margin_fn(series, K.params, disk)
-        history = _refine(margins_at, K.z0, 0.983, 0.02, 0.05, iters=12)
-        margins = [h[0] for h in history]
-        assert all(b >= a for a, b in zip(margins, margins[1:]))
-        assert margins[-1] >= margins[0]
 
-    def test_refinement_improves_on_coarse_scan(self):
-        series = janowski_series(K.params, K.n)
-        disk = disk_for("mobius_image", K.params, 0.983)
-        radii = [(j + 1) * 0.983 / 16 for j in range(16)]
-        vals, zs, _ = ratio_samples(series, K.params, radii, 32)
-        margins = np.abs(vals - disk.center) - disk.radius
-        k = int(np.nanargmax(margins))
-        margins_at = _margin_fn(series, K.params, disk)
-        history = _refine(margins_at, complex(zs[k]), 0.983, 0.983 / 16, 2 * np.pi / 32, 16)
-        assert history[-1][0] >= float(margins[k])
+class TestPremise:
+    @staticmethod
+    def _root_inside(monkeypatch):
+        # s(z) = 1 + 2z has its root at -0.5, inside |z| <= 0.983
+        monkeypatch.setattr(search, "janowski_series", lambda params, n: TruncatedSeries([1.0, 2.0]))
 
-    def test_margin_fn_agrees_with_stability_ratio(self):
-        series = janowski_series(K.params, K.n)
-        disk = disk_for("mobius_image", K.params, 0.983)
-        pole = -1.0 / K.params.A
-        points = [K.z0, 0.5j, K.z0, pole]
-        results = _margin_fn(series, K.params, disk)(points)
-        assert len(results) == len(points)
-        for z, (margin, ratio) in zip(points[:3], results):
-            expect = stability_ratio(K.params, K.n, z)
-            assert ratio == expect
-            assert margin == disk.margin(expect)
-        assert results[3] == (None, None)
+    def test_root_inside_the_circle_raises(self, monkeypatch):
+        self._root_inside(monkeypatch)
+        with pytest.raises(BranchFailureError, match="root in"):
+            sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), (1,), 0.983)
 
-    @settings(deadline=None, max_examples=60)
-    @given(
-        st.floats(-0.95, -0.05),
-        st.floats(0.01, 1.0),
-        st.floats(0.1, 1.0),
-        st.sampled_from((1, 2, 4, 8)),
-        st.floats(0.0, 1.0),
-        st.floats(-np.pi, np.pi),
-        st.sampled_from((16, 64)),
-        st.sampled_from((32, 256)),
-        st.integers(0, 12),
-    )
-    def test_batched_descent_matches_sequential(
-        self, a, gap, lam, n, f, angle, radii, angles, iters
-    ):
-        # the history of the batched descent is that of the descent that
-        # evaluates one probe at a time
-        params = JanowskiParams(a, max(-1.0, a - gap), lam)
-        r = 0.983
-        series = janowski_series(params, n)
-        disk = disk_for("mobius_image", params, r)
+    def test_root_inside_the_circle_exit_three(self, monkeypatch, capsys):
+        self._root_inside(monkeypatch)
+        code = main(["search", "--n-values", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "root in" in captured.err
 
-        def margin_at(z):
-            try:
-                ratio = stability_ratio(params, n, z, series)
-            except (BranchFailureError, PoleError):
-                return None, None
-            return disk.margin(ratio), ratio
+    def test_failed_sample_raises(self, monkeypatch):
+        def failing(*args, **kwargs):
+            vals, zs, bad = ratio_samples(*args, **kwargs)
+            bad[-1] = True
+            return vals, zs, bad
 
-        z_start = complex(f * r * np.cos(angle), f * r * np.sin(angle))
-        args = (z_start, r, r / radii, 2 * np.pi / angles, iters)
-        assert _refine(_margin_fn(series, params, disk), *args) == sequential_refine(
-            margin_at, *args
-        )
+        monkeypatch.setattr(search, "ratio_samples", failing)
+        with pytest.raises(BranchFailureError, match="undefined"):
+            sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), (1,), 0.983)
 
-    def test_one_evaluation_per_round_plus_one_per_improving_round(self, monkeypatch):
-        calls, histories = [], []
+
+class TestOneCircle:
+    def test_not_below_the_polar_scan(self):
+        # the 64 x 256 polar scan of |z| <= r the search ran before: by the
+        # maximum modulus principle the circle |z| = r holds its maximum
+        r = LATTICE["r"]
+        radii = [(j + 1) * r / 64 for j in range(64)]
+        for cell in sweep_parameter_grid(**LATTICE):
+            vals, _, bad = ratio_samples(janowski_series(cell.params, cell.n), cell.params, radii, 256)
+            assert not bad.any()
+            assert cell.margin >= float(np.max(cell.disk.margin(vals))) - 1e-12
+
+    def test_reaches_the_dense_circle_maximum(self):
+        # 8 halvings from the best of 256 angles match a 65,536-angle scan
+        for cell in sweep_parameter_grid(**LATTICE):
+            series = janowski_series(cell.params, cell.n)
+            vals, _, _ = ratio_samples(series, cell.params, [LATTICE["r"]], 2**16)
+            assert cell.margin >= float(np.max(cell.disk.margin(vals))) - 1e-12
+
+    @pytest.mark.parametrize("iters", [0, 8])
+    def test_witness_is_the_evaluated_ratio_on_the_circle(self, iters):
+        for cell in sweep_parameter_grid(**LATTICE, refine_iters=iters):
+            assert cell.ratio == stability_ratio(cell.params, cell.n, cell.z)
+            assert cell.margin == cell.disk.margin(cell.ratio)
+            assert abs(abs(cell.z) - LATTICE["r"]) <= 4e-16
+
+    def test_one_evaluation_per_round(self, monkeypatch):
+        calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return ratio_samples(*args, **kwargs)
 
-        def recording(*args, **kwargs):
-            histories.append(_refine(*args, **kwargs))
-            return histories[-1]
-
         monkeypatch.setattr(search, "ratio_samples", counting)
-        monkeypatch.setattr(search, "_refine", recording)
-        for n in (1, 2, 4):
+        for iters in (0, 1, 8, 64):
             calls.clear()
-            histories.clear()
-            # the default shape: 64 x 256 coarse samples, 8 refinement rounds
-            sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), (n,), 0.983)
-            (history,) = histories
-            improving = sum(b[0] > a[0] for a, b in zip(history, history[1:]))
-            assert len(calls) <= 1 + 8 + improving
+            sweep_parameter_grid(
+                (K.params.A,), (K.params.B,), (K.params.lam,), (1,), 0.983, refine_iters=iters
+            )
+            assert len(calls) == 1 + iters
+
+    def test_refinement_never_lowers_the_margin(self):
+        margins = [
+            sweep_parameter_grid((-0.3,), (-0.9,), (0.7,), (2,), 0.983, refine_iters=iters)[0].margin
+            for iters in (0, 1, 2, 4, 8, 16)
+        ]
+        assert margins == sorted(margins)
 
 
 class TestSweep:
     def test_known_cell_is_positive(self):
-        cells = sweep_parameter_grid(
-            (-0.679,), (-0.97,), (0.3,), (1,), 0.983, coarse_radii=16, coarse_angles=64
-        )
+        cells = sweep_parameter_grid((-0.679,), (-0.97,), (0.3,), (1,), 0.983, coarse_angles=64)
         assert len(cells) == 1
         assert cells[0].margin > 0.10
 
@@ -129,7 +113,6 @@ class TestSweep:
             lambda_values=(0.4,),
             n_values=(2, 1),
             r=0.9,
-            coarse_radii=16,
             coarse_angles=32,
             refine_iters=2,
         )
@@ -140,7 +123,7 @@ class TestSweep:
 
     def test_drops_pairs_without_gap(self):
         cells = sweep_parameter_grid(
-            (-0.5,), (-0.5, -0.9), (0.5,), (1,), 0.9, coarse_radii=16, coarse_angles=32
+            (-0.5,), (-0.5, -0.9), (0.5,), (1,), 0.9, coarse_angles=32
         )
         assert [(c.params.A, c.params.B) for c in cells] == [(-0.5, -0.9)]
 
@@ -155,25 +138,30 @@ class TestSweep:
         [
             dict(r=1.5),
             dict(n_values=()),
-            dict(coarse_radii=4),
+            dict(refine_iters=65),
             dict(coarse_angles=15),
             dict(refine_iters=-1),
         ],
     )
     def test_validation(self, overrides):
-        args = dict(n_values=(1,), r=0.983, coarse_radii=16, coarse_angles=16, refine_iters=0)
+        args = dict(n_values=(1,), r=0.983, coarse_angles=16, refine_iters=0)
         args.update(overrides)
         with pytest.raises(ValueError):
             sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), **args)
+
+    def test_lambda_is_checked_before_any_cell(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(search, "_search_cell", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="lambda"):
+            sweep_parameter_grid((K.params.A,), (K.params.B,), (0.3, 1.5), (1,), 0.983)
+        assert calls == []
 
     def test_tiny_radius_has_no_violations(self):
         cells = sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), (1, 2, 4), 0.05)
         assert all(c.margin < 0 for c in cells)
 
     def test_csv_row_is_recomputable(self):
-        cells = sweep_parameter_grid(
-            (-0.679,), (-0.97,), (0.3,), (1,), 0.983, coarse_radii=16, coarse_angles=64
-        )
+        cells = sweep_parameter_grid((-0.679,), (-0.97,), (0.3,), (1,), 0.983, coarse_angles=64)
         row = cells[0].to_csv_row()
         ratio = complex(row[7], row[8])
         center = complex(row[9], row[10])

@@ -324,7 +324,7 @@ def _bits(values) -> list:
 
 class TestBatchIndependence:
     """A point's ratio does not depend on the batch it is evaluated in; the
-    search's batched refinement relies on it."""
+    search's witnesses rely on it."""
 
     @settings(deadline=None, max_examples=60)
     @given(

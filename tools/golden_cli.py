@@ -25,7 +25,7 @@ CASES = [
     "verify-lemmas --step 0.5 --lambda-step 0.5 --n-max 40 --m-max 8 --alt-n-max 30",
     "check-stability --A -0.5 --B -1 --lambda 0.5 --n-max 2 --radii 0.9,0.99 --samples 256",
     "self-check --samples 256 --radii 0.9,0.99",
-    "search --n-values 1,2 --coarse-radii 16 --coarse-angles 32 --refine-iters 4",
+    "search --n-values 1,2 --coarse-angles 32 --refine-iters 4",
     "plot --angles 256 --boundary-samples 128 --out {dir}/fig.svg --csv-dir {dir}",
     # defaults and wider sweeps
     "self-check",
