@@ -4,14 +4,13 @@ A violation is one probe point whose stability ratio escapes the target
 disk; a single strictly positive margin falsifies the subordination, which
 is all a disproof needs.
 
-The search looks on the circle |z| = r only.  If s_n has no zero in
-|z| <= r (no reciprocal root w_k with |w_k| r >= 1), its continued
-logarithm is analytic on the closed disk, and so is ratio - center, since
-|A| r < 1 keeps the pole -1/A outside.  By the maximum modulus principle
-|ratio - center| - radius then takes its largest value over the disk on
-|z| = r.  A cell whose premise fails, or with a failed sample, raises
-:class:`~janostab.series.BranchFailureError` rather than search a disk
-the argument does not cover.
+The search looks on the circle |z| = r only: when s_n has no root in
+|z| <= r, the maximum modulus principle puts the largest margin over the
+disk on that circle (the premise test and the argument are
+:func:`janostab.series._root_in_disk`, which the disk checks of
+:mod:`janostab.subordination` share).  A cell whose premise fails, or
+with a failed sample, raises :class:`~janostab.series.BranchFailureError`
+rather than search a disk the argument does not cover.
 
 Each cell scans ``coarse_angles`` equispaced points of the circle, then
 refines arg z by halving from the best of them: a round evaluates
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .janowski import JanowskiParams, janowski_series
-from .series import BranchFailureError, _circle_points
+from .series import BranchFailureError, _circle_points, _root_in_disk
 from .subordination import DiskSpec, disk_for, ratio_samples
 
 __all__ = [
@@ -102,7 +101,7 @@ def _search_cell(params: JanowskiParams, n: int, disk: DiskSpec, r: float, angle
     premise test, a scan of ``angles`` equispaced points, then ``iters``
     rounds of halving on arg z from the best sample."""
     series = janowski_series(params, n)
-    if np.any(np.abs(series.reciprocal_roots) * r >= 1.0):
+    if _root_in_disk(series, r):
         raise BranchFailureError(f"s_{n} has a root in |z| <= {r} at {params.as_dict()}")
     k, best = _best_sample(series, params, disk, _circle_points([r], angles)[0])
     theta, step = 2.0 * np.pi * k / angles, np.pi / angles

@@ -82,6 +82,14 @@ class TruncatedSeries:
         return roots
 
 
+def _root_in_disk(f: TruncatedSeries, rho: float) -> bool:
+    """Whether s has a root in |z| <= rho: some |w_k| rho >= 1, exact on the
+    computed roots.  If not, its continued log L is analytic on the closed
+    disk, and so is g = (1+Bz) exp(L/lam) / (1+Az) - c (|A| rho < 1): by the
+    maximum modulus principle |g| - R peaks over the disk on |z| = rho."""
+    return bool(np.any(np.abs(f.reciprocal_roots) * rho >= 1.0))
+
+
 def _polyval_grid(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Horner evaluation broadcast over an array of points."""
     acc = np.full(pts.shape, coeffs[-1], dtype=np.complex128)

@@ -9,9 +9,9 @@ geometric one: the "stability ratio"
 
 must map sample sets into a closed disk (center 1, radius |B| for the check
 against the A=0 base member; the image of |z| <= r under the Mobius map
-(1+Bz)/(1+Az) for the check against the family member itself).  Maxima of
-the relevant moduli occur near the boundary, so sampling concentrates on
-circles close to |z| = 1 (or |z| = r).
+(1+Bz)/(1+Az) for the check against the family member itself).  A disk
+check samples its largest circle, which decides the disk unless s_n has a
+root inside (:func:`janostab.series._root_in_disk`), and explicit points.
 
 Powers use the analytic branch continued along rays from the origin; see
 :mod:`janostab.series`.  Everything here is pure and deterministic: the
@@ -33,6 +33,7 @@ from .series import (
     TruncatedSeries,
     _circle_points,
     _polyval_grid,
+    _root_in_disk,
     circle_log_values,
     ray_log_values,
 )
@@ -104,6 +105,7 @@ class SampleGrid:
 
     ``radii`` must be strictly increasing and lie in (0, 1); the base-member
     check reads them as disk radii, the self check as fractions of its r.
+    The disk checks sample only the largest, which decides the others.
     An empty radius list is allowed when explicit points are supplied.
     """
 
@@ -133,10 +135,11 @@ class StabilityReport:
 
     ``verdict`` is ``pass`` when the worst sampled margin stays within
     tolerance, ``violated`` when some sample escapes the target disk, and
-    ``branch_failure`` when any sample's ray power was undefined (the
-    worst margin then covers the valid samples only).  ``worst_ratio`` is
-    the evaluated stability ratio at ``worst_point``, the value that gave
-    the worst margin; it is not part of the JSON form.
+    ``branch_failure`` when a sample's ray power was undefined or s_n has a
+    root within the largest of ``sample_radii`` (the worst margin then covers
+    the valid samples only).  Only that circle and the explicit points are
+    sampled; the verdict covers every listed circle.  ``worst_ratio`` is the
+    evaluated ratio at ``worst_point``; it is not part of the JSON form.
     """
 
     verdict: str
@@ -360,21 +363,21 @@ def _stability_report(
     **fields,
 ) -> StabilityReport:
     """Worst margin of the stability ratio of ``series`` (with ``params``'
-    A, B and lambda) against ``disk`` over the circles ``radii`` and the
-    grid's explicit points, as a report.  An explicit point at the pole
+    A, B and lambda) against ``disk`` on the disks of ``radii``, decided on
+    the largest circle (``branch_failure`` if s_n has a root in it), and at
+    the grid's explicit points, as a report.  An explicit point at the pole
     -1/A raises :class:`PoleError`."""
     _reject_pole(params, grid.extra_points)
-    vals, zs, bad = ratio_samples(series, params, radii, grid.points_per_circle, grid.extra_points)
+    outer = radii[-1:]
+    vals, zs, bad = ratio_samples(series, params, outer, grid.points_per_circle, grid.extra_points)
     margins = disk.margin(vals)
     k = _worst_sample(margins, zs)
     worst, worst_point, worst_ratio = (
         (float("nan"), None, None) if k is None
         else (float(margins[k]), complex(zs[k]), complex(vals[k]))
     )
-    if bad.any():
-        verdict = "branch_failure"
-    else:
-        verdict = "pass" if worst <= tol else "violated"
+    failed = bad.any() or (outer and _root_in_disk(series, outer[0]))
+    verdict = "branch_failure" if failed else "pass" if worst <= tol else "violated"
     return StabilityReport(
         verdict=verdict,
         worst_margin=worst,

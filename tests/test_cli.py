@@ -156,9 +156,9 @@ class TestCheckStability:
         assert code == 2
         assert "allow_outside" in err
 
-    def test_root_between_ray_samples_exit_three(self, capsys):
-        # s_1 = 1 + 1.17z vanishes at -0.8547 on the theta = pi ray, between
-        # two samples of a 64-step ray; the branch is undefined there
+    def test_root_inside_the_circle_exit_three(self, capsys):
+        # s_1 = 1 + 1.17z vanishes at -0.8547, inside |z| <= 0.999: the
+        # premise of the one-circle argument fails
         code, out, _ = run(
             capsys, "check-stability", "--A", "0.3", "--B", "-1", "--lambda", "0.9",
             "--n-max", "1", "--allow-outside",
@@ -195,6 +195,16 @@ class TestSelfCheck:
         assert ref["reference_radius"] == 0.576521
         assert 1e-3 < ref["center_delta"] < 1e-2
         assert 1e-3 < ref["radius_delta"] < 1e-2
+
+    def test_root_inside_the_circle_exit_three(self, capsys):
+        # s_2 has roots at -0.535 +- 0.793i, inside |z| <= 0.99 * 0.999 and
+        # on no sampled ray
+        code, out, _ = run(
+            capsys, "self-check", "--A", "0.3", "--B", "-1", "--lambda", "0.9", "--n", "2",
+            "--r", "0.99", "--z0", "",
+        )
+        assert code == 3
+        assert json.loads(out)["verdict"] == "branch_failure"
 
     def test_pass_at_small_radius(self, capsys):
         code, out, _ = run(

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from janostab.janowski import JanowskiParams, janowski_series
-from janostab.series import TruncatedSeries, circle_log_values, ray_log_values
+from janostab.series import TruncatedSeries, _root_in_disk, circle_log_values, ray_log_values
 
 from oracles import (
     binomial_series,
@@ -66,6 +66,11 @@ class TestConstruction:
         assert f.reciprocal_roots is f.reciprocal_roots
         with pytest.raises(ValueError):
             f.reciprocal_roots[0] = 5.0
+
+    def test_root_in_the_closed_disk(self):
+        f = s(1, 2)  # root at -0.5
+        assert _root_in_disk(f, 0.5)
+        assert not _root_in_disk(f, 0.4999)
 
 
 class TestMultiply:
