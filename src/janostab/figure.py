@@ -17,8 +17,7 @@ import numpy as np
 
 from .janowski import JanowskiParams, janowski_series
 from .serialize import csv_text, fmt6
-from .series import BranchFailureError
-from .subordination import DISK_SOURCES, disk_for, ratio_samples, stability_ratio
+from .subordination import DISK_SOURCES, _defined, disk_for, ratio_samples, stability_ratio
 
 __all__ = [
     "FigureGeometry",
@@ -64,12 +63,7 @@ def compute_figure_geometry(
         disk = disk_for(source, params, r)
         boundaries.append((source, disk.boundary_points(boundary_samples)))
     series = janowski_series(params, n)
-    curve, _, bad = ratio_samples(series, params, [r], curve_angles)
-    if bad.any():
-        raise BranchFailureError(
-            "the continued branch is undefined or unresolved on [0, z] for a z on the "
-            "ratio curve (a root on the segment, |s_n| < 1e-12, or inaccurate roots)"
-        )
+    curve, _ = _defined(ratio_samples(series, params, [r], curve_angles))
     point = stability_ratio(params, n, z0, series)
     return FigureGeometry(tuple(boundaries), curve, complex(point))
 

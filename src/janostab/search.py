@@ -4,13 +4,13 @@ A violation is one probe point whose stability ratio escapes the target
 disk; a single strictly positive margin falsifies the subordination, which
 is all a disproof needs.
 
-The search looks on the circle |z| = r only: when s_n has no root in
-|z| <= r, the maximum modulus principle puts the largest margin over the
-disk on that circle (the premise test and the argument are
-:func:`janostab.series._root_in_disk`, which the disk checks of
-:mod:`janostab.subordination` share).  A cell whose premise fails, or
-with a failed sample, raises :class:`~janostab.series.BranchFailureError`
-rather than search a disk the argument does not cover.
+The search looks on the circle |z| = r only: where the ratio is defined
+at every sample, s_n has no root in |z| <= r, and the maximum modulus
+principle puts the largest margin over the disk on that circle (see
+:func:`janostab.series._continued_log`).  A cell with a failed sample, as
+every sample fails when s_n has a root in that disk, raises
+:class:`~janostab.series.BranchFailureError` rather than search a disk
+the argument does not cover.
 
 Each cell scans ``coarse_angles`` equispaced points of the circle, then
 refines arg z by halving from the best of them: a round evaluates
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .janowski import JanowskiParams, janowski_series
-from .series import BranchFailureError, _circle_points, _root_in_disk
-from .subordination import DiskSpec, disk_for, ratio_samples
+from .series import _circle_points
+from .subordination import DiskSpec, _defined, disk_for, ratio_samples
 
 __all__ = [
     "SWEEP_CSV_HEADER",
@@ -88,21 +88,17 @@ def _best_sample(series, params: JanowskiParams, disk: DiskSpec, points):
     """(index, (margin, z, ratio)) of the largest margin at ``points``.  A
     failed sample voids the maximum modulus argument: it raises
     :class:`~janostab.series.BranchFailureError`."""
-    vals, zs, bad = ratio_samples(series, params, points=points)
-    if bad.any():
-        raise BranchFailureError(f"the stability ratio is undefined at z = {complex(zs[bad][0])!r}")
+    vals, zs = _defined(ratio_samples(series, params, points=points))
     margins = disk.margin(vals)
     k = int(np.argmax(margins))
     return k, (float(margins[k]), complex(zs[k]), complex(vals[k]))
 
 
 def _search_cell(params: JanowskiParams, n: int, disk: DiskSpec, r: float, angles: int, iters: int):
-    """Best (margin, z, ratio) of one (params, n) cell on |z| = r: the
-    premise test, a scan of ``angles`` equispaced points, then ``iters``
-    rounds of halving on arg z from the best sample."""
+    """Best (margin, z, ratio) of one (params, n) cell on |z| = r: a scan
+    of ``angles`` equispaced points, then ``iters`` rounds of halving on
+    arg z from the best sample."""
     series = janowski_series(params, n)
-    if _root_in_disk(series, r):
-        raise BranchFailureError(f"s_{n} has a root in |z| <= {r} at {params.as_dict()}")
     k, best = _best_sample(series, params, disk, _circle_points([r], angles)[0])
     theta, step = 2.0 * np.pi * k / angles, np.pi / angles
     for _ in range(iters):
@@ -126,16 +122,19 @@ def sweep_parameter_grid(
 ) -> list:
     """Best self-stability margin per (A, B, lambda, n) cell.
 
-    Values must lie inside -1 <= B < A < 0 and 0 < lambda <= 1; pairs with
-    B >= A are dropped.  Cells are emitted in lexicographic order and each
-    records the best margin found on |z| = r with its witness, whether or
-    not it is positive.  A cell whose s_n has a root in |z| <= r raises
-    :class:`~janostab.series.BranchFailureError`.
+    Each value list must be non-empty and lie inside -1 <= B < A < 0 and
+    0 < lambda <= 1; pairs with B >= A are dropped.  Cells are emitted in
+    lexicographic order and each records the best margin found on |z| = r
+    with its witness, whether or not it is positive.  A cell with a sample
+    where the ratio is undefined, as at all when s_n has a root in
+    |z| <= r, raises :class:`~janostab.series.BranchFailureError`.
     """
     a_values = sorted(float(v) for v in a_values)
     b_values = sorted(float(v) for v in b_values)
     lambda_values = sorted(float(v) for v in lambda_values)
     n_values = sorted(int(n) for n in n_values)
+    if not (a_values and b_values and lambda_values and n_values):
+        raise ValueError("the A, B, lambda and n value lists must be non-empty")
     for v in a_values:
         if not -1.0 < v < 0.0:
             raise ValueError(f"A values must lie in (-1, 0), got {v!r}")
@@ -145,8 +144,8 @@ def sweep_parameter_grid(
     for v in lambda_values:
         if not 0.0 < v <= 1.0:
             raise ValueError(f"lambda values must lie in (0, 1], got {v!r}")
-    if any(n < 1 for n in n_values) or not n_values:
-        raise ValueError("n_values must be a non-empty list of integers >= 1")
+    if any(n < 1 for n in n_values):
+        raise ValueError("n values must be integers >= 1")
     if not 0.0 < r < 1.0:
         raise ValueError("need 0 < r < 1")
     if coarse_angles < 16:

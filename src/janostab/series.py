@@ -2,11 +2,12 @@
 
 A series here is a Maclaurin polynomial with a fixed truncation order.
 Logarithms follow the branch continued along the segment [0, z] from the
-origin, not the pointwise principal branch.  It is exact:
-s(z) = s(0) * prod_k (1 - z/z_k) over the roots z_k, and each factor's
-segment 1 - t*z/z_k, t in [0, 1], starts at 1 and reaches the negative real
-axis only through 0, so the continued logarithm is Log s(0) plus
-sum_k Log(1 - z/z_k), defined exactly when no root lies on [0, z].
+origin, not the pointwise principal branch.  It is taken only where it is
+analytic: s(z) = s(0) * prod_k (1 - z/z_k) over the roots z_k = 1/w_k,
+and a point z fails unless every |w_k| * |z| < 1, i.e. s has no root in
+|zeta| <= |z|.  Then each factor 1 - zeta/z_k stays in the right
+half-plane on that disk, so the continued logarithm is Log s(0) plus
+sum_k Log(1 - z/z_k), the analytic one on the disk.
 
 All values are immutable after construction (a series computes its roots
 once, on first use); every function is pure and safe to call from
@@ -34,11 +35,10 @@ WINDING_SLACK = 0.25
 
 
 class BranchFailureError(ArithmeticError):
-    """The continued branch is undefined or unresolved on [0, z]: a root of
-    s_n lies on the segment (within ``EPS_ZERO`` * max(1, |root|)),
-    |s_n| < ``EPS_ZERO``, or the roots are too inaccurate to fix the
-    winding.  The continued logarithm, and any power built from it, is then
-    not reported."""
+    """The continued branch is undefined or unresolved at z: s_n has a root
+    in |zeta| <= |z|, |s_n| < ``EPS_ZERO``, or the roots are too inaccurate
+    to fix the winding.  The continued logarithm, and any power built from
+    it, is then not reported."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,14 +82,6 @@ class TruncatedSeries:
         return roots
 
 
-def _root_in_disk(f: TruncatedSeries, rho: float) -> bool:
-    """Whether s has a root in |z| <= rho: some |w_k| rho >= 1, exact on the
-    computed roots.  If not, its continued log L is analytic on the closed
-    disk, and so is g = (1+Bz) exp(L/lam) / (1+Az) - c (|A| rho < 1): by the
-    maximum modulus principle |g| - R peaks over the disk on |z| = rho."""
-    return bool(np.any(np.abs(f.reciprocal_roots) * rho >= 1.0))
-
-
 def _polyval_grid(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Horner evaluation broadcast over an array of points."""
     acc = np.full(pts.shape, coeffs[-1], dtype=np.complex128)
@@ -108,9 +100,14 @@ def _continued_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
     """Continued logarithm ``(L, failed)`` of ``f`` at ``pts`` from its
     values ``vals`` there: log|s| + i*(Arg s + 2*pi*m), where the root sum
     Arg s(0) + sum_k Arg(1 - z/z_k) fixes the turns m.  A point fails (L is
-    NaN) when a root z_k lies within ``EPS_ZERO`` * max(1, |z_k|) of [0, z],
-    when |s(z)| or |s(0)| is below ``EPS_ZERO``, or when the root sum is
-    more than ``WINDING_SLACK`` turns from every Arg s(z) + 2*pi*m."""
+    NaN) when some reciprocal root has |w_k| * |z| >= 1 (exact on the
+    computed roots), when |s(z)| or |s(0)| is below ``EPS_ZERO``, or when
+    the root sum is more than ``WINDING_SLACK`` turns from every
+    Arg s(z) + 2*pi*m.
+
+    Where no point of |zeta| <= rho fails, L is analytic on that closed disk,
+    and so is g = (1+Bz) exp(L/lam) / (1+Az) - c (|A| rho < 1): by the
+    maximum modulus principle |g| - R peaks over the disk on |z| = rho."""
     shape = pts.shape
     pts, vals = pts.ravel(), vals.ravel()  # 1-d and contiguous: the passes below work in place
     c0 = f.coeffs[0]
@@ -118,6 +115,7 @@ def _continued_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
     turns = np.full(pts.shape, np.angle(c0))
     modulus, phase = np.abs(vals), np.angle(vals)
     failed = (modulus < EPS_ZERO) | (abs(c0) < EPS_ZERO)
+    failed |= np.abs(pts) * np.abs(ws).max(initial=0.0) >= 1.0  # a root in |zeta| <= |z|
     factor = np.empty_like(pts)
     arg = np.empty(pts.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -125,19 +123,6 @@ def _continued_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
             np.multiply(pts, -w, out=factor)
             factor += 1.0
             turns += np.arctan2(factor.imag, factor.real, out=arg)
-        # only a root within ``reach`` of 0 can come near a segment; 1.5 times
-        # the largest |Re z| or |Im z|, plus 2 EPS_ZERO, bounds reach, so most
-        # calls skip |z|**2
-        bound = 1.5 * np.abs(pts.view(np.float64)).max(initial=0.0) + 2.0 * EPS_ZERO
-        if np.any(np.abs(ws) * bound >= 1.0):
-            norm2 = pts.real**2 + pts.imag**2
-            # a root z_k is near the segment within EPS_ZERO * max(1, |z_k|):
-            # the rounding of t*z grows with |z_k|
-            reach = (np.sqrt(norm2.max(initial=0.0)) + EPS_ZERO) / (1.0 - EPS_ZERO)
-            # the point of [0, z] nearest the root is t*z, t clipped to [0, 1]
-            for root in 1.0 / ws[np.abs(ws) * reach >= 1.0]:
-                t = np.clip(np.where(norm2 > 0, (root * pts.conj()).real / norm2, 0.0), 0.0, 1.0)
-                failed |= np.abs(root - t * pts) < EPS_ZERO * max(1.0, abs(root))
         turns -= phase
         turns /= 2.0 * np.pi
         m = np.rint(turns)
@@ -160,8 +145,9 @@ def ray_log_values(f: TruncatedSeries, targets):
 
     Returns ``(L, failed)`` where ``L`` has the shape of ``targets`` and is
     the logarithm of ``f(target)`` on the branch continued from the origin;
-    ``failed`` marks the targets where that branch is undefined (see
-    :func:`_continued_log`), whose entries of ``L`` are NaN.
+    ``failed`` marks the targets where that branch is undefined, as where
+    ``f`` has a root in |zeta| <= |target| (see :func:`_continued_log`);
+    ``L`` is NaN there.
     """
     targets = np.asarray(targets, dtype=np.complex128)
     return _continued_log(f, targets, _polyval_grid(f.coeffs, targets))
@@ -175,8 +161,7 @@ def circle_log_values(f: TruncatedSeries, radii, num_angles: int):
     k = 0..num_angles-1), with the branch of :func:`ray_log_values`.
 
     Returns ``(L, failed, pts)``, each of shape (len(radii), num_angles):
-    ``pts`` holds the points evaluated, on the radius ``(r / r_max) * r_max``
-    (the request up to one rounding).
+    ``pts`` holds the points evaluated.
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -185,8 +170,7 @@ def circle_log_values(f: TruncatedSeries, radii, num_angles: int):
         raise ValueError("radii must be positive")
     if num_angles < 1:
         raise ValueError("num_angles must be >= 1")
-    r_max = max(radii)
-    rho = np.array([r / r_max for r in radii]) * r_max
+    rho = np.array(radii)
     deg = f.truncation_order
     pts = _circle_points(rho, num_angles)
     if deg < num_angles:

@@ -10,8 +10,8 @@ geometric one: the "stability ratio"
 must map sample sets into a closed disk (center 1, radius |B| for the check
 against the A=0 base member; the image of |z| <= r under the Mobius map
 (1+Bz)/(1+Az) for the check against the family member itself).  A disk
-check samples its largest circle, which decides the disk unless s_n has a
-root inside (:func:`janostab.series._root_in_disk`), and explicit points.
+check samples its largest circle, which decides the disk unless a sample
+fails (when s_n has a root in |zeta| <= |z|), and explicit points.
 
 Powers use the analytic branch continued along rays from the origin; see
 :mod:`janostab.series`.  Everything here is pure and deterministic: the
@@ -33,7 +33,6 @@ from .series import (
     TruncatedSeries,
     _circle_points,
     _polyval_grid,
-    _root_in_disk,
     circle_log_values,
     ray_log_values,
 )
@@ -135,11 +134,12 @@ class StabilityReport:
 
     ``verdict`` is ``pass`` when the worst sampled margin stays within
     tolerance, ``violated`` when some sample escapes the target disk, and
-    ``branch_failure`` when a sample's ray power was undefined or s_n has a
-    root within the largest of ``sample_radii`` (the worst margin then covers
-    the valid samples only).  Only that circle and the explicit points are
-    sampled; the verdict covers every listed circle.  ``worst_ratio`` is the
-    evaluated ratio at ``worst_point``; it is not part of the JSON form.
+    ``branch_failure`` when a sample's ray power was undefined, as at every
+    sample of a circle whose disk holds a root of s_n (the worst margin then
+    covers the valid samples only; it is NaN, JSON null, if none is).  Only
+    the largest of ``sample_radii`` and the explicit points are sampled; the
+    verdict covers every listed circle.  ``worst_ratio`` is the evaluated
+    ratio at ``worst_point``; it is not part of the JSON form.
     """
 
     verdict: str
@@ -305,6 +305,18 @@ def ratio_samples(
     return vals, zs, bad
 
 
+def _defined(samples):
+    """``(vals, zs)`` of a :func:`ratio_samples` result, or
+    :class:`~janostab.series.BranchFailureError` at its first bad sample."""
+    vals, zs, bad = samples
+    if bad.any():
+        raise BranchFailureError(
+            f"the stability ratio is undefined at z = {complex(zs[bad][0])!r}: s_n has a root "
+            "in |zeta| <= |z|, |s_n| < 1e-12, or roots too inaccurate to fix the winding"
+        )
+    return vals, zs
+
+
 def _reject_pole(params: JanowskiParams, points) -> None:
     """Raise :class:`PoleError` for an explicit point that
     :func:`ratio_samples` would mark bad as within ``POLE_EPS`` of -1/A."""
@@ -321,7 +333,7 @@ def stability_ratio(params: JanowskiParams, n: int, z, series=None) -> complex:
     ``series`` is s_n if the caller has built it (its roots are solved once).
     Raises :class:`PoleError` near z = -1/A and
     :class:`~janostab.series.BranchFailureError` where the continued branch
-    is undefined or unresolved on [0, z].
+    is undefined or unresolved at z.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -331,12 +343,7 @@ def stability_ratio(params: JanowskiParams, n: int, z, series=None) -> complex:
     _reject_pole(params, (z,))
     if series is None:
         series = janowski_series(params, n)
-    vals, _, bad = ratio_samples(series, params, points=(z,))
-    if bad[0]:
-        raise BranchFailureError(
-            f"the continued branch is undefined or unresolved on [0, z] for z = {z!r} "
-            "(a root on the segment, |s_n| < 1e-12, or inaccurate roots)"
-        )
+    vals, _ = _defined(ratio_samples(series, params, points=(z,)))
     return complex(vals[0])
 
 
@@ -364,9 +371,8 @@ def _stability_report(
 ) -> StabilityReport:
     """Worst margin of the stability ratio of ``series`` (with ``params``'
     A, B and lambda) against ``disk`` on the disks of ``radii``, decided on
-    the largest circle (``branch_failure`` if s_n has a root in it), and at
-    the grid's explicit points, as a report.  An explicit point at the pole
-    -1/A raises :class:`PoleError`."""
+    the largest circle, and at the grid's explicit points, as a report.  An
+    explicit point at the pole -1/A raises :class:`PoleError`."""
     _reject_pole(params, grid.extra_points)
     outer = radii[-1:]
     vals, zs, bad = ratio_samples(series, params, outer, grid.points_per_circle, grid.extra_points)
@@ -376,8 +382,7 @@ def _stability_report(
         (float("nan"), None, None) if k is None
         else (float(margins[k]), complex(zs[k]), complex(vals[k]))
     )
-    failed = bad.any() or (outer and _root_in_disk(series, outer[0]))
-    verdict = "branch_failure" if failed else "pass" if worst <= tol else "violated"
+    verdict = "branch_failure" if bad.any() else "pass" if worst <= tol else "violated"
     return StabilityReport(
         verdict=verdict,
         worst_margin=worst,

@@ -206,6 +206,19 @@ class TestSelfCheck:
         assert code == 3
         assert json.loads(out)["verdict"] == "branch_failure"
 
+    def test_point_beyond_a_root_exit_three(self, capsys):
+        # -0.97 lies beyond both roots of s_2 (modulus 0.956) although the
+        # sampled circle |z| = 0.4995 holds none: the ratio is not analytic
+        # on |zeta| <= 0.97, so no margin there is reported
+        code, out, _ = run(
+            capsys, "self-check", "--A", "0.3", "--B", "-1", "--lambda", "0.9", "--n", "2",
+            "--r", "0.5", "--radii", "0.999", "--samples", "64", "--z0", "-0.97,0",
+        )
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["verdict"] == "branch_failure"
+        assert doc["worst_point"]["re"] != -0.97
+
     def test_pass_at_small_radius(self, capsys):
         code, out, _ = run(
             capsys, "self-check", "--r", "0.2", "--z0", "", "--samples", "256",
@@ -240,8 +253,18 @@ class TestSearch:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--coarse-angles", "1"), ("--refine-iters", "-3"), ("--refine-iters", "65")],
-        ids=["one-point-grid", "negative-refine", "refine-above-bound"],
+        [
+            ("--coarse-angles", "1"),
+            ("--refine-iters", "-3"),
+            ("--refine-iters", "65"),
+            ("--A-values", ""),
+            ("--B-values", ""),
+            ("--lambda-values", ""),
+        ],
+        ids=[
+            "one-point-grid", "negative-refine", "refine-above-bound",
+            "empty-A", "empty-B", "empty-lambda",
+        ],
     )
     def test_bad_grid_or_refinement_exit_two(self, capsys, flags):
         code, out, err = run(capsys, "search", "--n-values", "1", *flags)
@@ -345,6 +368,15 @@ class TestPlot:
         assert code == 3
         assert "error" in err
 
+    def test_curve_around_a_root_exit_three(self, capsys):
+        # the roots of s_2 at modulus 0.956 lie inside |z| = 0.99: no curve
+        code, out, err = run(
+            capsys, "plot", "--A", "0.3", "--B", "-1", "--lambda", "0.9", "--n", "2",
+            "--r", "0.99", "--z0", "0.5,0",
+        )
+        assert code == 3
+        assert out == ""
+        assert "undefined" in err and "root in" in err
 
     @pytest.mark.parametrize("command", ["plot", "self-check"])
     def test_witness_at_the_pole_exit_two(self, capsys, command):

@@ -141,13 +141,19 @@ class TestSweep:
             dict(refine_iters=65),
             dict(coarse_angles=15),
             dict(refine_iters=-1),
+            dict(a_values=()),
+            dict(b_values=()),
+            dict(lambda_values=()),
         ],
     )
     def test_validation(self, overrides):
-        args = dict(n_values=(1,), r=0.983, coarse_angles=16, refine_iters=0)
+        args = dict(
+            a_values=(K.params.A,), b_values=(K.params.B,), lambda_values=(K.params.lam,),
+            n_values=(1,), r=0.983, coarse_angles=16, refine_iters=0,
+        )
         args.update(overrides)
         with pytest.raises(ValueError):
-            sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), **args)
+            sweep_parameter_grid(**args)
 
     def test_lambda_is_checked_before_any_cell(self, monkeypatch):
         calls = []

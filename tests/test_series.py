@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from janostab.janowski import JanowskiParams, janowski_series
-from janostab.series import TruncatedSeries, _root_in_disk, circle_log_values, ray_log_values
+from janostab.series import TruncatedSeries, circle_log_values, ray_log_values
 
 from oracles import (
     binomial_series,
@@ -68,9 +68,9 @@ class TestConstruction:
             f.reciprocal_roots[0] = 5.0
 
     def test_root_in_the_closed_disk(self):
-        f = s(1, 2)  # root at -0.5
-        assert _root_in_disk(f, 0.5)
-        assert not _root_in_disk(f, 0.4999)
+        f = s(1, 2)  # root at -0.5: every point of |z| = 0.5 fails, none inside
+        assert circle_log_values(f, [0.5], 8)[1].all()
+        assert not circle_log_values(f, [0.4999], 8)[1].any()
 
 
 class TestMultiply:
@@ -246,11 +246,14 @@ class TestRayPower:
 
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
     def test_power_consistency_identities(self, p):
-        # exp of the tracked log reproduces the value, and exponents compose
+        # exp of the tracked log reproduces the value, and exponents compose,
+        # inside the root-free disk |z| < 0.7867; beyond it every point fails
         rng = np.random.default_rng(3)
         coeffs = np.concatenate([[1.0], 0.4 * rng.normal(size=6) / (1 + np.arange(6))])
         f = TruncatedSeries(coeffs)
-        for z in (0.8 + 0.3j, -0.6 + 0.6j, 0.95):
+        assert 0.78 < 1.0 / np.abs(f.reciprocal_roots).max() < 0.79
+        assert ray_log_values(f, np.array([0.8 + 0.3j, -0.6 + 0.6j, 0.95]))[1].all()
+        for z in (0.7 + 0.3j, -0.55 + 0.55j, 0.78):
             value = evaluate(f, z)
             L, failed = ray_log_values(f, np.asarray(z))
             assert not failed
@@ -286,28 +289,32 @@ class TestCircleEngine:
         assert np.max(np.abs(L1[0] - L2)) < 1e-12
 
     def test_flags_rays_through_zeros(self):
-        # (1 - 2z) vanishes at 0.5, exactly on the angle-0 ray
+        # (1 - 2z) vanishes at 0.5, exactly on the angle-0 ray: its disk
+        # holds the root, so every point of the circle fails
         f = s(1, -2)
         L, failed, _ = circle_log_values(f, [0.5], 8)
-        assert failed[0, 0]
-        assert not failed[0, 1:].any()
-        assert np.isnan(L[0, 0].real)
+        assert failed.all()
+        assert np.isnan(L.real).all()
+        L, failed, _ = circle_log_values(f, [0.4999], 8)
+        assert not failed.any() and np.isfinite(L).all()
 
     def test_flags_root_between_ray_samples(self):
         # 1 + 1.17z vanishes at -0.8547, between the samples 0.84375 and
-        # 0.8578 of a 64-step theta = pi ray to 0.9, inside all three circles
+        # 0.8578 of a 64-step theta = pi ray to 0.9, inside all three circles:
+        # every point of them fails, and no point of |z| = 0.85
         L, failed, _ = circle_log_values(s(1, 1.17), [0.9, 0.99, 0.999], 4096)
-        expect = np.zeros((3, 4096), dtype=bool)
-        expect[:, 2048] = True
-        assert np.array_equal(failed, expect)
-        assert np.isnan(L[:, 2048]).all()
-        assert np.isfinite(L[~expect]).all()
+        assert failed.all()
+        assert np.isnan(L).all()
+        L, failed, _ = circle_log_values(s(1, 1.17), [0.85], 4096)
+        assert not failed.any() and np.isfinite(L).all()
 
     def test_root_count_sets_the_turns(self):
-        # three roots near the positive axis inside |z| = 0.9: rays passing
-        # them collect several half turns, beyond what the principal Arg
-        # can say, and the root count must match a fine ray sampling
-        roots = [0.4 * cmath.exp(0.1j), 0.45 * cmath.exp(-0.05j), 0.5 * cmath.exp(0.03j)]
+        # five roots near the positive axis just outside |z| = 0.9: each
+        # factor adds less than pi/2, and together they turn beyond what
+        # the principal Arg can say; the root count must match a fine ray
+        # sampling.  |s| falls to ~4e-7 there, so the FFT row's rounding
+        # moves log s by ~1e-9, far below a turn.
+        roots = [0.92 * cmath.exp(1j * a) for a in (0.04, 0.08, 0.12, 0.16, 0.2)]
         coeffs = np.polynomial.polynomial.polyfromroots(roots)
         f = TruncatedSeries(coeffs / coeffs[0])
         L, failed, pts = circle_log_values(f, [0.9], 64)
@@ -315,7 +322,7 @@ class TestCircleEngine:
         assert np.abs(L.imag).max() > 2 * np.pi
         ref, ref_failed, turn = sampled_ray_logs(f.coeffs, pts[0], steps=4096)
         assert not ref_failed.any() and turn.max() < np.pi / 4
-        assert np.max(np.abs(L[0] - ref)) < 1e-12
+        assert np.max(np.abs(L[0] - ref)) < 1e-8
 
 
 # Janowski parameter points -1 <= B < A <= 1, 0 < lam <= 1 (B as a gap below A).
@@ -348,9 +355,12 @@ class TestSampledReference:
     @settings(deadline=None, max_examples=200)
     @given(PARTIAL_SUMS, TARGETS)
     def test_agrees_where_the_sampler_resolves_the_turns(self, coeffs, targets):
-        L, failed = ray_log_values(TruncatedSeries(coeffs), targets)
+        f = TruncatedSeries(coeffs)
+        L, failed = ray_log_values(f, targets)
         ref, ref_failed, turn = sampled_ray_logs(coeffs, targets)
-        resolved = ~ref_failed & (turn < np.pi / 4)
+        root_inside = np.abs(targets) * np.abs(f.reciprocal_roots).max(initial=0.0) >= 1.0
+        assert failed[root_inside].all()
+        resolved = ~root_inside & ~ref_failed & (turn < np.pi / 4)
         assert not failed[resolved].any()
         assert np.all(np.abs(L - ref)[resolved] <= 1e-12)
 

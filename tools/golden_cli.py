@@ -37,6 +37,10 @@ CASES = [
     "check-stability --A 0.3 --B -1 --lambda 0.9 --n-max 16 --allow-outside",
     # a root of s_2 inside the sampled circle, on no sampled ray
     "self-check --A 0.3 --B -1 --lambda 0.9 --n 2 --r 0.99 --z0 ''",
+    # an explicit point, and a plotted curve, beyond the roots of that s_2
+    "self-check --A 0.3 --B -1 --lambda 0.9 --n 2 --r 0.5 --radii 0.999 --samples 64 "
+    "--z0 -0.97,0",
+    "plot --A 0.3 --B -1 --lambda 0.9 --n 2 --r 0.99 --z0 0.5,0",
     "search --A-values -0.9,-0.5,-0.1 --B-values -1,-0.95 --lambda-values 0.1,0.5,1 "
     "--n-values 1,3,8,16 --r 0.99",
     "search --A-values -0.3,-0.6 --B-values -0.9,-0.7 --lambda-values 0.4,0.8 "
