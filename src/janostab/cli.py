@@ -47,7 +47,7 @@ EXIT_BRANCH_FAILURE = 3
 
 # The highest series degree the continued branch is tested at, and the most
 # sample points one evaluation may hold (one n = 32 base check on 2**20
-# points peaks at ~176 MB RSS with numpy 2.4 on x86-64 Linux).
+# points peaks at ~152 MB RSS with numpy 2.4 on x86-64 Linux).
 MAX_DEGREE = 256
 MAX_POINTS = 2**20
 # The longest coefficient list (convolutions are quadratic in it), and the most

@@ -17,7 +17,8 @@ import numpy as np
 
 from .janowski import JanowskiParams, janowski_series
 from .serialize import csv_text, fmt6
-from .subordination import DISK_SOURCES, _defined, disk_for, ratio_samples, stability_ratio
+from .series import _circle_points
+from .subordination import DISK_SOURCES, _count, _defined, disk_for, ratio_samples, stability_ratio
 
 __all__ = [
     "FigureGeometry",
@@ -56,14 +57,14 @@ def compute_figure_geometry(
     is undefined somewhere along the curve or at the witness."""
     if not 0.0 < r < 1.0:
         raise ValueError("need 0 < r < 1")
-    if curve_angles < 8 or boundary_samples < 8:
-        raise ValueError("curve_angles and boundary_samples must be >= 8")
+    curve_angles = _count("curve_angles", curve_angles, 8)
+    boundary_samples = _count("boundary_samples", boundary_samples, 8)
     boundaries = []
     for source in DISK_SOURCES:
         disk = disk_for(source, params, r)
         boundaries.append((source, disk.boundary_points(boundary_samples)))
     series = janowski_series(params, n)
-    curve, _ = _defined(ratio_samples(series, params, [r], curve_angles))
+    curve, _ = _defined(ratio_samples(series, params, _circle_points([r], curve_angles)[0]))
     point = stability_ratio(params, n, z0, series)
     return FigureGeometry(tuple(boundaries), curve, complex(point))
 

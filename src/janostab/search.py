@@ -7,7 +7,7 @@ is all a disproof needs.
 The search looks on the circle |z| = r only: where the ratio is defined
 at every sample, s_n has no root in |z| <= r, and the maximum modulus
 principle puts the largest margin over the disk on that circle (see
-:func:`janostab.series._continued_log`).  A cell with a failed sample, as
+:func:`janostab.series.ray_log_values`).  A cell with a failed sample, as
 every sample fails when s_n has a root in that disk, raises
 :class:`~janostab.series.BranchFailureError` rather than search a disk
 the argument does not cover.
@@ -29,7 +29,7 @@ import numpy as np
 
 from .janowski import JanowskiParams, janowski_series
 from .series import _circle_points
-from .subordination import DiskSpec, _defined, disk_for, ratio_samples
+from .subordination import DiskSpec, _count, _defined, disk_for, ratio_samples
 
 __all__ = [
     "SWEEP_CSV_HEADER",
@@ -88,7 +88,7 @@ def _best_sample(series, params: JanowskiParams, disk: DiskSpec, points):
     """(index, (margin, z, ratio)) of the largest margin at ``points``.  A
     failed sample voids the maximum modulus argument: it raises
     :class:`~janostab.series.BranchFailureError`."""
-    vals, zs = _defined(ratio_samples(series, params, points=points))
+    vals, zs = _defined(ratio_samples(series, params, points))
     margins = disk.margin(vals)
     k = int(np.argmax(margins))
     return k, (float(margins[k]), complex(zs[k]), complex(vals[k]))
@@ -148,10 +148,10 @@ def sweep_parameter_grid(
         raise ValueError("n values must be integers >= 1")
     if not 0.0 < r < 1.0:
         raise ValueError("need 0 < r < 1")
-    if coarse_angles < 16:
-        raise ValueError("coarse_angles must be >= 16")
+    coarse_angles = _count("coarse_angles", coarse_angles, 16)
+    refine_iters = _count("refine_iters", refine_iters, 0)
     # 64 halvings of a step <= pi/16 fall below the resolution of arg z
-    if not 0 <= refine_iters <= 64:
+    if refine_iters > 64:
         raise ValueError(f"refine_iters must lie in [0, 64], got {refine_iters!r}")
     cells = []
     for a in a_values:

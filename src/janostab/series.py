@@ -1,13 +1,15 @@
 """Truncated complex power series and their ray-continued logarithms.
 
 A series here is a Maclaurin polynomial with a fixed truncation order.
-Logarithms follow the branch continued along the segment [0, z] from the
-origin, not the pointwise principal branch.  It is taken only where it is
-analytic: s(z) = s(0) * prod_k (1 - z/z_k) over the roots z_k = 1/w_k,
-and a point z fails unless every |w_k| * |z| < 1, i.e. s has no root in
-|zeta| <= |z|.  Then each factor 1 - zeta/z_k stays in the right
-half-plane on that disk, so the continued logarithm is Log s(0) plus
-sum_k Log(1 - z/z_k), the analytic one on the disk.
+Every value is evaluated one way, by :func:`ray_log_values` at flat points
+(circle samples come from :func:`_circle_points`).  Logarithms follow the
+branch continued along the segment [0, z] from the origin, not the
+pointwise principal branch.  It is taken only where it is analytic:
+s(z) = s(0) * prod_k (1 - z/z_k) over the roots z_k = 1/w_k, and a point
+z fails unless every |w_k| * |z| < 1, i.e. s has no root in |zeta| <= |z|.
+Then each factor 1 - zeta/z_k stays in the right half-plane on that disk,
+so the continued logarithm is Log s(0) plus sum_k Log(1 - z/z_k), the
+analytic one on the disk.
 
 All values are immutable after construction (a series computes its roots
 once, on first use); every function is pure and safe to call from
@@ -24,7 +26,6 @@ import numpy as np
 __all__ = [
     "BranchFailureError",
     "TruncatedSeries",
-    "circle_log_values",
     "ray_log_values",
 ]
 
@@ -56,10 +57,6 @@ class TruncatedSeries:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def truncation_order(self) -> int:
-        return self.coeffs.size - 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TruncatedSeries) and np.array_equal(
@@ -96,20 +93,26 @@ def _circle_points(radii, count: int) -> np.ndarray:
     return np.asarray(radii, dtype=np.float64)[:, None] * np.exp(1j * theta)[None, :]
 
 
-def _continued_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
-    """Continued logarithm ``(L, failed)`` of ``f`` at ``pts`` from its
-    values ``vals`` there: log|s| + i*(Arg s + 2*pi*m), where the root sum
-    Arg s(0) + sum_k Arg(1 - z/z_k) fixes the turns m.  A point fails (L is
-    NaN) when some reciprocal root has |w_k| * |z| >= 1 (exact on the
-    computed roots), when |s(z)| or |s(0)| is below ``EPS_ZERO``, or when
-    the root sum is more than ``WINDING_SLACK`` turns from every
-    Arg s(z) + 2*pi*m.
+def ray_log_values(f: TruncatedSeries, targets):
+    """Continuous logarithm of ``f`` along the segment from 0 to each target.
+
+    Returns ``(L, failed)`` where ``L`` has the shape of ``targets`` and is
+    the logarithm of ``f(target)`` on the branch continued from the origin:
+    log|s| + i*(Arg s + 2*pi*m), with s evaluated by Horner's rule and the
+    turns m fixed by the root sum Arg s(0) + sum_k Arg(1 - z/z_k).
+    ``failed`` marks the targets where that branch is undefined, and ``L``
+    is NaN there: when some reciprocal root has |w_k| * |z| >= 1 (exact on
+    the computed roots), i.e. ``f`` has a root in |zeta| <= |target|, when
+    |s(z)| or |s(0)| is below ``EPS_ZERO``, or when the root sum is more
+    than ``WINDING_SLACK`` turns from every Arg s(z) + 2*pi*m.
 
     Where no point of |zeta| <= rho fails, L is analytic on that closed disk,
     and so is g = (1+Bz) exp(L/lam) / (1+Az) - c (|A| rho < 1): by the
     maximum modulus principle |g| - R peaks over the disk on |z| = rho."""
-    shape = pts.shape
-    pts, vals = pts.ravel(), vals.ravel()  # 1-d and contiguous: the passes below work in place
+    targets = np.asarray(targets, dtype=np.complex128)
+    shape = targets.shape
+    pts = targets.ravel()  # 1-d and contiguous: the passes below work in place
+    vals = _polyval_grid(f.coeffs, pts)
     c0 = f.coeffs[0]
     ws = f.reciprocal_roots
     turns = np.full(pts.shape, np.angle(c0))
@@ -138,48 +141,3 @@ def _continued_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
     if failed.any():
         L[failed] = np.nan + 1j * np.nan
     return L.reshape(shape)[()], failed.reshape(shape)[()]  # 0-d targets give scalars
-
-
-def ray_log_values(f: TruncatedSeries, targets):
-    """Continuous logarithm of ``f`` along the segment from 0 to each target.
-
-    Returns ``(L, failed)`` where ``L`` has the shape of ``targets`` and is
-    the logarithm of ``f(target)`` on the branch continued from the origin;
-    ``failed`` marks the targets where that branch is undefined, as where
-    ``f`` has a root in |zeta| <= |target| (see :func:`_continued_log`);
-    ``L`` is NaN there.
-    """
-    targets = np.asarray(targets, dtype=np.complex128)
-    return _continued_log(f, targets, _polyval_grid(f.coeffs, targets))
-
-
-def circle_log_values(f: TruncatedSeries, radii, num_angles: int):
-    """Ray-continued logarithm of ``f`` on full equispaced circles.
-
-    Each requested circle is one row, evaluated with an FFT when the
-    polynomial degree allows it (angles are ``2*pi*k/num_angles``,
-    k = 0..num_angles-1), with the branch of :func:`ray_log_values`.
-
-    Returns ``(L, failed, pts)``, each of shape (len(radii), num_angles):
-    ``pts`` holds the points evaluated.
-    """
-    radii = [float(r) for r in radii]
-    if not radii:
-        raise ValueError("need at least one radius")
-    if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
-    if num_angles < 1:
-        raise ValueError("num_angles must be >= 1")
-    rho = np.array(radii)
-    deg = f.truncation_order
-    pts = _circle_points(rho, num_angles)
-    if deg < num_angles:
-        powers = rho[:, None] ** np.arange(deg + 1)[None, :]
-        padded = np.zeros((rho.size, num_angles), dtype=np.complex128)
-        padded[:, : deg + 1] = f.coeffs[None, :] * powers
-        vals = num_angles * np.fft.ifft(padded, axis=1)
-    else:
-        vals = _polyval_grid(f.coeffs, pts)
-    L, failed = _continued_log(f, pts, vals)
-    return L, failed, pts
-

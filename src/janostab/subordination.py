@@ -13,14 +13,17 @@ against the A=0 base member; the image of |z| <= r under the Mobius map
 check samples its largest circle, which decides the disk unless a sample
 fails (when s_n has a root in |zeta| <= |z|), and explicit points.
 
-Powers use the analytic branch continued along rays from the origin; see
-:mod:`janostab.series`.  Everything here is pure and deterministic: the
-same inputs always produce the same report, and ties for the worst sample
-break toward the lexicographically smallest (re, im).
+Every value of the ratio, at a circle sample or an explicit point, comes
+from :func:`ratio_samples` at flat points: Horner's rule and the analytic
+branch continued along rays from the origin, fixed by the roots of s_n (see
+:func:`janostab.series.ray_log_values`).  Everything here is pure and
+deterministic: the same inputs always produce the same report, and ties for
+the worst sample break toward the lexicographically smallest (re, im).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,7 +36,6 @@ from .series import (
     TruncatedSeries,
     _circle_points,
     _polyval_grid,
-    circle_log_values,
     ray_log_values,
 )
 
@@ -64,6 +66,14 @@ DISK_SOURCES = ("closed_form", "mobius_image")
 
 class PoleError(ArithmeticError):
     """Evaluation requested too close to the pole z = -1/A."""
+
+
+def _count(name: str, value, least: int) -> int:
+    """A sample count as a Python int; ``ValueError`` unless ``value`` is an
+    integer (``np.int64`` is, ``16.0`` and ``8.5`` are not) >= ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -118,13 +128,13 @@ class SampleGrid:
             raise ValueError("radii must lie in (0, 1)")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly increasing")
-        if self.points_per_circle < 8:
-            raise ValueError("points_per_circle must be >= 8")
+        count = _count("points_per_circle", self.points_per_circle, 8)
         extras = tuple(complex(z) for z in self.extra_points)
         for z in extras:
             if not (np.isfinite(z.real) and np.isfinite(z.imag)):
                 raise ValueError("extra points must be finite")
         object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "points_per_circle", count)
         object.__setattr__(self, "extra_points", extras)
 
 
@@ -271,33 +281,17 @@ def reference_disk_comparison(params: JanowskiParams, r: float) -> dict:
 
 # --- the stability ratio ------------------------------------------------------
 
-def ratio_samples(
-    series: TruncatedSeries,
-    params: JanowskiParams,
-    radii: Sequence[float] = (),
-    num_angles: int = 0,
-    points: Sequence[complex] = (),
-):
+def ratio_samples(series: TruncatedSeries, params: JanowskiParams, points: Sequence[complex]):
     """(1+Bz) * s(z)**(1/lam) / (1+Az) on the ray-continued branch, with
     ``params``' A, B and lambda: the one evaluation of the stability ratio.
 
-    Samples are the full circles of ``radii`` (``num_angles`` equispaced
-    angles from 0, one FFT row each), then the explicit ``points``.  Returns
-    flat arrays ``(vals, zs, bad)``; ``bad`` marks a branch failure or a
-    point within ``POLE_EPS`` of -1/A, where ``vals`` is NaN.
+    Each of ``points`` (circle samples from :func:`_grid_points`, or
+    explicit points) goes through :func:`~janostab.series.ray_log_values`.
+    Returns flat arrays ``(vals, zs, bad)``; ``bad`` marks a branch failure
+    or a point within ``POLE_EPS`` of -1/A, where ``vals`` is NaN.
     """
-    chunks = []
-    if len(radii):
-        chunks.append(circle_log_values(series, radii, num_angles))
-    if len(points):
-        pts = np.array(points, dtype=complex)  # a copy: it is returned as zs
-        chunks.append((*ray_log_values(series, pts), pts))
-    if not chunks:
-        raise ValueError("sample grid is empty: no circles and no extra points")
-    L, failed, zs = (
-        np.concatenate(part, axis=None) if len(part) > 1 else part[0].ravel()
-        for part in zip(*chunks)
-    )
+    zs = np.asarray(points, dtype=complex).ravel()  # callers pass fresh points: no copy
+    L, failed = ray_log_values(series, zs)
     den = 1.0 + params.A * zs
     bad = failed | (np.abs(den) < POLE_EPS)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -343,11 +337,24 @@ def stability_ratio(params: JanowskiParams, n: int, z, series=None) -> complex:
     _reject_pole(params, (z,))
     if series is None:
         series = janowski_series(params, n)
-    vals, _ = _defined(ratio_samples(series, params, points=(z,)))
+    vals, _ = _defined(ratio_samples(series, params, (z,)))
     return complex(vals[0])
 
 
 # --- stability checks ---------------------------------------------------------
+
+def _grid_points(radii, grid: SampleGrid) -> np.ndarray:
+    """The samples of ``grid`` on the circles of ``radii``: each circle's
+    ``points_per_circle`` equispaced points from angle 0, then the explicit
+    points, flat.  Raises ``ValueError`` when there are none."""
+    zs = np.concatenate([
+        _circle_points(radii, grid.points_per_circle).ravel(),
+        np.array(grid.extra_points, dtype=complex),
+    ])
+    if not zs.size:
+        raise ValueError("sample grid is empty: no circles and no extra points")
+    return zs
+
 
 def _worst_sample(margins: np.ndarray, points: np.ndarray) -> Optional[int]:
     """Index of the max finite margin with deterministic tie-break (smallest
@@ -374,8 +381,7 @@ def _stability_report(
     the largest circle, and at the grid's explicit points, as a report.  An
     explicit point at the pole -1/A raises :class:`PoleError`."""
     _reject_pole(params, grid.extra_points)
-    outer = radii[-1:]
-    vals, zs, bad = ratio_samples(series, params, outer, grid.points_per_circle, grid.extra_points)
+    vals, zs, bad = ratio_samples(series, params, _grid_points(radii[-1:], grid))
     margins = disk.margin(vals)
     k = _worst_sample(margins, zs)
     worst, worst_point, worst_ratio = (
@@ -486,15 +492,15 @@ def check_cross_order_stability(
 
 # --- defect-derivative bound ---------------------------------------------------
 
-def _defect_and_slope(series, params, radii=(), num_angles=0, points=()):
+def _defect_and_slope(series, params, points):
     """``(d, d', zs, bad)``: the defect d = 1 - ratio and its derivative
 
         d'(z) = -ratio(z) * ((B-A)/((1+Az)(1+Bz)) + s_n'(z)/(lam * s_n(z)))
 
-    on the samples ``zs`` of :func:`ratio_samples` with the same arguments.
+    on the samples ``zs`` of :func:`ratio_samples` at ``points``.
     For |z| < 1, 1 + Bz != 0 (|B| <= 1): d' is finite wherever the ratio is.
     """
-    vals, zs, bad = ratio_samples(series, params, radii, num_angles, points)
+    vals, zs, bad = ratio_samples(series, params, points)
     a, b, coeffs = params.A, params.B, series.coeffs
     s_prime = _polyval_grid(coeffs[1:] * np.arange(1, coeffs.size), zs)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -525,11 +531,11 @@ def check_derivative_modulus_bound(
         raise ValueError("explicit points must lie in |z| < 1")
     series = janowski_series(params, n)
     extra = grid.extra_points
-    _, deriv, zs, bad = _defect_and_slope(series, params, grid.radii, grid.points_per_circle, extra)
+    _, deriv, zs, bad = _defect_and_slope(series, params, _grid_points(grid.radii, grid))
     # d'(|z|) depends on |z| only: evaluate once per distinct modulus
     moduli = np.concatenate([np.repeat(grid.radii, grid.points_per_circle), np.abs(extra)])
     radii, inverse = np.unique(moduli, return_inverse=True)
-    _, slopes, _, bad_real = _defect_and_slope(series, params, points=radii)
+    _, slopes, _, bad_real = _defect_and_slope(series, params, radii)
     margins = np.where(bad | bad_real[inverse], np.nan, slopes.real[inverse] - np.abs(deriv))
     good = np.isfinite(margins)
     violations = []
@@ -590,12 +596,7 @@ def check_power_product_subordination(
     if not seeds:
         raise ValueError("need at least one seed")
     grid = grid or SampleGrid()
-    zs = np.concatenate([
-        _circle_points(grid.radii, grid.points_per_circle).ravel(),
-        np.array(grid.extra_points, dtype=complex),
-    ])
-    if not zs.size:
-        raise ValueError("sample grid is empty: no circles and no extra points")
+    zs = _grid_points(grid.radii, grid)
     logs = []
     for seed in seeds:
         u = _schwarz_eval(seed, zs)

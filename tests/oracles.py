@@ -135,9 +135,9 @@ def multiply(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSer
 
 def partial_sum(f: TruncatedSeries, n: int) -> TruncatedSeries:
     """First n+1 coefficients of ``f`` as a degree-n series."""
-    if not 0 <= n <= f.truncation_order:
+    if not 0 <= n <= f.coeffs.size - 1:
         raise ValueError(
-            f"partial sum order {n} out of range [0, {f.truncation_order}]"
+            f"partial sum order {n} out of range [0, {f.coeffs.size - 1}]"
         )
     return TruncatedSeries(f.coeffs[: n + 1])
 
@@ -147,7 +147,7 @@ def derivative(f: TruncatedSeries) -> TruncatedSeries:
 
     The derivative of a constant series is the zero series of degree 0.
     """
-    if f.truncation_order == 0:
+    if f.coeffs.size - 1 == 0:
         return TruncatedSeries(np.zeros(1, dtype=np.complex128))
     k = np.arange(1, f.coeffs.size)
     return TruncatedSeries(f.coeffs[1:] * k)

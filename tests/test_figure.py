@@ -1,11 +1,23 @@
-"""SVG path formatting."""
+"""Figure sample counts and SVG path formatting."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from janostab.figure import _SCALE, _path
+from janostab.figure import _SCALE, _path, compute_figure_geometry
 from janostab.serialize import fmt6
+from janostab.subordination import KNOWN_COUNTEREXAMPLE as K
+
+ARGS = (K.params, K.n, 0.983, K.z0)
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("name", ["curve_angles", "boundary_samples"])
+    @pytest.mark.parametrize("count", [16.5, 8.5, 16.0])
+    def test_rejects_non_integer_counts(self, name, count):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            compute_figure_geometry(*ARGS, **{name: count})
 
 
 def reference_path(points, color: str, extra: str = "") -> str:

@@ -7,7 +7,7 @@ import janostab.search as search
 from janostab.cli import main
 from janostab.janowski import janowski_series
 from janostab.search import sweep_parameter_grid
-from janostab.series import BranchFailureError, TruncatedSeries
+from janostab.series import BranchFailureError, TruncatedSeries, _circle_points
 from janostab.subordination import KNOWN_COUNTEREXAMPLE, ratio_samples, stability_ratio
 
 K = KNOWN_COUNTEREXAMPLE
@@ -59,7 +59,8 @@ class TestOneCircle:
         r = LATTICE["r"]
         radii = [(j + 1) * r / 64 for j in range(64)]
         for cell in sweep_parameter_grid(**LATTICE):
-            vals, _, bad = ratio_samples(janowski_series(cell.params, cell.n), cell.params, radii, 256)
+            series = janowski_series(cell.params, cell.n)
+            vals, _, bad = ratio_samples(series, cell.params, _circle_points(radii, 256).ravel())
             assert not bad.any()
             assert cell.margin >= float(np.max(cell.disk.margin(vals))) - 1e-12
 
@@ -67,7 +68,7 @@ class TestOneCircle:
         # 8 halvings from the best of 256 angles match a 65,536-angle scan
         for cell in sweep_parameter_grid(**LATTICE):
             series = janowski_series(cell.params, cell.n)
-            vals, _, _ = ratio_samples(series, cell.params, [LATTICE["r"]], 2**16)
+            vals, _, _ = ratio_samples(series, cell.params, _circle_points([LATTICE["r"]], 2**16)[0])
             assert cell.margin >= float(np.max(cell.disk.margin(vals))) - 1e-12
 
     @pytest.mark.parametrize("iters", [0, 8])
@@ -144,6 +145,9 @@ class TestSweep:
             dict(a_values=()),
             dict(b_values=()),
             dict(lambda_values=()),
+            dict(coarse_angles=16.5),
+            dict(coarse_angles=16.0),
+            dict(refine_iters=2.5),
         ],
     )
     def test_validation(self, overrides):

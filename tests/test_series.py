@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from janostab.janowski import JanowskiParams, janowski_series
-from janostab.series import TruncatedSeries, circle_log_values, ray_log_values
+from janostab.series import TruncatedSeries, _circle_points, ray_log_values
 
 from oracles import (
     binomial_series,
@@ -57,9 +57,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             f.coeffs[0] = 5.0
 
-    def test_truncation_order(self):
-        assert s(1, 2, 3).truncation_order == 2
-
     def test_roots_are_reciprocal_cached_and_immutable(self):
         f = s(1, -3, 2)  # (1 - z)(1 - 2z): roots 1 and 1/2
         assert np.allclose(sorted(f.reciprocal_roots.real), [1.0, 2.0], rtol=0, atol=1e-15)
@@ -69,8 +66,8 @@ class TestConstruction:
 
     def test_root_in_the_closed_disk(self):
         f = s(1, 2)  # root at -0.5: every point of |z| = 0.5 fails, none inside
-        assert circle_log_values(f, [0.5], 8)[1].all()
-        assert not circle_log_values(f, [0.4999], 8)[1].any()
+        assert ray_log_values(f, _circle_points([0.5], 8))[1].all()
+        assert not ray_log_values(f, _circle_points([0.4999], 8))[1].any()
 
 
 class TestMultiply:
@@ -119,7 +116,7 @@ class TestPartialSum:
 
     def test_identity_case(self):
         f = s(1, 2, 3)
-        assert partial_sum(f, f.truncation_order) == f
+        assert partial_sum(f, f.coeffs.size - 1) == f
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -146,14 +143,14 @@ class TestDerivativeRelations:
     def test_z_times_derivative(self, f, n):
         z = s(0, 1)
         lhs = multiply(z, derivative(partial_sum(f, n)), n)
-        rhs = partial_sum(multiply(z, derivative(f), f.truncation_order), n)
+        rhs = partial_sum(multiply(z, derivative(f), f.coeffs.size - 1), n)
         assert lhs == rhs
 
     @pytest.mark.parametrize("n", [1, 5, 10])
     def test_z_squared_times_derivative(self, f, n):
         z2 = s(0, 0, 1)
         lhs = multiply(z2, derivative(partial_sum(f, n)), n)
-        rhs = partial_sum(multiply(z2, derivative(f), f.truncation_order + 1), n)
+        rhs = partial_sum(multiply(z2, derivative(f), f.coeffs.size - 1 + 1), n)
         assert lhs == rhs
 
     def test_derivative_of_constant_is_zero(self):
@@ -266,63 +263,44 @@ class TestRayPower:
 
 
 class TestCircleEngine:
-    def test_matches_scalar_ray_power(self):
-        rng = np.random.default_rng(5)
-        coeffs = np.concatenate([[1.0], 0.5 * rng.normal(size=9) / (1 + np.arange(9))])
-        f = TruncatedSeries(coeffs)
-        L, failed, pts = circle_log_values(f, [0.55, 0.97], 64)
-        assert not failed.any()
-        assert np.allclose(np.abs(pts), [[0.55], [0.97]], rtol=0, atol=1e-15)
-        assert np.allclose(np.angle(pts[:, 1]), 2 * np.pi / 64, rtol=0, atol=1e-15)
-        for i in range(2):
-            for k in range(0, 64, 5):
-                direct = ray_power(f, 0.7, pts[i, k])
-                assert abs(np.exp(0.7 * L[i, k]) - direct) < 1e-12
-
-    def test_high_degree_fallback_matches_ray_logs(self):
-        coeffs = np.concatenate([[1.0], 0.5 ** np.arange(1, 40)])
-        f = TruncatedSeries(coeffs)
-        L1, f1, _ = circle_log_values(f, [0.8], 16)
-        targets = 0.8 * np.exp(2j * np.pi * np.arange(16) / 16)
-        L2, f2 = ray_log_values(f, targets)
-        assert not f1.any() and not f2.any()
-        assert np.max(np.abs(L1[0] - L2)) < 1e-12
+    """The branch rule on circle samples, built by ``_circle_points``."""
 
     def test_flags_rays_through_zeros(self):
         # (1 - 2z) vanishes at 0.5, exactly on the angle-0 ray: its disk
         # holds the root, so every point of the circle fails
         f = s(1, -2)
-        L, failed, _ = circle_log_values(f, [0.5], 8)
+        L, failed = ray_log_values(f, _circle_points([0.5], 8))
         assert failed.all()
         assert np.isnan(L.real).all()
-        L, failed, _ = circle_log_values(f, [0.4999], 8)
+        L, failed = ray_log_values(f, _circle_points([0.4999], 8))
         assert not failed.any() and np.isfinite(L).all()
 
     def test_flags_root_between_ray_samples(self):
         # 1 + 1.17z vanishes at -0.8547, between the samples 0.84375 and
         # 0.8578 of a 64-step theta = pi ray to 0.9, inside all three circles:
         # every point of them fails, and no point of |z| = 0.85
-        L, failed, _ = circle_log_values(s(1, 1.17), [0.9, 0.99, 0.999], 4096)
+        L, failed = ray_log_values(s(1, 1.17), _circle_points([0.9, 0.99, 0.999], 4096))
         assert failed.all()
         assert np.isnan(L).all()
-        L, failed, _ = circle_log_values(s(1, 1.17), [0.85], 4096)
+        L, failed = ray_log_values(s(1, 1.17), _circle_points([0.85], 4096))
         assert not failed.any() and np.isfinite(L).all()
 
     def test_root_count_sets_the_turns(self):
         # five roots near the positive axis just outside |z| = 0.9: each
         # factor adds less than pi/2, and together they turn beyond what
         # the principal Arg can say; the root count must match a fine ray
-        # sampling.  |s| falls to ~4e-7 there, so the FFT row's rounding
-        # moves log s by ~1e-9, far below a turn.
+        # sampling.  |s| falls to ~4e-7 there; both evaluate s by Horner's
+        # rule at the same points, so only the turn count could differ.
         roots = [0.92 * cmath.exp(1j * a) for a in (0.04, 0.08, 0.12, 0.16, 0.2)]
         coeffs = np.polynomial.polynomial.polyfromroots(roots)
         f = TruncatedSeries(coeffs / coeffs[0])
-        L, failed, pts = circle_log_values(f, [0.9], 64)
+        pts = _circle_points([0.9], 64)[0]
+        L, failed = ray_log_values(f, pts)
         assert not failed.any()
         assert np.abs(L.imag).max() > 2 * np.pi
-        ref, ref_failed, turn = sampled_ray_logs(f.coeffs, pts[0], steps=4096)
+        ref, ref_failed, turn = sampled_ray_logs(f.coeffs, pts, steps=4096)
         assert not ref_failed.any() and turn.max() < np.pi / 4
-        assert np.max(np.abs(L[0] - ref)) < 1e-8
+        assert np.max(np.abs(L - ref)) < 1e-12
 
 
 # Janowski parameter points -1 <= B < A <= 1, 0 < lam <= 1 (B as a gap below A).
@@ -377,10 +355,11 @@ class TestSampledReference:
     @pytest.mark.parametrize("n", [128, 256])
     def test_high_degree_janowski_circles(self, params, n):
         # beyond the property test's n <= 64: every ray resolved by a fine
-        # sampler, no false failure; FFT rows against Horner samples
+        # sampler, no false failure, on circle samples
         f = janowski_series(JanowskiParams(*params), n)
-        L, failed, pts = circle_log_values(f, [0.9, 0.99, 0.999], 512)
+        pts = _circle_points([0.9, 0.99, 0.999], 512)
+        L, failed = ray_log_values(f, pts)
         ref, ref_failed, turn = sampled_ray_logs(f.coeffs, pts, steps=256)
         assert not ref_failed.any() and turn.max() < np.pi / 4
         assert not failed.any()
-        assert np.max(np.abs(L - ref)) < 1e-11
+        assert np.max(np.abs(L - ref)) < 1e-12

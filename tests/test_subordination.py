@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from janostab.janowski import JanowskiParams, janowski_series
 from janostab.serialize import dumps
-from janostab.series import BranchFailureError, ray_log_values
+from janostab.series import BranchFailureError, _circle_points, ray_log_values
 from janostab.subordination import (
-    DEFAULT_TOL,
     KNOWN_COUNTEREXAMPLE,
     DiskSpec,
     PoleError,
@@ -113,7 +112,8 @@ class TestStabilityRatio:
         # the derivative check's defect is 1 - ratio from the one evaluator,
         # whose values do not depend on the batch
         series = janowski_series(params, n)
-        defect, _, zs, bad = _defect_and_slope(series, params, (0.9,), 64, (0.5, z))
+        points = np.concatenate([_circle_points([0.9], 64)[0], [0.5, z]])
+        defect, _, zs, bad = _defect_and_slope(series, params, points)
         assert not bad.any() and zs[-1] == z
         assert defect[-1] == 1.0 - stability_ratio(params, n, z)
 
@@ -198,6 +198,17 @@ class TestSampleGrid:
     def test_allows_points_only(self):
         grid = SampleGrid(radii=(), extra_points=(0.5 + 0.1j,))
         assert grid.radii == () and grid.extra_points == (0.5 + 0.1j,)
+
+    def test_numpy_integer_count_is_a_python_int(self):
+        grid = SampleGrid(radii=(0.9,), points_per_circle=np.int64(16))
+        assert type(grid.points_per_circle) is int
+        report = check_stability_vs_base(JanowskiParams(-0.5, -1.0, 0.5), 2, grid)
+        assert '"points": 16' in dumps(report.to_json_dict())
+
+    @pytest.mark.parametrize("count", [8.5, 16.0, "16", None])
+    def test_rejects_non_integer_counts(self, count):
+        with pytest.raises(ValueError, match="points_per_circle must be an integer"):
+            SampleGrid(points_per_circle=count)
 
 
 class TestBaseStability:
@@ -307,14 +318,14 @@ class TestSelfStability:
         st.integers(8, 256),
     )
     def test_circle_and_point_paths_agree(self, a, gap, lam, n, r, f, count):
-        # the same circle through the FFT rows and as explicit Horner points
+        # the same circle as grid samples and as explicit points: one path
         params = JanowskiParams(a, max(a - gap, -1.0), lam)
-        points = tuple(f * r * np.exp(2j * np.pi * np.arange(count) / count))
+        points = tuple(_circle_points([f * r], count)[0])
         circle = check_stability_vs_self(params, n, r, SampleGrid((f,), count))
         explicit = check_stability_vs_self(params, n, r, SampleGrid((), count, points))
-        assert abs(circle.worst_margin - explicit.worst_margin) <= 1e-12
-        if abs(circle.worst_margin - DEFAULT_TOL) > 1e-12:
-            assert circle.verdict == explicit.verdict
+        assert circle.worst_margin == explicit.worst_margin
+        assert circle.worst_point == explicit.worst_point
+        assert circle.verdict == explicit.verdict
 
 
 class TestOneCircle:
@@ -336,7 +347,7 @@ class TestOneCircle:
     def test_inner_circles_never_beat_the_outer_one(self, a, gap, lam, n):
         params = JanowskiParams(a, max(a - gap, -1.0), lam)
         series = janowski_series(params, n)
-        vals, _, bad = ratio_samples(series, params, (0.9, 0.99, 0.999), 4096)
+        vals, _, bad = ratio_samples(series, params, _circle_points((0.9, 0.99, 0.999), 4096).ravel())
         assert not bad.any()
         for disk in (DiskSpec(1.0, abs(params.B)), mobius_image_disk(params, 0.999)):
             worst = disk.margin(vals).reshape(3, -1).max(axis=1)
@@ -346,6 +357,33 @@ class TestOneCircle:
 def _bits(values) -> list:
     """Raw IEEE bits of each entry, NaN payloads and signed zeros included."""
     return np.ascontiguousarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+class TestWitnessIdentity:
+    """A disk check's worst ratio is the value at its worst point that any
+    other caller gets, and its worst margin is that ratio's margin."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.floats(-0.99, 0.0),
+        st.floats(0.001, 2.0),
+        st.floats(0.01, 1.0),
+        st.integers(1, 32),
+        st.sampled_from(((0.9,), (0.5, 0.99), (0.9, 0.99, 0.999))),
+        st.sampled_from((8, 64, 512)),
+        st.floats(0.05, 0.99),
+    )
+    def test_worst_ratio_is_the_ratio_at_the_worst_point(self, a, gap, lam, n, radii, count, r):
+        params = JanowskiParams(a, max(a - gap, -1.0), lam)
+        grid = SampleGrid(radii, count)
+        for report in (
+            check_stability_vs_base(params, n, grid),
+            check_stability_vs_self(params, n, r, grid),
+        ):
+            assert report.worst_point is not None
+            expect = stability_ratio(params, n, report.worst_point)
+            assert _bits([report.worst_ratio]) == _bits([expect])
+            assert report.disk.margin(report.worst_ratio) == report.worst_margin
 
 
 class TestBatchIndependence:
@@ -373,16 +411,17 @@ class TestBatchIndependence:
         # a root on [0, z], one just off it, the pole, the origin, signed zeros
         points += [1.5 * root, root * (1 + 1e-13j), -1.0 / a, 0j, complex(0.5, -0.0)]
         args = (series, params)
-        vals, zs, bad = ratio_samples(*args, radii, angles, points)
-        k = zs.size - len(points)
+        circles = _circle_points(radii, angles).ravel()
+        vals, zs, bad = ratio_samples(*args, np.concatenate([circles, points]))
+        k = circles.size
         if radii:
-            circles, _, circles_bad = ratio_samples(*args, radii, angles)
+            circles, _, circles_bad = ratio_samples(*args, circles)
             assert _bits(vals[:k]) == _bits(circles)
             assert bad[:k].tolist() == circles_bad.tolist()
         assert bad[k + len(polar) + 2]  # the pole
         logs, failed = ray_log_values(series, np.array(points))
         for i, z in enumerate(points):
-            alone, _, alone_bad = ratio_samples(*args, points=[z])
+            alone, _, alone_bad = ratio_samples(*args, [z])
             assert _bits(vals[k + i : k + i + 1]) == _bits(alone)
             assert bad[k + i] == alone_bad[0]
             log, log_failed = ray_log_values(series, np.asarray(z))

@@ -56,6 +56,9 @@ CASES = [
     "verify-lemmas --step 0.125 --lambda-step 0.1 --n-max 33 --m-max 33 --alt-n-max 33",
     "verify-lemmas --step 0.2 --lambda-step 0.2 --n-max 33 --m-max 12 --alt-n-max 20 "
     "--allow-outside",
+    # s_n = 1 + z + ... + z^n: every root on |z| = 1, just outside the sampled
+    # circle, where |s_n| is small and every sample ties (|ratio - 1| = |z|^(n+1))
+    "check-stability --A 0 --B -1 --lambda 1 --n-max 32",
     # high degree, where the roots of s_n come from larger eigenproblems
     "check-stability --A -0.5 --B -1 --lambda 0.5 --n-max 128",
     "self-check --A -0.8 --B -1 --lambda 0.3 --n 256 --r 0.999",
