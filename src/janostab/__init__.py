@@ -21,7 +21,6 @@ from .series import BranchFailureError, TruncatedSeries
 from .subordination import (
     DiskSpec,
     KNOWN_COUNTEREXAMPLE,
-    PoleError,
     SampleGrid,
     StabilityReport,
     check_cross_order_stability,

@@ -33,7 +33,6 @@ from .series import BranchFailureError
 from .subordination import (
     DISK_SOURCES,
     KNOWN_COUNTEREXAMPLE,
-    PoleError,
     SampleGrid,
     check_stability_vs_base,
     check_stability_vs_self,
@@ -378,7 +377,7 @@ def main(argv=None) -> int:
     except BranchFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BRANCH_FAILURE
-    except (ValueError, PoleError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

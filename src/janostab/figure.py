@@ -18,7 +18,7 @@ import numpy as np
 from .janowski import JanowskiParams, janowski_series
 from .serialize import csv_text, fmt6
 from .series import _circle_points
-from .subordination import DISK_SOURCES, _count, _defined, disk_for, ratio_samples, stability_ratio
+from .subordination import DISK_SOURCES, _count, _defined, disk_for, ratio_samples
 
 __all__ = [
     "FigureGeometry",
@@ -53,8 +53,8 @@ def compute_figure_geometry(
     curve_angles: int = 1024,
     boundary_samples: int = 720,
 ) -> FigureGeometry:
-    """Build the figure geometry; raises BranchFailureError when the ratio
-    is undefined somewhere along the curve or at the witness."""
+    """Build the figure geometry; raises ValueError unless |z0| < 1, and
+    BranchFailureError when the ratio is undefined on the curve or at z0."""
     if not 0.0 < r < 1.0:
         raise ValueError("need 0 < r < 1")
     curve_angles = _count("curve_angles", curve_angles, 8)
@@ -64,9 +64,9 @@ def compute_figure_geometry(
         disk = disk_for(source, params, r)
         boundaries.append((source, disk.boundary_points(boundary_samples)))
     series = janowski_series(params, n)
-    curve, _ = _defined(ratio_samples(series, params, _circle_points([r], curve_angles)[0]))
-    point = stability_ratio(params, n, z0, series)
-    return FigureGeometry(tuple(boundaries), curve, complex(point))
+    points = np.append(_circle_points([r], curve_angles)[0], z0)
+    vals, _ = _defined(ratio_samples(series, params, points))
+    return FigureGeometry(tuple(boundaries), vals[:-1], complex(vals[-1]))
 
 
 def geometry_csv_documents(geom: FigureGeometry) -> dict:

@@ -22,6 +22,7 @@ certified maximum.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 from dataclasses import dataclass
 
@@ -52,6 +53,8 @@ SWEEP_CSV_HEADER = (
     "disk_radius",
     "disk_source",
 )
+
+MAX_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,8 @@ def sweep_parameter_grid(
     """Best self-stability margin per (A, B, lambda, n) cell.
 
     Each value list must be non-empty and lie inside -1 <= B < A < 0 and
-    0 < lambda <= 1; pairs with B >= A are dropped.  Cells are emitted in
+    0 < lambda <= 1; pairs with B >= A are dropped.  More than ``MAX_CELLS``
+    cells raise ``ValueError`` before any runs.  Cells are emitted in
     lexicographic order and each records the best margin found on |z| = r
     with its witness, whether or not it is positive.  A cell with a sample
     where the ratio is undefined, as at all when s_n has a root in
@@ -153,6 +157,10 @@ def sweep_parameter_grid(
     # 64 halvings of a step <= pi/16 fall below the resolution of arg z
     if refine_iters > 64:
         raise ValueError(f"refine_iters must lie in [0, 64], got {refine_iters!r}")
+    pairs = sum(bisect.bisect_left(b_values, a) for a in a_values)  # the B < A of each A
+    count = pairs * len(lambda_values) * len(n_values)
+    if count > MAX_CELLS:
+        raise ValueError(f"{count} sweep cells exceed {MAX_CELLS}")
     cells = []
     for a in a_values:
         for b in b_values:

@@ -16,7 +16,8 @@ fails (when s_n has a root in |zeta| <= |z|), and explicit points.
 Every value of the ratio, at a circle sample or an explicit point, comes
 from :func:`ratio_samples` at flat points: Horner's rule and the analytic
 branch continued along rays from the origin, fixed by the roots of s_n (see
-:func:`janostab.series.ray_log_values`).  Everything here is pure and
+:func:`janostab.series.ray_log_values`) at points of |z| < 1, where both
+subordinations live and 1 + Az never vanishes.  Everything here is pure and
 deterministic: the same inputs always produce the same report, and ties for
 the worst sample break toward the lexicographically smallest (re, im).
 """
@@ -43,7 +44,6 @@ __all__ = [
     "DISK_SOURCES",
     "DiskSpec",
     "KNOWN_COUNTEREXAMPLE",
-    "PoleError",
     "SampleGrid",
     "StabilityReport",
     "check_cross_order_stability",
@@ -60,12 +60,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-6
-POLE_EPS = 1e-12
+DISK_DENOMINATOR_EPS = 1e-12
 DISK_SOURCES = ("closed_form", "mobius_image")
-
-
-class PoleError(ArithmeticError):
-    """Evaluation requested too close to the pole z = -1/A."""
 
 
 def _count(name: str, value, least: int) -> int:
@@ -115,7 +111,8 @@ class SampleGrid:
     ``radii`` must be strictly increasing and lie in (0, 1); the base-member
     check reads them as disk radii, the self check as fractions of its r.
     The disk checks sample only the largest, which decides the others.
-    An empty radius list is allowed when explicit points are supplied.
+    An empty radius list is allowed when explicit points are supplied;
+    they must lie in |z| < 1 (:func:`ratio_samples` checks them).
     """
 
     radii: tuple = (0.9, 0.99, 0.999)
@@ -130,9 +127,6 @@ class SampleGrid:
             raise ValueError("radii must be strictly increasing")
         count = _count("points_per_circle", self.points_per_circle, 8)
         extras = tuple(complex(z) for z in self.extra_points)
-        for z in extras:
-            if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-                raise ValueError("extra points must be finite")
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "points_per_circle", count)
         object.__setattr__(self, "extra_points", extras)
@@ -200,7 +194,7 @@ def closed_form_disk(params: JanowskiParams, r: float) -> DiskSpec:
         raise ValueError("r must be >= 0")
     a, b = params.A, params.B
     den = b * b - r * r * a * a
-    if den <= POLE_EPS:
+    if den <= DISK_DENOMINATOR_EPS:
         raise ValueError(f"degenerate denominator B^2 - r^2*A^2 = {den!r}")
     return DiskSpec((r * r * a - b) / den, r * (a - b) / den)
 
@@ -217,7 +211,7 @@ def mobius_image_disk(params: JanowskiParams, r: float) -> DiskSpec:
     if abs(a) * r >= 1.0:
         raise ValueError("need |A|*r < 1")
     den = 1.0 - a * a * r * r
-    if abs(den) < POLE_EPS:
+    if abs(den) < DISK_DENOMINATOR_EPS:
         raise ValueError("degenerate denominator 1 - A^2*r^2")
     return DiskSpec((1.0 - a * b * r * r) / den, (a - b) * r / den)
 
@@ -286,16 +280,20 @@ def ratio_samples(series: TruncatedSeries, params: JanowskiParams, points: Seque
     ``params``' A, B and lambda: the one evaluation of the stability ratio.
 
     Each of ``points`` (circle samples from :func:`_grid_points`, or
-    explicit points) goes through :func:`~janostab.series.ray_log_values`.
-    Returns flat arrays ``(vals, zs, bad)``; ``bad`` marks a branch failure
-    or a point within ``POLE_EPS`` of -1/A, where ``vals`` is NaN.
+    explicit points) must lie in |z| < 1, else ``ValueError`` is raised
+    before any value; then it goes through :func:`~janostab.series.ray_log_values`.
+    The pole -1/A is out of reach: |A| <= 1, so Re(1 + Az) >= 1 - |Re z| > 0,
+    in floating point too, as rounding is monotone (|fl(A Re z)| <= |Re z| < 1)
+    and fl(1 + y) > 0 for every double y > -1.  Returns flat arrays
+    ``(vals, zs, bad)``; ``bad`` marks a branch failure, where ``vals`` is NaN.
     """
     zs = np.asarray(points, dtype=complex).ravel()  # callers pass fresh points: no copy
-    L, failed = ray_log_values(series, zs)
-    den = 1.0 + params.A * zs
-    bad = failed | (np.abs(den) < POLE_EPS)
+    outside = ~(np.abs(zs) < 1.0)  # NaN too
+    if outside.any():
+        raise ValueError(f"sample point z = {complex(zs[outside][0])!r} is not in |z| < 1")
+    L, bad = ray_log_values(series, zs)
     with np.errstate(invalid="ignore", over="ignore"):
-        vals = (1.0 + params.B * zs) / np.where(bad, np.nan, den) * np.exp(L / params.lam)
+        vals = (1.0 + params.B * zs) / (1.0 + params.A * zs) * np.exp(L / params.lam)
     return vals, zs, bad
 
 
@@ -311,33 +309,15 @@ def _defined(samples):
     return vals, zs
 
 
-def _reject_pole(params: JanowskiParams, points) -> None:
-    """Raise :class:`PoleError` for an explicit point that
-    :func:`ratio_samples` would mark bad as within ``POLE_EPS`` of -1/A."""
-    pts = np.array(points, dtype=complex)
-    near = pts[np.abs(1.0 + params.A * pts) < POLE_EPS]
-    if near.size:
-        raise PoleError(f"z={complex(near[0])!r} is within {POLE_EPS:g} of the pole -1/A")
-
-
-def stability_ratio(params: JanowskiParams, n: int, z, series=None) -> complex:
-    """The stability ratio of s_n at one point (see :func:`ratio_samples`).
+def stability_ratio(params: JanowskiParams, n: int, z) -> complex:
+    """The stability ratio of s_n at one point z of |z| < 1 (see
+    :func:`ratio_samples`, which raises ``ValueError`` at any other z).
 
     This is the (1/lam)-power of s_n(v)/v; its value at 0 is exactly 1.
-    ``series`` is s_n if the caller has built it (its roots are solved once).
-    Raises :class:`PoleError` near z = -1/A and
-    :class:`~janostab.series.BranchFailureError` where the continued branch
-    is undefined or unresolved at z.
+    Raises :class:`~janostab.series.BranchFailureError` where the continued
+    branch is undefined or unresolved at z.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise ValueError(f"z must be finite, got {z!r}")
-    _reject_pole(params, (z,))
-    if series is None:
-        series = janowski_series(params, n)
-    vals, _ = _defined(ratio_samples(series, params, (z,)))
+    vals, _ = _defined(ratio_samples(janowski_series(params, n), params, (z,)))
     return complex(vals[0])
 
 
@@ -379,8 +359,7 @@ def _stability_report(
     """Worst margin of the stability ratio of ``series`` (with ``params``'
     A, B and lambda) against ``disk`` on the disks of ``radii``, decided on
     the largest circle, and at the grid's explicit points, as a report.  An
-    explicit point at the pole -1/A raises :class:`PoleError`."""
-    _reject_pole(params, grid.extra_points)
+    explicit point outside |z| < 1 raises ``ValueError``."""
     vals, zs, bad = ratio_samples(series, params, _grid_points(radii[-1:], grid))
     margins = disk.margin(vals)
     k = _worst_sample(margins, zs)
@@ -445,8 +424,10 @@ def check_stability_vs_self(
 
     ``grid.radii`` are read as fractions of ``r`` so the circles stay inside
     the probed subdisk; ``grid.extra_points`` are absolute and may probe any
-    point.  Verdict is ``violated`` as soon as one sample escapes the disk
-    by more than ``tol``.
+    point of |z| < 1.  One with r < |z| < 1, as the built-in witness
+    (|z0| ~ 0.98245) at r = 0.98, is still compared against the disk of r.
+    Verdict is ``violated`` as soon as one sample escapes the disk by more
+    than ``tol``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -521,14 +502,12 @@ def check_derivative_modulus_bound(
 
     d' is the analytic derivative of :func:`_defect_and_slope` at both z
     and |z|.  The checked quantity is d'(|z|) - |d'(z)|, which must stay
-    >= -tol.  Explicit points must lie in the open unit disk.
+    >= -tol.  Explicit points must lie in |z| < 1 (see :func:`ratio_samples`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _require_base_range(params, allow_outside)
     grid = grid or SampleGrid()
-    if any(abs(z) >= 1.0 for z in grid.extra_points):
-        raise ValueError("explicit points must lie in |z| < 1")
     series = janowski_series(params, n)
     extra = grid.extra_points
     _, deriv, zs, bad = _defect_and_slope(series, params, _grid_points(grid.radii, grid))
@@ -601,7 +580,7 @@ def check_power_product_subordination(
     for seed in seeds:
         u = _schwarz_eval(seed, zs)
         excess = float((np.abs(u) - np.abs(zs)).max())
-        if excess > 1e-12:
+        if not excess <= 1e-12:  # NaN at a non-finite explicit point
             raise ValueError(
                 f"invalid seed {list(seed)!r}: |u(z)| exceeds |z| by {excess:g}"
             )

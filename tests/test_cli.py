@@ -272,6 +272,19 @@ class TestSearch:
         assert out == ""
         assert "error" in err
 
+    def test_too_many_cells_exit_two(self, capsys):
+        # 16 x 16 pairs B < A, 16 lambdas, 17 orders: 69,632 cells > 2**16
+        def values(lo):
+            return ",".join(f"{lo + 0.01 * k:.2f}" for k in range(16))
+
+        code, out, err = run(
+            capsys, "search", "--A-values", values(-0.5), "--B-values", values(-1.0),
+            "--lambda-values", values(0.5), "--n-values", ",".join(map(str, range(1, 18))),
+        )
+        assert code == 2
+        assert out == ""
+        assert "69632 sweep cells exceed 65536" in err
+
     def test_negative_witness_point_parses(self, capsys):
         code, out, _ = run(
             capsys, "self-check", "--z0", "-0.5,0.25", "--samples", "128",
@@ -380,11 +393,20 @@ class TestPlot:
 
     @pytest.mark.parametrize("command", ["plot", "self-check"])
     def test_witness_at_the_pole_exit_two(self, capsys, command):
-        # -1/A for the default A = -0.679
+        # -1/A for the default A = -0.679, outside the disk |z| < 1
         code, out, err = run(capsys, command, "--z0", "1.4727540500736376,0")
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and "pole" in err
+        assert err.startswith("error:") and "|z| < 1" in err
+
+    @pytest.mark.parametrize("z0", ["1.2,0", "0,1"])
+    @pytest.mark.parametrize("command", ["plot", "self-check"])
+    def test_witness_outside_the_disk_exit_two(self, capsys, command, z0):
+        # beyond the unit circle, and on it: no verdict and no figure
+        code, out, err = run(capsys, command, "--z0", z0)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "|z| < 1" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])

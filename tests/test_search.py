@@ -166,6 +166,20 @@ class TestSweep:
             sweep_parameter_grid((K.params.A,), (K.params.B,), (0.3, 1.5), (1,), 0.983)
         assert calls == []
 
+    def test_cell_count_is_checked_before_any_cell(self, monkeypatch):
+        # 16 x 16 pairs B < A (the pairs B >= A are not counted), 16 lambdas
+        calls = []
+        monkeypatch.setattr(search, "_search_cell", lambda *args: calls.append(args) or (0.0, 0j, 0j))
+        a_values = [-0.5 + 0.01 * k for k in range(16)]
+        b_values = [-1.0 + 0.01 * k for k in range(16)] + [a_values[-1], -0.1]
+        lambdas = [0.5 + 0.01 * k for k in range(16)]
+        ns = range(1, 17)
+        with pytest.raises(ValueError, match="69632 sweep cells exceed 65536"):
+            sweep_parameter_grid(a_values, b_values, lambdas, [*ns, 17], 0.983)
+        assert calls == []
+        cells = sweep_parameter_grid(a_values, b_values, lambdas, ns, 0.983)
+        assert len(cells) == len(calls) == search.MAX_CELLS
+
     def test_tiny_radius_has_no_violations(self):
         cells = sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), (1, 2, 4), 0.05)
         assert all(c.margin < 0 for c in cells)

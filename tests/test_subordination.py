@@ -13,7 +13,6 @@ from janostab.series import BranchFailureError, _circle_points, ray_log_values
 from janostab.subordination import (
     KNOWN_COUNTEREXAMPLE,
     DiskSpec,
-    PoleError,
     SampleGrid,
     _defect_and_slope,
     check_cross_order_stability,
@@ -63,12 +62,12 @@ class TestMobiusTarget:
         assert got.real == pytest.approx(1.17124, abs=1e-5)
 
     def test_pole_guard(self):
-        # an explicit probe at the pole of the target is an error, not a
-        # branch failure, in the stability checks
+        # the pole of the target lies outside |z| < 1: an explicit probe
+        # there is an error, not a branch failure, in the stability checks
         pole = -1.0 / K.params.A
-        with pytest.raises(PoleError):
+        with pytest.raises(ValueError, match=r"\|z\| < 1"):
             check_stability_vs_self(K.params, K.n, 0.983, SampleGrid((0.9,), 8, (0.5, pole)))
-        with pytest.raises(PoleError):
+        with pytest.raises(ValueError, match=r"\|z\| < 1"):
             check_stability_vs_base(K.params, K.n, SampleGrid((), 8, (pole,)))
 
 
@@ -97,7 +96,7 @@ class TestStabilityRatio:
         assert abs(got - complex(0.8697, 0.5845)) < 1e-3
 
     def test_pole_and_branch_failure_raise(self):
-        with pytest.raises(PoleError):
+        with pytest.raises(ValueError, match=r"\|z\| < 1"):
             stability_ratio(K.params, K.n, -1.0 / K.params.A)
         # s_1 = 1 + 2z vanishes at -0.5
         with pytest.raises(BranchFailureError):
@@ -120,10 +119,38 @@ class TestStabilityRatio:
     def test_defect_zero_at_origin(self):
         assert 1.0 - stability_ratio(K.params, K.n, 0) == 0.0
 
-    def test_defect_is_one_at_minus_b_when_b_is_minus_one(self):
-        # 1+Bz vanishes at z = -B = 1, so the ratio is 0 and the defect 1 there
-        params = JanowskiParams(-0.5, -1.0, 0.5)
-        assert stability_ratio(params, 64, 1.0) == pytest.approx(0.0, abs=1e-12)
+    @pytest.mark.parametrize("z", (1.0, 1j, 1.2, float("nan")))
+    def test_rejects_points_outside_the_open_disk(self, z):
+        # the unit circle, beyond it, and NaN: the message names the point
+        with pytest.raises(ValueError, match=r"\|z\| < 1") as exc:
+            stability_ratio(JanowskiParams(-0.5, -1.0, 0.5), 64, z)
+        assert repr(complex(z)) in str(exc.value)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.one_of(st.just(1.0), st.floats(-0.99, 1.0)),
+        st.floats(0.001, 1.0),
+        st.floats(0.05, 1.0),
+        st.integers(1, 32),
+        st.lists(
+            st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(0.0, 1e-15), st.floats(-1e-8, 1e-8)),
+            max_size=8,
+        ),
+    )
+    def test_pole_is_out_of_reach_in_the_disk(self, a, gap, lam, n, near):
+        # points of |z| < 1 within 1e-15 of +-1: Re(1 + Az) > 0 in floating
+        # point, so every value off a branch failure is finite; the next
+        # double beyond, -1 (the pole when A = 1), is rejected
+        params = JanowskiParams(a, max(a - gap, -1.0), lam)
+        series = janowski_series(params, n)
+        points = [complex(sign * (1.0 - d), y) for sign, d, y in near]
+        points = [z for z in points if np.abs(z) < 1.0]
+        zs = np.array(points + [np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)], dtype=complex)
+        assert ((1.0 + params.A * zs).real > 0.0).all()
+        vals, _, bad = ratio_samples(series, params, zs)
+        assert np.isfinite(vals[~bad]).all()
+        with pytest.raises(ValueError, match=r"\|z\| < 1"):
+            ratio_samples(series, params, np.append(zs, -1.0))
 
 
 class TestDisks:
@@ -410,20 +437,21 @@ class TestBatchIndependence:
         points = [rho * cmath.exp(1j * phi) for rho, phi in polar]
         # a root on [0, z], one just off it, the pole, the origin, signed zeros
         points += [1.5 * root, root * (1 + 1e-13j), -1.0 / a, 0j, complex(0.5, -0.0)]
+        disk = [z for z in points if np.abs(z) < 1.0]  # where the ratio is evaluated
         args = (series, params)
         circles = _circle_points(radii, angles).ravel()
-        vals, zs, bad = ratio_samples(*args, np.concatenate([circles, points]))
+        vals, zs, bad = ratio_samples(*args, np.concatenate([circles, disk]))
         k = circles.size
         if radii:
             circles, _, circles_bad = ratio_samples(*args, circles)
             assert _bits(vals[:k]) == _bits(circles)
             assert bad[:k].tolist() == circles_bad.tolist()
-        assert bad[k + len(polar) + 2]  # the pole
-        logs, failed = ray_log_values(series, np.array(points))
-        for i, z in enumerate(points):
+        for i, z in enumerate(disk):
             alone, _, alone_bad = ratio_samples(*args, [z])
             assert _bits(vals[k + i : k + i + 1]) == _bits(alone)
             assert bad[k + i] == alone_bad[0]
+        logs, failed = ray_log_values(series, np.array(points))
+        for i, z in enumerate(points):
             log, log_failed = ray_log_values(series, np.asarray(z))
             assert np.ndim(log) == 0 and np.ndim(log_failed) == 0
             assert _bits([log]) == _bits(logs[i : i + 1])
@@ -521,6 +549,14 @@ class TestPowerProduct:
             check_power_product_subordination(0.4, 0.9, -0.8, [[1.2]], SMALL)
         with pytest.raises(ValueError):
             check_power_product_subordination(0.4, 0.9, -0.8, [[0.5, 0.5, 0.5]], SMALL)
+
+    @pytest.mark.parametrize("z", (float("nan"), complex("inf"), complex(0.5, float("nan"))))
+    def test_rejects_non_finite_points(self, z):
+        # a non-finite explicit point is an error, not a sample that no
+        # margin comparison sees
+        grid = SampleGrid((0.9,), 8, (0.5, z))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            check_power_product_subordination(0.5, 0.5, -0.9, [[1.0], [0.5, 0.5]], grid)
 
     def test_validates_exponents_and_b(self):
         with pytest.raises(ValueError):

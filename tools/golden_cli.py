@@ -70,6 +70,10 @@ CASES = [
     "--z0 0.51567165807293502,0.83688215482247552 --csv-dir {dir}",
     "plot --z0 1.4727540500736376,0",
     "self-check --z0 1.4727540500736376,0",
+    # witnesses outside the open unit disk, and one on its boundary (usage errors)
+    "self-check --z0 1.2,0",
+    "self-check --z0 0,1",
+    "plot --z0 1.2,0 --out {dir}/fig.svg",
     # a non-finite tolerance is a usage error, not a clean run
     "verify-lemmas --step 0.25 --lambda-step 0.25 --n-max 120 --m-max 30 --alt-n-max 20 "
     "--allow-outside --tol nan",
