@@ -44,7 +44,7 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_BRANCH_FAILURE = 3
 
-# The highest series degree the continued branch is tested at, and the most
+# The highest series degree the branch test solves for, and the most
 # sample points one evaluation may hold (one n = 32 base check on 2**20
 # points peaks at ~152 MB RSS with numpy 2.4 on x86-64 Linux).
 MAX_DEGREE = 256

@@ -4,11 +4,10 @@ A violation is one probe point whose stability ratio escapes the target
 disk; a single strictly positive margin falsifies the subordination, which
 is all a disproof needs.
 
-The search looks on the circle |z| = r only: where the ratio is defined
-at every sample, s_n has no root in |z| <= r, and the maximum modulus
-principle puts the largest margin over the disk on that circle (see
-:func:`janostab.series.ray_log_values`).  A cell with a failed sample, as
-every sample fails when s_n has a root in that disk, raises
+The search looks on the circle |z| = r only: where no sample fails, s_n
+does not meet (-inf, 0] on it, so its logarithm is analytic on |z| <= r
+(see :mod:`janostab.series`) and the maximum modulus principle puts the
+largest margin over the disk on that circle.  A failed sample raises
 :class:`~janostab.series.BranchFailureError` rather than search a disk
 the argument does not cover.
 
@@ -129,9 +128,9 @@ def sweep_parameter_grid(
     0 < lambda <= 1; pairs with B >= A are dropped.  More than ``MAX_CELLS``
     cells raise ``ValueError`` before any runs.  Cells are emitted in
     lexicographic order and each records the best margin found on |z| = r
-    with its witness, whether or not it is positive.  A cell with a sample
-    where the ratio is undefined, as at all when s_n has a root in
-    |z| <= r, raises :class:`~janostab.series.BranchFailureError`.
+    with its witness, whether or not it is positive.  A cell with a failed
+    sample, as at all when s_n meets (-inf, 0] on |z| = r, raises
+    :class:`~janostab.series.BranchFailureError`.
     """
     a_values = sorted(float(v) for v in a_values)
     b_values = sorted(float(v) for v in b_values)

@@ -1,27 +1,30 @@
-"""Truncated complex power series and their ray-continued logarithms.
+"""Truncated real power series and the logarithms of their values.
 
-A series here is a Maclaurin polynomial with a fixed truncation order.
-Every value is evaluated one way, by :func:`ray_log_values` at flat points
-(circle samples come from :func:`_circle_points`).  Logarithms follow the
-branch continued along the segment [0, z] from the origin, not the
-pointwise principal branch.  It is taken only where it is analytic:
-s(z) = s(0) * prod_k (1 - z/z_k) over the roots z_k = 1/w_k, and a point
-z fails unless every |w_k| * |z| < 1, i.e. s has no root in |zeta| <= |z|.
-Then each factor 1 - zeta/z_k stays in the right half-plane on that disk,
-so the continued logarithm is Log s(0) plus sum_k Log(1 - z/z_k), the
-analytic one on the disk.
+A series is a Maclaurin polynomial of fixed order.  Its values come from
+Horner's rule at flat points, its logarithm is log|s| + i*Arg s, kept only
+where s, with real coefficients, does not meet (-inf, 0] on |zeta| = rho,
+|z| rounded up to a multiple of 2**-30.  Then it is the analytic
+logarithm L on |zeta| <= rho continued from the origin:
 
-All values are immutable after construction (a series computes its roots
-once, on first use); every function is pure and safe to call from
-concurrent workers without coordination.
+1. the image of the circle misses (-inf, 0], so it winds 0 times around
+   the origin: by the argument principle s has no zero in the disk;
+2. Im L, 0 on [0, rho] where s > 0, is never an odd multiple of pi on the
+   circle, so |Im L| < pi there and, being harmonic, on the whole disk.
+
+That is the premise of the maximum modulus argument of the disk checks.
+The crossing test errs toward a crossing where rounding leaves it open.
+The rounding of rho is exact in binary, so the moduli of one circle share
+one test and a point's verdict depends on the series and the point alone.
+Series are immutable but for a cache of verdicts per radius; every
+function is safe to call from concurrent workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 __all__ = [
     "BranchFailureError",
@@ -30,16 +33,14 @@ __all__ = [
 ]
 
 EPS_ZERO = 1e-12
-# A winding count further than this from an integer means the computed
-# roots do not reproduce the value, so the branch cannot be told.
-WINDING_SLACK = 0.25
+RADIUS_GRID = 2.0**30
+# Slack off [-1, 1] and above Re s = 0 (scaled): more failures, never a wrong branch
+CROSSING_SLACK = 1e-9
 
 
 class BranchFailureError(ArithmeticError):
-    """The continued branch is undefined or unresolved at z: s_n has a root
-    in |zeta| <= |z|, |s_n| < ``EPS_ZERO``, or the roots are too inaccurate
-    to fix the winding.  The continued logarithm, and any power built from
-    it, is then not reported."""
+    """No logarithm or power of s_n is reported at z: s_n meets (-inf, 0] on
+    |zeta| = |z|, as with a root in |zeta| <= |z|, or |s_n| < ``EPS_ZERO``."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,6 +48,7 @@ class TruncatedSeries:
     """Degree-N Maclaurin polynomial; ``coeffs[k]`` multiplies z**k."""
 
     coeffs: np.ndarray
+    _crossings: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))
@@ -59,24 +61,38 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", arr)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TruncatedSeries) and np.array_equal(
-            self.coeffs, other.coeffs
-        )
+        return isinstance(other, TruncatedSeries) and np.array_equal(self.coeffs, other.coeffs)
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.coeffs.tolist()!r})"
 
-    @cached_property
-    def reciprocal_roots(self) -> np.ndarray:
-        """w_k = 1/z_k over the roots z_k: the roots of the coefficients read
-        in reverse.  Their companion matrix has entries -c_k/c_0, so it
-        cannot overflow when the top coefficients are tiny; a vanished top
-        coefficient gives w_k = 0, a root at infinity."""
-        roots = np.roots(self.coeffs)
-        roots.flags.writeable = False
-        return roots
+
+def _meets_negative_axis(a: np.ndarray, rho: float) -> bool:
+    """Whether s(z) = sum_k a_k z**k (real a_k) meets (-inf, 0] on |z| = rho:
+    with b_k = a_k rho**k / max |b| and x = cos(theta), Re s = sum b_k T_k(x)
+    and Im s = sin(theta) sum_(k>=1) b_k U_(k-1)(x), so s crosses where Re s
+    <= 0 at x = +-1 or at a real root of that U series (solved in the T
+    basis), both up to ``CROSSING_SLACK``; a non-finite b is a crossing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = a * rho ** np.arange(a.size)
+        scale = np.abs(b).max()
+    if not 0.0 < scale < np.inf:
+        return True
+    b = b / scale
+    # U_m = 2 (T_m + T_(m-2) + ...), with T_0 once: suffix sums of b[1:] per parity
+    d = np.empty(a.size - 1)
+    for p in (0, 1):
+        d[p::2] = b[1 + p::2][::-1].cumsum()[::-1]
+    d[1:] *= 2.0
+    # drop a tail below rounding on [-1, 1]: it would swamp the colleague matrix
+    tail = np.abs(d[::-1]).cumsum()[::-1]
+    d = d[: np.count_nonzero(tail > np.finfo(float).eps * tail.sum(initial=0.0))]
+    x = chebyshev.chebroots(d) if d.size else np.empty(0)
+    near = (np.abs(x.imag) <= CROSSING_SLACK) & (np.abs(x.real) <= 1.0 + CROSSING_SLACK)
+    theta = np.arccos(np.append(np.clip(x.real[near], -1.0, 1.0), (-1.0, 1.0)))
+    return bool((np.cos(np.outer(theta, np.arange(b.size))) @ b <= CROSSING_SLACK).any())
 
 
 def _polyval_grid(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -93,51 +109,33 @@ def _circle_points(radii, count: int) -> np.ndarray:
     return np.asarray(radii, dtype=np.float64)[:, None] * np.exp(1j * theta)[None, :]
 
 
-def ray_log_values(f: TruncatedSeries, targets):
-    """Continuous logarithm of ``f`` along the segment from 0 to each target.
-
-    Returns ``(L, failed)`` where ``L`` has the shape of ``targets`` and is
-    the logarithm of ``f(target)`` on the branch continued from the origin:
-    log|s| + i*(Arg s + 2*pi*m), with s evaluated by Horner's rule and the
-    turns m fixed by the root sum Arg s(0) + sum_k Arg(1 - z/z_k).
-    ``failed`` marks the targets where that branch is undefined, and ``L``
-    is NaN there: when some reciprocal root has |w_k| * |z| >= 1 (exact on
-    the computed roots), i.e. ``f`` has a root in |zeta| <= |target|, when
-    |s(z)| or |s(0)| is below ``EPS_ZERO``, or when the root sum is more
-    than ``WINDING_SLACK`` turns from every Arg s(z) + 2*pi*m.
-
-    Where no point of |zeta| <= rho fails, L is analytic on that closed disk,
-    and so is g = (1+Bz) exp(L/lam) / (1+Az) - c (|A| rho < 1): by the
-    maximum modulus principle |g| - R peaks over the disk on |z| = rho."""
-    targets = np.asarray(targets, dtype=np.complex128)
-    shape = targets.shape
-    pts = targets.ravel()  # 1-d and contiguous: the passes below work in place
-    vals = _polyval_grid(f.coeffs, pts)
-    c0 = f.coeffs[0]
-    ws = f.reciprocal_roots
-    turns = np.full(pts.shape, np.angle(c0))
-    modulus, phase = np.abs(vals), np.angle(vals)
-    failed = (modulus < EPS_ZERO) | (abs(c0) < EPS_ZERO)
-    failed |= np.abs(pts) * np.abs(ws).max(initial=0.0) >= 1.0  # a root in |zeta| <= |z|
-    factor = np.empty_like(pts)
-    arg = np.empty(pts.shape)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for w in ws:  # in place: one root at a time over all the points
-            np.multiply(pts, -w, out=factor)
-            factor += 1.0
-            turns += np.arctan2(factor.imag, factor.real, out=arg)
-        turns -= phase
-        turns /= 2.0 * np.pi
-        m = np.rint(turns)
-        turns -= m
-        failed |= ~(np.abs(turns, out=turns) <= WINDING_SLACK)
-        # integer turns: a zero turn adds +0.0, never the -0.0 that rint
-        # gives for a tiny negative sum
-        m += 0.0
-        m *= 2.0 * np.pi
-        L = np.empty_like(pts)
+def _principal_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):
+    """``(L, failed)`` at flat ``pts`` from ``vals = f(pts)``: L = log|s| +
+    i*(Arg s + 0.0), so Arg -0.0 reads +0.0; NaN where ``failed`` by the
+    module's rule or |s| < ``EPS_ZERO``.  ``ValueError`` unless ``f`` is real."""
+    if f.coeffs.imag.any():
+        raise ValueError("the branch test needs a series with real coefficients")
+    rhos = np.ceil(np.fmin(np.abs(pts), np.inf) * RADIUS_GRID) / RADIUS_GRID  # NaN reads inf
+    modulus = np.abs(vals)
+    failed = modulus < EPS_ZERO
+    srt = np.sort(rhos)  # its distinct values; np.unique would import numpy.ma
+    for rho in np.append(srt[:1], srt[1:][srt[1:] != srt[:-1]]).tolist():
+        if rho not in f._crossings:
+            f._crossings[rho] = _meets_negative_axis(f.coeffs.real, rho)
+        if f._crossings[rho]:
+            failed |= rhos == rho
+    L = np.empty_like(vals)
+    with np.errstate(divide="ignore", invalid="ignore"):
         np.log(modulus, out=L.real)
-        np.add(phase, m, out=L.imag)
-    if failed.any():
-        L[failed] = np.nan + 1j * np.nan
-    return L.reshape(shape)[()], failed.reshape(shape)[()]  # 0-d targets give scalars
+    np.add(np.angle(vals), 0.0, out=L.imag)
+    L[failed] = complex(np.nan, np.nan)
+    return L, failed
+
+
+def ray_log_values(f: TruncatedSeries, targets):
+    """:func:`_principal_log` of ``f`` at ``targets`` by Horner's rule, in
+    the shape of ``targets`` (0-d targets give scalars)."""
+    targets = np.asarray(targets, dtype=np.complex128)
+    pts = targets.ravel()
+    L, failed = _principal_log(f, pts, _polyval_grid(f.coeffs, pts))
+    return L.reshape(targets.shape)[()], failed.reshape(targets.shape)[()]

@@ -2,24 +2,20 @@
 
 For v(z) = ((1+Az)/(1+Bz))**lam with partial sum s_n, stability of v with
 respect to a target family member is a subordination statement about
-s_n(v)/v.  Raising that ratio to the power 1/lam turns each check into a
-geometric one: the "stability ratio"
+s_n(v)/v.  Its 1/lam power, the "stability ratio" (1+Bz) * s_n(z)**(1/lam)
+/ (1+Az), must map sample sets into a closed disk: center 1, radius |B|
+against the A=0 base member; the image of |z| <= r under (1+Bz)/(1+Az)
+against the member itself.  A disk check samples its largest circle, which
+decides the disk unless a sample fails, and explicit points.
 
-    (1+Bz) * s_n(v, z)**(1/lam) / (1+Az)
-
-must map sample sets into a closed disk (center 1, radius |B| for the check
-against the A=0 base member; the image of |z| <= r under the Mobius map
-(1+Bz)/(1+Az) for the check against the family member itself).  A disk
-check samples its largest circle, which decides the disk unless a sample
-fails (when s_n has a root in |zeta| <= |z|), and explicit points.
-
-Every value of the ratio, at a circle sample or an explicit point, comes
-from :func:`ratio_samples` at flat points: Horner's rule and the analytic
-branch continued along rays from the origin, fixed by the roots of s_n (see
-:func:`janostab.series.ray_log_values`) at points of |z| < 1, where both
-subordinations live and 1 + Az never vanishes.  Everything here is pure and
-deterministic: the same inputs always produce the same report, and ties for
-the worst sample break toward the lexicographically smallest (re, im).
+Every ratio value comes from :func:`ratio_samples` at flat points of
+|z| < 1, where 1 + Az never vanishes: Horner's rule and the principal
+logarithm, kept where s_n does not meet (-inf, 0] on the circle through
+the point (see :mod:`janostab.series`).  A failed sample hides no pass:
+each target lies in Re w >= 0 and |Arg (1+Bz)/(1+Az)| < pi/2, so where a
+subordination checked here holds, |Arg s_n| < lam*pi <= pi.  All is pure
+and deterministic; ties for the worst sample break toward the
+lexicographically smallest (re, im).
 """
 
 from __future__ import annotations
@@ -37,6 +33,7 @@ from .series import (
     TruncatedSeries,
     _circle_points,
     _polyval_grid,
+    _principal_log,
     ray_log_values,
 )
 
@@ -112,7 +109,7 @@ class SampleGrid:
     check reads them as disk radii, the self check as fractions of its r.
     The disk checks sample only the largest, which decides the others.
     An empty radius list is allowed when explicit points are supplied;
-    they must lie in |z| < 1 (:func:`ratio_samples` checks them).
+    they must lie in |z| < 1 (:func:`_grid_points` checks them).
     """
 
     radii: tuple = (0.9, 0.99, 0.999)
@@ -138,8 +135,8 @@ class StabilityReport:
 
     ``verdict`` is ``pass`` when the worst sampled margin stays within
     tolerance, ``violated`` when some sample escapes the target disk, and
-    ``branch_failure`` when a sample's ray power was undefined, as at every
-    sample of a circle whose disk holds a root of s_n (the worst margin then
+    ``branch_failure`` when a sample failed, as every sample of a circle
+    where s_n meets (-inf, 0] does (the worst margin then
     covers the valid samples only; it is NaN, JSON null, if none is).  Only
     the largest of ``sample_radii`` and the explicit points are sampled; the
     verdict covers every listed circle.  ``worst_ratio`` is the evaluated
@@ -275,8 +272,22 @@ def reference_disk_comparison(params: JanowskiParams, r: float) -> dict:
 
 # --- the stability ratio ------------------------------------------------------
 
+def _disk_points(points) -> np.ndarray:
+    """Flat ``points`` (no copy), or ``ValueError`` at the first not in |z| < 1."""
+    zs = np.asarray(points, dtype=complex).ravel()
+    outside = ~(np.abs(zs) < 1.0)  # NaN too
+    if outside.any():
+        raise ValueError(f"sample point z = {complex(zs[outside][0])!r} is not in |z| < 1")
+    return zs
+
+
+def _ratio(params: JanowskiParams, zs: np.ndarray, L: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (1.0 + params.B * zs) / (1.0 + params.A * zs) * np.exp(L / params.lam)
+
+
 def ratio_samples(series: TruncatedSeries, params: JanowskiParams, points: Sequence[complex]):
-    """(1+Bz) * s(z)**(1/lam) / (1+Az) on the ray-continued branch, with
+    """(1+Bz) * s(z)**(1/lam) / (1+Az) on the analytic branch, with
     ``params``' A, B and lambda: the one evaluation of the stability ratio.
 
     Each of ``points`` (circle samples from :func:`_grid_points`, or
@@ -287,14 +298,9 @@ def ratio_samples(series: TruncatedSeries, params: JanowskiParams, points: Seque
     and fl(1 + y) > 0 for every double y > -1.  Returns flat arrays
     ``(vals, zs, bad)``; ``bad`` marks a branch failure, where ``vals`` is NaN.
     """
-    zs = np.asarray(points, dtype=complex).ravel()  # callers pass fresh points: no copy
-    outside = ~(np.abs(zs) < 1.0)  # NaN too
-    if outside.any():
-        raise ValueError(f"sample point z = {complex(zs[outside][0])!r} is not in |z| < 1")
+    zs = _disk_points(points)  # callers pass fresh points
     L, bad = ray_log_values(series, zs)
-    with np.errstate(invalid="ignore", over="ignore"):
-        vals = (1.0 + params.B * zs) / (1.0 + params.A * zs) * np.exp(L / params.lam)
-    return vals, zs, bad
+    return _ratio(params, zs, L), zs, bad
 
 
 def _defined(samples):
@@ -303,8 +309,8 @@ def _defined(samples):
     vals, zs, bad = samples
     if bad.any():
         raise BranchFailureError(
-            f"the stability ratio is undefined at z = {complex(zs[bad][0])!r}: s_n has a root "
-            "in |zeta| <= |z|, |s_n| < 1e-12, or roots too inaccurate to fix the winding"
+            f"the stability ratio is undefined at z = {complex(zs[bad][0])!r}: s_n meets "
+            "(-inf, 0] on |zeta| = |z|, as with a root in |zeta| <= |z|, or |s_n| < 1e-12"
         )
     return vals, zs
 
@@ -314,8 +320,7 @@ def stability_ratio(params: JanowskiParams, n: int, z) -> complex:
     :func:`ratio_samples`, which raises ``ValueError`` at any other z).
 
     This is the (1/lam)-power of s_n(v)/v; its value at 0 is exactly 1.
-    Raises :class:`~janostab.series.BranchFailureError` where the continued
-    branch is undefined or unresolved at z.
+    Raises :class:`~janostab.series.BranchFailureError` where z fails the branch rule.
     """
     vals, _ = _defined(ratio_samples(janowski_series(params, n), params, (z,)))
     return complex(vals[0])
@@ -326,10 +331,10 @@ def stability_ratio(params: JanowskiParams, n: int, z) -> complex:
 def _grid_points(radii, grid: SampleGrid) -> np.ndarray:
     """The samples of ``grid`` on the circles of ``radii``: each circle's
     ``points_per_circle`` equispaced points from angle 0, then the explicit
-    points, flat.  Raises ``ValueError`` when there are none."""
+    points, flat.  ``ValueError`` when there are none or one is not in |z| < 1."""
     zs = np.concatenate([
         _circle_points(radii, grid.points_per_circle).ravel(),
-        np.array(grid.extra_points, dtype=complex),
+        _disk_points(grid.extra_points),
     ])
     if not zs.size:
         raise ValueError("sample grid is empty: no circles and no extra points")
@@ -358,8 +363,7 @@ def _stability_report(
 ) -> StabilityReport:
     """Worst margin of the stability ratio of ``series`` (with ``params``'
     A, B and lambda) against ``disk`` on the disks of ``radii``, decided on
-    the largest circle, and at the grid's explicit points, as a report.  An
-    explicit point outside |z| < 1 raises ``ValueError``."""
+    the largest circle, and at the grid's explicit points, as a report."""
     vals, zs, bad = ratio_samples(series, params, _grid_points(radii[-1:], grid))
     margins = disk.margin(vals)
     k = _worst_sample(margins, zs)
@@ -478,16 +482,17 @@ def _defect_and_slope(series, params, points):
 
         d'(z) = -ratio(z) * ((B-A)/((1+Az)(1+Bz)) + s_n'(z)/(lam * s_n(z)))
 
-    on the samples ``zs`` of :func:`ratio_samples` at ``points``.
-    For |z| < 1, 1 + Bz != 0 (|B| <= 1): d' is finite wherever the ratio is.
-    """
-    vals, zs, bad = ratio_samples(series, params, points)
+    at ``points``, the ratio as in :func:`ratio_samples` from the Horner
+    values of s_n that the slope divides by.  For |z| < 1, 1 + Bz != 0
+    (|B| <= 1): d' is finite wherever the ratio is."""
+    zs = _disk_points(points)
     a, b, coeffs = params.A, params.B, series.coeffs
+    s = _polyval_grid(coeffs, zs)
+    L, bad = _principal_log(series, zs, s)
+    vals = _ratio(params, zs, L)
     s_prime = _polyval_grid(coeffs[1:] * np.arange(1, coeffs.size), zs)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        log_slope = (b - a) / ((1.0 + a * zs) * (1.0 + b * zs)) + s_prime / (
-            params.lam * _polyval_grid(coeffs, zs)
-        )
+        log_slope = (b - a) / ((1.0 + a * zs) * (1.0 + b * zs)) + s_prime / (params.lam * s)
     return 1.0 - vals, -vals * log_slope, zs, bad
 
 
@@ -564,8 +569,8 @@ def check_power_product_subordination(
 
     All ordered seed pairs are checked; the checked quantity is
     |B| - |W - 1|.  Principal logarithms suffice because 1 + B*u(z) stays
-    in the right half-plane for |z| < 1.  Raises ``ValueError`` when a
-    seed's test function breaks the bound |u(z)| <= |z| on the samples.
+    in the right half-plane for |z| < 1.  Raises ``ValueError`` at a point
+    outside |z| < 1, or when a seed's test function breaks |u(z)| <= |z|.
     """
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError("need alpha, beta > 0")
@@ -580,10 +585,8 @@ def check_power_product_subordination(
     for seed in seeds:
         u = _schwarz_eval(seed, zs)
         excess = float((np.abs(u) - np.abs(zs)).max())
-        if not excess <= 1e-12:  # NaN at a non-finite explicit point
-            raise ValueError(
-                f"invalid seed {list(seed)!r}: |u(z)| exceeds |z| by {excess:g}"
-            )
+        if not excess <= 1e-12:
+            raise ValueError(f"invalid seed {list(seed)!r}: |u(z)| exceeds |z| by {excess:g}")
         logs.append(np.log(1.0 + b_coef * u))
     logs = np.array(logs)
     violations, unlisted, min_margin = [], 0, np.inf

@@ -8,7 +8,11 @@ container, so agreement is meaningful cross-validation.  The series helpers
 ``binomial_series``) have no caller in the package and live here for the
 tests that build reference series from them.
 ``sequential_coeff_pairs`` is the renormalised coefficient-pair table
-rescaled after every order.
+rescaled after every order.  ``root_counted_logs`` is the branch rule the
+package used before its crossing test: the continued logarithm from the
+roots of the series, one ``arctan2`` pass per root; ``crosses_negative_axis``
+decides a crossing from the roots of a degree-2n polynomial instead of a
+Chebyshev series.
 """
 
 from fractions import Fraction
@@ -206,3 +210,52 @@ def sampled_ray_logs(coeffs, targets, steps: int = 64):
     with np.errstate(divide="ignore", invalid="ignore"):
         L = np.log(np.abs(vals[-1])) + 1j * phase[-1]
     return np.where(failed, np.nan + 1j * np.nan, L), failed, max_turn
+
+
+def root_counted_logs(coeffs, targets):
+    """The logarithm of a polynomial continued along [0, z] from the origin,
+    with its turns counted from the roots: log|s| + i*(Arg s + 2*pi*m),
+    where m makes Arg s(z) + 2*pi*m equal Arg s(0) + sum_k Arg(1 - z*w_k)
+    over the reciprocal roots w_k (the roots of the coefficients read in
+    reverse).  Returns flat ``(L, failed)``; a target fails, with L NaN,
+    when some |w_k| * |z| >= 1 (a root in |zeta| <= |z|), when |s(z)| or
+    |s(0)| is below 1e-12, or when the root sum lies more than a quarter
+    turn from every Arg s(z) + 2*pi*m.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    pts = np.asarray(targets, dtype=np.complex128).ravel()
+    vals = np.polynomial.polynomial.polyval(pts, coeffs)
+    ws = np.roots(coeffs)
+    turns = np.full(pts.shape, np.angle(coeffs[0]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for w in ws:
+            turns += np.angle(1.0 - pts * w)
+        turns = (turns - np.angle(vals)) / (2.0 * np.pi)
+        m = np.rint(turns)
+        failed = ~(np.abs(turns - m) <= 0.25)
+        failed |= (np.abs(vals) < 1e-12) | (abs(coeffs[0]) < 1e-12)
+        failed |= np.abs(pts) * np.abs(ws).max(initial=0.0) >= 1.0
+        L = np.log(np.abs(vals)) + 1j * (np.angle(vals) + 2.0 * np.pi * (m + 0.0))
+    return np.where(failed, np.nan + 1j * np.nan, L), failed
+
+
+def crosses_negative_axis(coeffs, rho: float, slack: float) -> bool:
+    """Whether the real polynomial s meets (-inf, 0] on |z| = rho, within
+    ``slack``.  On |t| = 1, s(rho t) is real exactly where
+    t**n * (s(rho t) - s(rho / t)) = sum_k b_k (t**(n+k) - t**(n-k)) vanishes
+    (b_k = a_k rho**k / max |b|, without the top terms that sum to less
+    than rounding on the circle); a root within ``slack`` of |t| = 1 where
+    Re s(rho t) <= slack counts as a crossing.
+    """
+    a = np.asarray(coeffs, dtype=np.complex128).real
+    b = a * rho ** np.arange(a.size)
+    b = b / np.abs(b).max()
+    b = b[: np.count_nonzero(np.abs(b[::-1]).cumsum()[::-1] > 1e-16 * np.abs(b).sum())]
+    n = b.size - 1
+    poly = np.zeros(2 * n + 1)  # coefficients of t**0 .. t**(2n)
+    poly[n:] += b
+    poly[n::-1] -= b
+    ts = np.roots(poly[::-1]) if n else np.empty(0)
+    ts = np.append(ts[np.abs(np.abs(ts) - 1.0) <= slack], (1.0, -1.0))
+    re = np.polynomial.polynomial.polyval(ts / np.abs(ts), b).real
+    return bool((re <= slack).any())

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+from numpy.polynomial import chebyshev
 import pytest
 
 from janostab.cli import (
@@ -501,7 +502,7 @@ class TestCoeffSizeGuard:
         assert "exceed" in err
 
 
-class TestRootSolves:
+class TestCrossingSolves:
     @pytest.mark.parametrize(
         "argv",
         [
@@ -510,18 +511,19 @@ class TestRootSolves:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_one_root_solve_per_command(self, capsys, monkeypatch, argv):
+    def test_one_crossing_solve_per_radius(self, capsys, monkeypatch, argv):
+        # two radii, each solved once: the sampled circle and the witness z0
         degrees = []
-        roots = np.roots
+        chebroots = chebyshev.chebroots
 
         def counted(coeffs):
             degrees.append(len(coeffs) - 1)
-            return roots(coeffs)
+            return chebroots(coeffs)
 
-        monkeypatch.setattr(np, "roots", counted)
+        monkeypatch.setattr(chebyshev, "chebroots", counted)
         code, out, _ = run(capsys, *argv)
         assert code in (0, 1) and out
-        assert degrees == [64]
+        assert degrees == [63, 63]
 
 
 class TestDeterminism:

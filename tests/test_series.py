@@ -1,5 +1,6 @@
-"""Series container, the ray-continued logarithms and their powers, and
-the series helpers kept in the test oracles."""
+"""Series container, the logarithms of partial sums on the analytic branch
+and their powers, the crossing rule, and the series helpers kept in the
+test oracles."""
 
 import cmath
 from fractions import Fraction
@@ -15,12 +16,14 @@ from janostab.series import TruncatedSeries, _circle_points, ray_log_values
 from oracles import (
     binomial_series,
     coeff_exact,
+    crosses_negative_axis,
     derivative,
     evaluate,
     horner,
     multiply,
     partial_sum,
     power_sums,
+    root_counted_logs,
     sampled_ray_logs,
 )
 
@@ -56,13 +59,6 @@ class TestConstruction:
         f = s(1.0, 2.0)
         with pytest.raises(ValueError):
             f.coeffs[0] = 5.0
-
-    def test_roots_are_reciprocal_cached_and_immutable(self):
-        f = s(1, -3, 2)  # (1 - z)(1 - 2z): roots 1 and 1/2
-        assert np.allclose(sorted(f.reciprocal_roots.real), [1.0, 2.0], rtol=0, atol=1e-15)
-        assert f.reciprocal_roots is f.reciprocal_roots
-        with pytest.raises(ValueError):
-            f.reciprocal_roots[0] = 5.0
 
     def test_root_in_the_closed_disk(self):
         f = s(1, 2)  # root at -0.5: every point of |z| = 0.5 fails, none inside
@@ -216,16 +212,22 @@ class TestRayPower:
         assert got == pytest.approx(0.64, abs=1e-12)
 
     def test_analytic_branch_differs_from_principal(self):
-        # f = (1 - mu*z)**4 winds past the negative real axis along the ray
-        # to z=1; the ray-continued fourth root must return the linear factor
-        # while the principal root lands on another branch.
+        # f = q**4 with q = (1 - mu*z)(1 - conj(mu)*z) is real, with no root
+        # in |z| <= 1.05.  Along the ray to z = i its continued logarithm
+        # winds past the negative real axis: the continued fourth root is q,
+        # while the principal root lands on another branch.  So f meets
+        # (-inf, 0] on |z| = 1 and z fails, as no subordination checked
+        # here can hold where |Arg f| > pi.
         mu = 0.95 * cmath.exp(1.3j)
-        f = s(1, -4 * mu, 6 * mu**2, -4 * mu**3, mu**4)
-        got = ray_power(f, 0.25, 1.0)
-        base = 1 - mu
-        assert abs(got - base) < 1e-12
-        principal = horner(f.coeffs.tolist(), 1.0) ** 0.25
-        assert abs(principal - base) > 1.0
+        q = [1.0, -2.0 * mu.real, abs(mu) ** 2]
+        f = s(*np.polynomial.polynomial.polypow(q, 4))
+        continued, ref_failed = root_counted_logs(f.coeffs, [1j])
+        assert not ref_failed[0] and abs(continued[0].imag) > np.pi
+        assert abs(np.exp(continued[0] / 4) - horner(q, 1j)) < 1e-12
+        principal = horner(f.coeffs.tolist(), 1j) ** 0.25
+        assert abs(principal - horner(q, 1j)) > 0.5
+        L, failed = ray_log_values(f, np.asarray(1j))
+        assert failed and np.isnan(L.real)
 
     def test_branch_failure_on_ray_zero(self):
         L, failed = ray_log_values(s(1, -1), np.asarray(1.0))
@@ -248,7 +250,7 @@ class TestRayPower:
         rng = np.random.default_rng(3)
         coeffs = np.concatenate([[1.0], 0.4 * rng.normal(size=6) / (1 + np.arange(6))])
         f = TruncatedSeries(coeffs)
-        assert 0.78 < 1.0 / np.abs(f.reciprocal_roots).max() < 0.79
+        assert 0.78 < 1.0 / np.abs(np.roots(coeffs)).max() < 0.79
         assert ray_log_values(f, np.array([0.8 + 0.3j, -0.6 + 0.6j, 0.95]))[1].all()
         for z in (0.7 + 0.3j, -0.55 + 0.55j, 0.78):
             value = evaluate(f, z)
@@ -286,21 +288,26 @@ class TestCircleEngine:
         assert not failed.any() and np.isfinite(L).all()
 
     def test_root_count_sets_the_turns(self):
-        # five roots near the positive axis just outside |z| = 0.9: each
-        # factor adds less than pi/2, and together they turn beyond what
-        # the principal Arg can say; the root count must match a fine ray
-        # sampling.  |s| falls to ~4e-7 there; both evaluate s by Horner's
-        # rule at the same points, so only the turn count could differ.
-        roots = [0.92 * cmath.exp(1j * a) for a in (0.04, 0.08, 0.12, 0.16, 0.2)]
-        coeffs = np.polynomial.polynomial.polyfromroots(roots)
+        # five conjugate root pairs near the negative axis just outside
+        # |z| = 0.9: a real series with no root in the disk whose turns, as
+        # the root count and a fine ray sampling agree, reach beyond pi on
+        # the circle.  So it meets (-inf, 0] there and every sample fails.
+        # |s| falls to ~2e-10 on the circle, still above EPS_ZERO.
+        roots = [
+            0.92 * cmath.exp(1j * sign * (np.pi - a))
+            for a in (0.04, 0.08, 0.12, 0.16, 0.2)
+            for sign in (1, -1)
+        ]
+        coeffs = np.polynomial.polynomial.polyfromroots(roots).real
         f = TruncatedSeries(coeffs / coeffs[0])
         pts = _circle_points([0.9], 64)[0]
+        ref, ref_failed = root_counted_logs(f.coeffs, pts)
+        assert not ref_failed.any() and np.abs(ref.imag).max() > 2 * np.pi
+        sampled, sampled_failed, turn = sampled_ray_logs(f.coeffs, pts, steps=4096)
+        assert not sampled_failed.any() and turn.max() < np.pi / 4
+        assert np.max(np.abs(ref - sampled)) < 1e-12
         L, failed = ray_log_values(f, pts)
-        assert not failed.any()
-        assert np.abs(L.imag).max() > 2 * np.pi
-        ref, ref_failed, turn = sampled_ray_logs(f.coeffs, pts, steps=4096)
-        assert not ref_failed.any() and turn.max() < np.pi / 4
-        assert np.max(np.abs(L - ref)) < 1e-12
+        assert failed.all() and np.isnan(L).all()
 
 
 # Janowski parameter points -1 <= B < A <= 1, 0 < lam <= 1 (B as a gap below A).
@@ -328,17 +335,20 @@ TARGETS = st.lists(
 
 
 class TestSampledReference:
-    """The root-counted branch against the 64-step ray sampler it replaced."""
+    """The branch rule against a 64-step ray sampler, and its crossings
+    against a second crossing test (``oracles.crosses_negative_axis``)."""
 
     @settings(deadline=None, max_examples=200)
     @given(PARTIAL_SUMS, TARGETS)
     def test_agrees_where_the_sampler_resolves_the_turns(self, coeffs, targets):
-        f = TruncatedSeries(coeffs)
-        L, failed = ray_log_values(f, targets)
+        L, failed = ray_log_values(TruncatedSeries(coeffs), targets)
         ref, ref_failed, turn = sampled_ray_logs(coeffs, targets)
-        root_inside = np.abs(targets) * np.abs(f.reciprocal_roots).max(initial=0.0) >= 1.0
+        root_inside = np.abs(targets) * np.abs(np.roots(coeffs)).max(initial=0.0) >= 1.0
         assert failed[root_inside].all()
-        resolved = ~root_inside & ~ref_failed & (turn < np.pi / 4)
+        crossing = [crosses_negative_axis(coeffs, abs(z), 1e-12) for z in targets]
+        assert failed[crossing].all()
+        near = [crosses_negative_axis(coeffs, abs(z), 1e-6) for z in targets]
+        resolved = ~root_inside & ~np.array(near) & ~ref_failed & (turn < np.pi / 4)
         assert not failed[resolved].any()
         assert np.all(np.abs(L - ref)[resolved] <= 1e-12)
 
@@ -363,3 +373,23 @@ class TestSampledReference:
         assert not ref_failed.any() and turn.max() < np.pi / 4
         assert not failed.any()
         assert np.max(np.abs(L - ref)) < 1e-12
+
+
+class TestCrossingRule:
+    """A sample is kept only where s_n does not meet (-inf, 0] on its circle."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(PARTIAL_SUMS, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.integers(8, 64))
+    def test_no_crossing_means_no_root_and_the_root_counted_branch(self, coeffs, rho, count):
+        pts = _circle_points([rho], count)[0]
+        L, failed = ray_log_values(TruncatedSeries(coeffs), pts)
+        if not failed.any():  # no crossing on |z| = rho, nor |s| < 1e-12
+            assert (np.abs(np.roots(coeffs)) * rho < 1.0).all()
+            ref, ref_failed = root_counted_logs(coeffs, pts)
+            assert not ref_failed.any()
+            assert np.abs(L - ref).max() <= 1e-12
+
+    def test_complex_series_is_rejected(self):
+        with pytest.raises(ValueError, match="real coefficients"):
+            ray_log_values(s(1, 0.5j), np.asarray(0.1))

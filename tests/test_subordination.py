@@ -432,7 +432,7 @@ class TestBatchIndependence:
     def test_each_point_alone_and_in_a_batch(self, a, gap, lam, n, polar, radii, angles):
         params = JanowskiParams(a, max(a - gap, -1.0), lam)
         series = janowski_series(params, n)
-        ws = series.reciprocal_roots
+        ws = np.roots(series.coeffs)  # reciprocal roots: the coefficients read in reverse
         root = 1.0 / ws[np.argmax(np.abs(ws))]  # the root nearest the origin
         points = [rho * cmath.exp(1j * phi) for rho, phi in polar]
         # a root on [0, z], one just off it, the pole, the origin, signed zeros
@@ -556,6 +556,14 @@ class TestPowerProduct:
         # margin comparison sees
         grid = SampleGrid((0.9,), 8, (0.5, z))
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            check_power_product_subordination(0.5, 0.5, -0.9, [[1.0], [0.5, 0.5]], grid)
+
+    def test_rejects_points_outside_the_open_disk(self):
+        # |u(z)| <= |z| < 1 keeps 1 + B*u(z) in the right half-plane; at
+        # z = 2j that premise is gone, so the point is refused, not counted
+        # as a violation
+        grid = SampleGrid((0.9,), 8, (2j,))
+        with pytest.raises(ValueError, match=r"z = 2j is not in \|z\| < 1"):
             check_power_product_subordination(0.5, 0.5, -0.9, [[1.0], [0.5, 0.5]], grid)
 
     def test_validates_exponents_and_b(self):

@@ -59,7 +59,7 @@ CASES = [
     # s_n = 1 + z + ... + z^n: every root on |z| = 1, just outside the sampled
     # circle, where |s_n| is small and every sample ties (|ratio - 1| = |z|^(n+1))
     "check-stability --A 0 --B -1 --lambda 1 --n-max 32",
-    # high degree, where the roots of s_n come from larger eigenproblems
+    # high degree, where the crossing test solves larger eigenproblems
     "check-stability --A -0.5 --B -1 --lambda 0.5 --n-max 128",
     "self-check --A -0.8 --B -1 --lambda 0.3 --n 256 --r 0.999",
     "search --n-values 64,128,256",
