@@ -4,11 +4,13 @@ Subcommands: coeffs | verify-lemmas | check-stability | self-check |
 search | plot.  Reports are JSON, tables are CSV (17 significant digits,
 round-trip exact), figures are SVG 1.1 (6-decimal coordinates).  Identical
 flags always produce byte-identical output; files are written atomically.
+``main`` builds its parser once per process; in-process callers reuse it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -275,7 +277,13 @@ def _accept_negative_values(parser: argparse.ArgumentParser) -> None:
         parser._negative_number_matcher = matcher
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Reuse is safe:
+    ``parse_args`` does not mutate it; every default is None, a number, a
+    complex, a string or a tuple; ``main`` finds the ``cmd_*`` handler, and
+    each handler its callees, by module global at call time; help and usage
+    texts are formatted when printed."""
     known = KNOWN_COUNTEREXAMPLE
     parser = argparse.ArgumentParser(
         prog="janostab",
@@ -295,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="recurrence")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser(
         "verify-lemmas",
@@ -311,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-outside", action="store_true",
                    help="widen the A lattice beyond 0 (no positivity guarantee there)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify_lemmas)
 
     p = sub.add_parser("check-stability", help="stability against the A=0 base member")
     _params_args(p)
@@ -321,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_finite_float, default=1e-6)
     p.add_argument("--allow-outside", action="store_true")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_check_stability)
 
     p = sub.add_parser("self-check", help="stability of the family member against itself")
     _params_args(p, (known.params.A, known.params.B, known.params.lam))
@@ -336,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=complex(known.z0.real, known.z0.imag),
                    help="extra probe point 're,im'; pass '' to drop it")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_self_check)
 
     p = sub.add_parser("search", help="sweep a parameter grid for self-stability violations")
     p.add_argument("--A-values", type=_floats_csv, default=(known.params.A,))
@@ -348,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine-iters", type=int, default=8)
     p.add_argument("--disk-source", choices=DISK_SOURCES, default="mobius_image")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("plot", help="SVG figure of the ratio curve against the target disks")
     _params_args(p, (known.params.A, known.params.B, known.params.lam))
@@ -362,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replot-from", default=None,
                    help="rebuild the SVG from a --csv-dir export instead of recomputing")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_plot)
 
     for child in sub.choices.values():
         _accept_negative_values(child)
@@ -370,10 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except BranchFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BRANCH_FAILURE

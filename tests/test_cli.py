@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, determinism, round-trips."""
 
+import argparse
 import json
 
 import numpy as np
@@ -15,8 +16,9 @@ from janostab.cli import (
     check_size,
     main,
 )
-from janostab import inequalities
+from janostab import cli, inequalities
 from janostab.inequalities import GridSpec
+from test_acceptance import CLI_CASES
 
 
 def run(capsys, *argv):
@@ -543,3 +545,52 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+class TestParserReuse:
+    # A11's cases and its plot export, then two failing calls in between
+    CASES = [
+        *CLI_CASES,
+        ["plot", "--angles", "256", "--boundary-samples", "128",
+         "--out", "{dir}/fig.svg", "--csv-dir", "{dir}"],
+    ]
+    ERRORS = [["search", "--n-values", "x"], ["self-check", "--z0", "2,0"]]
+
+    @staticmethod
+    def call(capsys, argv, out_dir):
+        """(exit code, stdout, stderr, {file name: bytes}) of one main call;
+        a usage error's SystemExit code counts as the exit code."""
+        out_dir.mkdir()
+        argv = [arg.replace("{dir}", str(out_dir)) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+        return code, out, err, files
+
+    def test_reused_parser_answers_as_a_fresh_one(self, capsys, monkeypatch, tmp_path):
+        calls = [*self.CASES, *self.ERRORS, *self.CASES[::-1]]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = [self.call(capsys, argv, tmp_path / f"fresh{k}") for k, argv in enumerate(calls)]
+        parser = cli.build_parser()
+        reused = [self.call(capsys, argv, tmp_path / f"reused{k}") for k, argv in enumerate(calls)]
+        assert cli.build_parser() is parser
+        for argv, got, want in zip(calls, reused, fresh):
+            assert got == want, argv
+        errors = reused[len(self.CASES):len(self.CASES) + len(self.ERRORS)]
+        assert [result[0] for result in errors] == [("SystemExit", 2), 2]
+
+    def test_every_default_is_immutable(self):
+        # a list or dict default would carry one call's state into the next
+        immutable = (type(None), bool, int, float, complex, str)
+        root = cli.build_parser()
+        (sub,) = [a for a in root._actions if isinstance(a, argparse._SubParsersAction)]
+        assert len(sub.choices) == 6
+        for parser in (root, *sub.choices.values()):
+            defaults = [action.default for action in parser._actions]
+            for value in defaults + list(parser._defaults.values()):
+                items = value if isinstance(value, tuple) else (value,)
+                assert all(isinstance(item, immutable) for item in items), (parser.prog, value)

@@ -1,12 +1,17 @@
 """Subordination machinery: ratio, disks, stability checks."""
 
 import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import janostab
 from janostab.janowski import JanowskiParams, janowski_series
 from janostab.serialize import dumps
 from janostab.series import BranchFailureError, _circle_points, ray_log_values
@@ -486,6 +491,23 @@ class TestDerivativeModulusBound:
         grid = SampleGrid(radii=(0.9,), points_per_circle=64, extra_points=(0.5, z))
         with pytest.raises(ValueError, match=r"\|z\| < 1"):
             check_derivative_modulus_bound(JanowskiParams(-0.5, -1.0, 0.5), 3, grid)
+
+    def test_first_call_imports_no_masked_arrays(self):
+        # finding distinct moduli must not pull in numpy.ma (~1.5 MB RSS),
+        # as a plain np.unique does
+        script = (
+            "import sys\n"
+            "from janostab.janowski import JanowskiParams\n"
+            "from janostab.subordination import SampleGrid, check_derivative_modulus_bound\n"
+            "grid = SampleGrid((0.9,), 64, (0.5, 0.9j))\n"
+            "check_derivative_modulus_bound(JanowskiParams(-0.5, -1.0, 0.5), 3, grid)\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = str(Path(janostab.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
 
     @pytest.mark.parametrize("a, b, lam", A08_PARAMS)
     @pytest.mark.parametrize("n", (1, 3, 8))
