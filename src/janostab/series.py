@@ -15,12 +15,15 @@ That is the premise of the maximum modulus argument of the disk checks.
 The crossing test errs toward a crossing where rounding leaves it open.
 The rounding of rho is exact in binary, so the moduli of one circle share
 one test and a point's verdict depends on the series and the point alone.
-Series are immutable but for a cache of verdicts per radius; every
-function is safe to call from concurrent workers.
+Series are immutable but for a cache of verdicts per radius, and the
+module keeps a small cache of read-only unit roots per circle size
+(``functools.lru_cache``, which is thread-safe); every function is safe to
+call from concurrent workers.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +36,7 @@ __all__ = [
 ]
 
 EPS_ZERO = 1e-12
+EPS = np.finfo(float).eps
 RADIUS_GRID = 2.0**30
 # Slack off [-1, 1] and above Re s = 0 (scaled): more failures, never a wrong branch
 CROSSING_SLACK = 1e-9
@@ -74,21 +78,40 @@ def _meets_negative_axis(a: np.ndarray, rho: float) -> bool:
     with b_k = a_k rho**k / max |b| and x = cos(theta), Re s = sum b_k T_k(x)
     and Im s = sin(theta) sum_(k>=1) b_k U_(k-1)(x), so s crosses where Re s
     <= 0 at x = +-1 or at a real root of that U series (solved in the T
-    basis), both up to ``CROSSING_SLACK``; a non-finite b is a crossing."""
+    basis), both up to ``CROSSING_SLACK``; a non-finite b is a crossing.
+
+    No solve is needed where b_0 - sum_(k>=1) |b_k| > ``CROSSING_SLACK`` +
+    4 (b.size + 2) eps sum_k |b_k|: Re s > 0 on the whole circle, and the
+    solve would find no crossing either.  Its last step computes Re s =
+    sum_k b_k cos(k theta) at theta = 0, pi and each candidate root, where
+    cos(0 theta) = 1 exactly and |fl(cos)| <= 1; so each computed value is
+    at least b_0 - sum_(k>=1) |b_k| less the dot product's rounding, under
+    b.size eps/2 sum |b_k|, and the bound's own sum and difference round by
+    as much again.  The margin covers both more than twice over, so every
+    value the solve would compare exceeds ``CROSSING_SLACK``."""
     with np.errstate(over="ignore", invalid="ignore"):
         b = a * rho ** np.arange(a.size)
         scale = np.abs(b).max()
     if not 0.0 < scale < np.inf:
         return True
     b = b / scale
+    rest = np.abs(b[1:]).sum()
+    if b[0] - rest > CROSSING_SLACK + 4 * (b.size + 2) * EPS * (abs(b[0]) + rest):
+        return False
+    return _crossing_solve(b)
+
+
+def _crossing_solve(b: np.ndarray) -> bool:
+    """The colleague-matrix solve of :func:`_meets_negative_axis` on the
+    scaled b."""
     # U_m = 2 (T_m + T_(m-2) + ...), with T_0 once: suffix sums of b[1:] per parity
-    d = np.empty(a.size - 1)
+    d = np.empty(b.size - 1)
     for p in (0, 1):
         d[p::2] = b[1 + p::2][::-1].cumsum()[::-1]
     d[1:] *= 2.0
     # drop a tail below rounding on [-1, 1]: it would swamp the colleague matrix
     tail = np.abs(d[::-1]).cumsum()[::-1]
-    d = d[: np.count_nonzero(tail > np.finfo(float).eps * tail.sum(initial=0.0))]
+    d = d[: np.count_nonzero(tail > EPS * tail.sum(initial=0.0))]
     x = chebyshev.chebroots(d) if d.size else np.empty(0)
     near = (np.abs(x.imag) <= CROSSING_SLACK) & (np.abs(x.real) <= 1.0 + CROSSING_SLACK)
     theta = np.arccos(np.append(np.clip(x.real[near], -1.0, 1.0), (-1.0, 1.0)))
@@ -103,10 +126,20 @@ def _polyval_grid(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _circle_points(radii, count: int) -> np.ndarray:
-    """``r * exp(2*pi*i*k/count)``, k = 0..count-1, one row per radius r."""
+@functools.lru_cache(maxsize=8)
+def _unit_roots(count: int) -> np.ndarray:
+    """``exp(2*pi*i*k/count)``, k = 0..count-1, built once per ``count`` and
+    shared, so read-only."""
     theta = 2.0 * np.pi * np.arange(count) / count
-    return np.asarray(radii, dtype=np.float64)[:, None] * np.exp(1j * theta)[None, :]
+    roots = np.exp(1j * theta)
+    roots.flags.writeable = False
+    return roots
+
+
+def _circle_points(radii, count: int) -> np.ndarray:
+    """``r * exp(2*pi*i*k/count)``, k = 0..count-1, one row per radius r: a
+    new array on each call."""
+    return np.asarray(radii, dtype=np.float64)[:, None] * _unit_roots(count)[None, :]
 
 
 def _principal_log(f: TruncatedSeries, pts: np.ndarray, vals: np.ndarray):

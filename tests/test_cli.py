@@ -505,16 +505,24 @@ class TestCoeffSizeGuard:
 
 
 class TestCrossingSolves:
+    SELF_CHECK = ("self-check", "--n", "64", "--samples", "256")
+    PLOT = ("plot", "--n", "64", "--angles", "256", "--boundary-samples", "64")
+    # a_0 > sum |a_k| r**k fails on both circles: one solve per radius
+    SOLVED = ("--A", "-0.5", "--B", "-1", "--lambda", "0.9")
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv, solved",
         [
-            ("self-check", "--n", "64", "--samples", "256"),
-            ("plot", "--n", "64", "--angles", "256", "--boundary-samples", "64"),
+            (SELF_CHECK + SOLVED, [63, 63]),
+            (PLOT + SOLVED, [63, 63]),
+            # the defaults: the triangle bound settles both radii, no solve
+            (SELF_CHECK, []),
+            (PLOT, []),
         ],
-        ids=lambda argv: argv[0],
+        ids=["self-check", "plot", "self-check-bounded", "plot-bounded"],
     )
-    def test_one_crossing_solve_per_radius(self, capsys, monkeypatch, argv):
-        # two radii, each solved once: the sampled circle and the witness z0
+    def test_one_crossing_solve_per_radius(self, capsys, monkeypatch, argv, solved):
+        # at most one solve per radius: the sampled circle and the witness z0
         degrees = []
         chebroots = chebyshev.chebroots
 
@@ -525,7 +533,7 @@ class TestCrossingSolves:
         monkeypatch.setattr(chebyshev, "chebroots", counted)
         code, out, _ = run(capsys, *argv)
         assert code in (0, 1) and out
-        assert degrees == [63, 63]
+        assert degrees == solved
 
 
 class TestDeterminism:

@@ -7,11 +7,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from janostab.janowski import JanowskiParams, janowski_series
-from janostab.series import TruncatedSeries, _circle_points, ray_log_values
+from janostab.series import (
+    CROSSING_SLACK,
+    EPS,
+    TruncatedSeries,
+    _circle_points,
+    _crossing_solve,
+    _meets_negative_axis,
+    _unit_roots,
+    ray_log_values,
+)
 
 from oracles import (
     binomial_series,
@@ -393,3 +402,39 @@ class TestCrossingRule:
     def test_complex_series_is_rejected(self):
         with pytest.raises(ValueError, match="real coefficients"):
             ray_log_values(s(1, 0.5j), np.asarray(0.1))
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(finite_coeff, min_size=2, max_size=65),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.none() | st.floats(-0.01, 0.01),
+    )
+    def test_triangle_bound_settles_only_what_the_solve_settles(self, coeffs, rho, gap):
+        # a_0 free, or within 1% of sum_(k>=1) |a_k| rho**k: both sides of the bound
+        a = np.array(coeffs)
+        if gap is not None:
+            a[0] = (1.0 + gap) * np.abs(a[1:] * rho ** np.arange(1, a.size)).sum()
+        b = a * rho ** np.arange(a.size)
+        assume(np.abs(b).max() > 0.0)
+        b = b / np.abs(b).max()
+        verdict = _meets_negative_axis(a, rho)
+        assert verdict == _crossing_solve(b)
+        rest = np.abs(b[1:]).sum()
+        if b[0] - rest > CROSSING_SLACK + 4 * (b.size + 2) * EPS * (abs(b[0]) + rest):
+            assert not verdict and not crosses_negative_axis(a, rho, 1e-12)
+
+
+class TestCirclePoints:
+    @pytest.mark.parametrize("count", [8, 256, 720, 1024, 4096])
+    def test_unit_roots_are_built_once_and_shared_read_only(self, count):
+        radii = [0.5, 0.9, 0.999]
+        theta = 2.0 * np.pi * np.arange(count) / count
+        expect = np.asarray(radii)[:, None] * np.exp(1j * theta)[None, :]
+        got = _circle_points(radii, count)
+        assert got.tobytes() == expect.tobytes()
+        got[...] = 0.0
+        again = _circle_points(radii, count)
+        assert again.flags.writeable and again.tobytes() == expect.tobytes()
+        assert _unit_roots(count) is _unit_roots(count)
+        with pytest.raises(ValueError):
+            _unit_roots(count)[0] = 0.0

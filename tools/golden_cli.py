@@ -80,6 +80,10 @@ CASES = [
     # lattices whose step does not divide the range, or spans it
     "verify-lemmas --step 0.5 --lambda-step 1 --n-max 20 --m-max 4 --alt-n-max 10",
     "verify-lemmas --step 0.35 --lambda-step 0.35 --n-max 20 --m-max 4 --alt-n-max 10",
+    # each side of the crossing test's triangle bound a_0 > sum |a_k| r**k:
+    # it settles every circle of the first, and few of the second, unsolved
+    "check-stability --A 0 --B -0.25 --lambda 1 --n-max 64",
+    "check-stability --A -0.5 --B -1 --lambda 0.9 --n-max 64",
 ]
 
 
