@@ -31,7 +31,7 @@ from .inequalities import (
 from .janowski import JanowskiParams, coeff_table, convolution_coeffs
 from .search import SWEEP_CSV_HEADER, sweep_parameter_grid
 from .serialize import csv_text, dumps, write_text_atomic
-from .series import BranchFailureError
+from .series import MAX_DEGREE, MAX_POINTS, BranchFailureError
 from .subordination import (
     DISK_SOURCES,
     KNOWN_COUNTEREXAMPLE,
@@ -46,11 +46,6 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_BRANCH_FAILURE = 3
 
-# The highest series degree the branch test solves for, and the most
-# sample points one evaluation may hold (one n = 32 base check on 2**20
-# points peaks at ~152 MB RSS with numpy 2.4 on x86-64 Linux).
-MAX_DEGREE = 256
-MAX_POINTS = 2**20
 # The longest coefficient list (convolutions are quadratic in it), and the most
 # values in a coefficient-pair table or one point's weighted block (4x default).
 MAX_ORDER = 10_000

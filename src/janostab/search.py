@@ -13,10 +13,20 @@ the argument does not cover.
 
 Each cell scans ``coarse_angles`` equispaced points of the circle, then
 refines arg z by halving from the best of them: a round evaluates
-theta - h and theta + h in one batch, moves to the better if it improves,
-and halves h (first h = pi / coarse_angles, half the scan's spacing).
-The refinement is local, so the result is the best margin found, not a
-certified maximum.
+theta - h and theta + h, moves to the better if it improves, and halves h
+(first h = pi / coarse_angles, half the scan's spacing).  The refinement
+is local, so the result is the best margin found, not a certified maximum.
+
+The cells of one (A, B, lambda) hold partial sums of one coefficient
+sequence, and they are searched in lock step: one row per n, one
+evaluator call for every row's scan, then one per round for every row's
+two probes, each row with its own theta and best.  A call holds at most
+``MAX_POINTS`` samples, so the rows are split into chunks of at most
+``MAX_POINTS // coarse_angles``.  Each row's values are bit for bit those
+of its cell alone (see :mod:`janostab.series`), so a cell does not depend
+on its sweep.  A failed sample drops its row and the rows above it; the
+search then raises at the first failed sample of the lowest-n failing
+cell, as a search of one cell after another would.
 """
 
 from __future__ import annotations
@@ -27,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .janowski import JanowskiParams, janowski_series
-from .series import _circle_points
+from .janowski import JanowskiParams, coeff_table
+from .series import MAX_DEGREE, MAX_POINTS, TruncatedSeries, _circle_points
 from .subordination import DiskSpec, _count, _defined, disk_for, ratio_samples
 
 __all__ = [
@@ -86,29 +96,50 @@ class SweepCell:
         ]
 
 
-def _best_sample(series, params: JanowskiParams, disk: DiskSpec, points):
-    """(index, (margin, z, ratio)) of the largest margin at ``points``.  A
-    failed sample voids the maximum modulus argument: it raises
-    :class:`~janostab.series.BranchFailureError`."""
-    vals, zs = _defined(ratio_samples(series, params, points))
-    margins = disk.margin(vals)
-    k = int(np.argmax(margins))
-    return k, (float(margins[k]), complex(zs[k]), complex(vals[k]))
+def _search_rows(stack, params: JanowskiParams, disk: DiskSpec, r: float, angles: int, iters: int):
+    """Best (margin, z, ratio) on |z| = r of each series of ``stack``, in
+    ascending n, searched in lock step as the module describes; a failed
+    sample raises :class:`~janostab.series.BranchFailureError` at the end."""
+    live, failure = len(stack), None
 
+    def samples(points):
+        # (margins, zs, vals) of the live rows, one row of ``points`` each
+        nonlocal live, failure
+        vals, zs, bad = (a.reshape(live, -1) for a in ratio_samples(stack[:live], params, points))
+        if bad.any():
+            live = int(np.flatnonzero(bad.any(axis=1))[0])
+            failure = vals[live], zs[live], bad[live]
+        return disk.margin(vals[:live]), zs[:live], vals[:live]
 
-def _search_cell(params: JanowskiParams, n: int, disk: DiskSpec, r: float, angles: int, iters: int):
-    """Best (margin, z, ratio) of one (params, n) cell on |z| = r: a scan
-    of ``angles`` equispaced points, then ``iters`` rounds of halving on
-    arg z from the best sample."""
-    series = janowski_series(params, n)
-    k, best = _best_sample(series, params, disk, _circle_points([r], angles)[0])
-    theta, step = 2.0 * np.pi * k / angles, np.pi / angles
+    margins, zs, vals = samples(np.repeat(_circle_points([r], angles), live, axis=0))
+    pick = np.arange(live), np.argmax(margins, axis=1)
+    best_m, best_z, best_v = margins[pick], zs[pick], vals[pick]
+    theta, step = 2.0 * np.pi * pick[1] / angles, np.pi / angles
     for _ in range(iters):
-        probes = (theta - step, theta + step)
-        k, probe = _best_sample(series, params, disk, [cmath.rect(r, t) for t in probes])
-        if probe[0] > best[0]:
-            best, theta = probe, probes[k]
+        if not live:
+            break
+        probes = theta[:live, None] + (-step, step)  # x + (-h) is x - h exactly
+        margins, zs, vals = samples([cmath.rect(r, t) for t in probes.ravel().tolist()])
+        pick = np.arange(live), np.argmax(margins, axis=1)
+        up = margins[pick] > best_m[:live]
+        for best, probe in ((best_m, margins), (best_z, zs), (best_v, vals), (theta, probes)):
+            np.copyto(best[:live], probe[pick], where=up)
         step *= 0.5
+    if failure is not None:
+        _defined(failure)  # raises at the row's first failed sample
+    return list(zip(best_m.tolist(), best_z.tolist(), best_v.tolist()))
+
+
+def _search_group(params: JanowskiParams, ns: list, disk: DiskSpec, r: float, angles: int, iters: int):
+    """Best (margin, z, ratio) of each cell (params, n), n in ascending
+    ``ns``: the prefixes of one coefficient table, searched in lock step by
+    chunks of rows that hold at most ``MAX_POINTS`` scan samples."""
+    coeffs = coeff_table(params.A, params.B, params.lam, ns[-1])
+    size = max(1, MAX_POINTS // angles)
+    best = []
+    for i in range(0, len(ns), size):
+        stack = [TruncatedSeries(coeffs[: n + 1]) for n in ns[i : i + size]]
+        best += _search_rows(stack, params, disk, r, angles, iters)
     return best
 
 
@@ -126,7 +157,9 @@ def sweep_parameter_grid(
 
     Each value list must be non-empty and lie inside -1 <= B < A < 0 and
     0 < lambda <= 1; pairs with B >= A are dropped.  More than ``MAX_CELLS``
-    cells raise ``ValueError`` before any runs.  Cells are emitted in
+    cells, or a sum over the cells of (n + 1) * (``coarse_angles`` + 2
+    ``refine_iters``) above ``MAX_DEGREE * MAX_POINTS``, raise
+    ``ValueError`` before any cell runs.  Cells are emitted in
     lexicographic order and each records the best margin found on |z| = r
     with its witness, whether or not it is positive.  A cell with a failed
     sample, as at all when s_n meets (-inf, 0] on |z| = r, raises
@@ -160,6 +193,11 @@ def sweep_parameter_grid(
     count = pairs * len(lambda_values) * len(n_values)
     if count > MAX_CELLS:
         raise ValueError(f"{count} sweep cells exceed {MAX_CELLS}")
+    # (n + 1) coefficients times the samples of each cell: its time grows with both
+    groups = pairs * len(lambda_values)
+    work = groups * sum(n + 1 for n in n_values) * (coarse_angles + 2 * refine_iters)
+    if work > MAX_DEGREE * MAX_POINTS:
+        raise ValueError(f"the sweep's {work} coefficient-samples exceed {MAX_DEGREE * MAX_POINTS}")
     cells = []
     for a in a_values:
         for b in b_values:
@@ -168,7 +206,6 @@ def sweep_parameter_grid(
             for lam in lambda_values:
                 params = JanowskiParams(a, b, lam)
                 disk = disk_for(disk_source, params, r)
-                for n in n_values:
-                    best = _search_cell(params, n, disk, r, coarse_angles, refine_iters)
-                    cells.append(SweepCell(params, n, *best, disk, disk_source))
+                best = _search_group(params, n_values, disk, r, coarse_angles, refine_iters)
+                cells += (SweepCell(params, n, *cell, disk, disk_source) for n, cell in zip(n_values, best))
     return cells

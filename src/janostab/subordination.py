@@ -286,11 +286,14 @@ def _ratio(params: JanowskiParams, zs: np.ndarray, L: np.ndarray) -> np.ndarray:
         return (1.0 + params.B * zs) / (1.0 + params.A * zs) * np.exp(L / params.lam)
 
 
-def ratio_samples(series: TruncatedSeries, params: JanowskiParams, points: Sequence[complex]):
+def ratio_samples(series, params: JanowskiParams, points: Sequence[complex]):
     """(1+Bz) * s(z)**(1/lam) / (1+Az) on the analytic branch, with
     ``params``' A, B and lambda: the one evaluation of the stability ratio.
 
-    Each of ``points`` (circle samples from :func:`_grid_points`, or
+    ``series`` is one :class:`~janostab.series.TruncatedSeries`, or a stack
+    (sequence) of them that splits the flattened ``points`` into as many
+    equal rows, row i evaluated with series i and bit for bit as it would be
+    alone.  Each of ``points`` (circle samples from :func:`_grid_points`, or
     explicit points) must lie in |z| < 1, else ``ValueError`` is raised
     before any value; then it goes through :func:`~janostab.series.ray_log_values`.
     The pole -1/A is out of reach: |A| <= 1, so Re(1 + Az) >= 1 - |Re z| > 0,
@@ -486,14 +489,15 @@ def _defect_and_slope(series, params, points):
     values of s_n that the slope divides by.  For |z| < 1, 1 + Bz != 0
     (|B| <= 1): d' is finite wherever the ratio is."""
     zs = _disk_points(points)
+    row = zs[None]  # the evaluator's one-row stack
     a, b, coeffs = params.A, params.B, series.coeffs
-    s = _polyval_grid(coeffs, zs)
-    L, bad = _principal_log(series, zs, s)
-    vals = _ratio(params, zs, L)
-    s_prime = _polyval_grid(coeffs[1:] * np.arange(1, coeffs.size), zs)
+    s = _polyval_grid(coeffs[:, None], row)
+    L, bad = _principal_log((series,), row, s)
+    vals = _ratio(params, row, L)
+    s_prime = _polyval_grid((coeffs[1:] * np.arange(1, coeffs.size))[:, None], row)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        log_slope = (b - a) / ((1.0 + a * zs) * (1.0 + b * zs)) + s_prime / (params.lam * s)
-    return 1.0 - vals, -vals * log_slope, zs, bad
+        log_slope = (b - a) / ((1.0 + a * row) * (1.0 + b * row)) + s_prime / (params.lam * s)
+    return 1.0 - vals[0], (-vals * log_slope)[0], zs, bad[0]
 
 
 def check_derivative_modulus_bound(

@@ -7,7 +7,7 @@ import janostab.search as search
 from janostab.cli import main
 from janostab.janowski import janowski_series
 from janostab.search import sweep_parameter_grid
-from janostab.series import BranchFailureError, TruncatedSeries, _circle_points
+from janostab.series import BranchFailureError, _circle_points
 from janostab.subordination import KNOWN_COUNTEREXAMPLE, ratio_samples, stability_ratio
 
 K = KNOWN_COUNTEREXAMPLE
@@ -26,7 +26,7 @@ class TestPremise:
     @staticmethod
     def _root_inside(monkeypatch):
         # s(z) = 1 + 2z has its root at -0.5, inside |z| <= 0.983
-        monkeypatch.setattr(search, "janowski_series", lambda params, n: TruncatedSeries([1.0, 2.0]))
+        monkeypatch.setattr(search, "coeff_table", lambda a, b, lam, n_max: np.array([1.0, 2.0]))
 
     def test_root_inside_the_circle_raises(self, monkeypatch):
         self._root_inside(monkeypatch)
@@ -50,6 +50,34 @@ class TestPremise:
         monkeypatch.setattr(search, "ratio_samples", failing)
         with pytest.raises(BranchFailureError, match="undefined"):
             sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), (1,), 0.983)
+
+    @pytest.mark.parametrize("lower_round", [0, 2])
+    def test_lowest_failing_n_names_the_sample(self, monkeypatch, lower_round):
+        # the n = 4 row fails at scan sample 3, the n = 2 row at its sample 5 of
+        # the scan or at its second probe of round 2: the message names the
+        # n = 2 sample, as a search of one cell after another would
+        rounds, named = [], []
+
+        def failing(series, params, points):
+            vals, zs, bad = ratio_samples(series, params, points)
+            rows = bad.reshape(len(series), -1)
+            if not rounds:
+                rows[2, 3] = True
+            if len(rounds) == lower_round:
+                j = 5 if lower_round == 0 else 1
+                rows[1, j] = True
+                named.append(zs.reshape(rows.shape)[1, j])
+            rounds.append(len(series))
+            return vals, zs, bad
+
+        monkeypatch.setattr(search, "ratio_samples", failing)
+        with pytest.raises(BranchFailureError) as err:
+            sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), (1, 2, 4), 0.983)
+        assert f"at z = {complex(named[0])!r}:" in str(err.value)
+        if lower_round == 0:
+            assert named[0] == _circle_points([0.983], 256)[0, 5]
+        # the failing rows are dropped: two rows after the scan, one after round 2
+        assert rounds == [3] + [2] * lower_round + [1] * (8 - lower_round)
 
 
 class TestOneCircle:
@@ -86,12 +114,13 @@ class TestOneCircle:
             return ratio_samples(*args, **kwargs)
 
         monkeypatch.setattr(search, "ratio_samples", counting)
-        for iters in (0, 1, 8, 64):
-            calls.clear()
-            sweep_parameter_grid(
-                (K.params.A,), (K.params.B,), (K.params.lam,), (1,), 0.983, refine_iters=iters
-            )
-            assert len(calls) == 1 + iters
+        for ns in ((1,), (1, 2, 4)):
+            for iters in (0, 1, 8, 64):
+                calls.clear()
+                sweep_parameter_grid(
+                    (K.params.A,), (K.params.B,), (K.params.lam,), ns, 0.983, refine_iters=iters
+                )
+                assert len(calls) == 1 + iters
 
     def test_refinement_never_lowers_the_margin(self):
         margins = [
@@ -99,6 +128,54 @@ class TestOneCircle:
             for iters in (0, 1, 2, 4, 8, 16)
         ]
         assert margins == sorted(margins)
+
+
+def _cell_bits(cell) -> list:
+    values = [cell.margin, cell.z.real, cell.z.imag, cell.ratio.real, cell.ratio.imag]
+    return [cell.params, cell.n, cell.disk] + np.array(values).view(np.uint64).tolist()
+
+
+class TestLockStep:
+    @pytest.mark.parametrize("sweep", [
+        LATTICE,
+        # the golden tool's mixed-degree search case
+        dict(a_values=(-0.9, -0.5, -0.1), b_values=(-1.0, -0.95), lambda_values=(0.1, 0.5, 1.0),
+             n_values=(1, 3, 8, 16), r=0.99),
+    ])
+    def test_a_cell_does_not_depend_on_its_sweep(self, sweep):
+        for cell in sweep_parameter_grid(**sweep):
+            p = cell.params
+            (alone,) = sweep_parameter_grid((p.A,), (p.B,), (p.lam,), (cell.n,), sweep["r"])
+            assert _cell_bits(cell) == _cell_bits(alone)
+
+    def test_chunks_hold_at_most_max_points(self, monkeypatch):
+        # 2**20 // 2**18 = 4 rows per evaluation: the seven n values take two
+        # chunks of 4 and 3 rows, each scanned in one call
+        sizes = []
+
+        def counting(series, params, points):
+            sizes.append(np.size(points))
+            return ratio_samples(series, params, points)
+
+        monkeypatch.setattr(search, "ratio_samples", counting)
+        ns = (1, 1, 2, 3, 5, 8, 13)
+        cells = sweep_parameter_grid((-0.3,), (-0.9,), (0.7,), ns, 0.983, coarse_angles=2**18,
+                                     refine_iters=1)
+        assert sizes == [4 * 2**18, 4 * 2, 3 * 2**18, 3 * 2]
+        assert [c.n for c in cells] == list(ns)
+
+
+def _count_cells(monkeypatch) -> list:
+    """Stub out the group search; the returned list gets one entry per cell
+    searched."""
+    calls = []
+
+    def searched(params, ns, *args):
+        calls.extend((params, n) for n in ns)
+        return [(0.0, 0j, 0j)] * len(ns)
+
+    monkeypatch.setattr(search, "_search_group", searched)
+    return calls
 
 
 class TestSweep:
@@ -160,16 +237,14 @@ class TestSweep:
             sweep_parameter_grid(**args)
 
     def test_lambda_is_checked_before_any_cell(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(search, "_search_cell", lambda *args: calls.append(args))
+        calls = _count_cells(monkeypatch)
         with pytest.raises(ValueError, match="lambda"):
             sweep_parameter_grid((K.params.A,), (K.params.B,), (0.3, 1.5), (1,), 0.983)
         assert calls == []
 
     def test_cell_count_is_checked_before_any_cell(self, monkeypatch):
         # 16 x 16 pairs B < A (the pairs B >= A are not counted), 16 lambdas
-        calls = []
-        monkeypatch.setattr(search, "_search_cell", lambda *args: calls.append(args) or (0.0, 0j, 0j))
+        calls = _count_cells(monkeypatch)
         a_values = [-0.5 + 0.01 * k for k in range(16)]
         b_values = [-1.0 + 0.01 * k for k in range(16)] + [a_values[-1], -0.1]
         lambdas = [0.5 + 0.01 * k for k in range(16)]
@@ -179,6 +254,27 @@ class TestSweep:
         assert calls == []
         cells = sweep_parameter_grid(a_values, b_values, lambdas, ns, 0.983)
         assert len(cells) == len(calls) == search.MAX_CELLS
+
+    def test_work_is_checked_before_any_cell(self, monkeypatch):
+        # sum over the cells of (n + 1) * (coarse_angles + 2 * refine_iters) is
+        # bounded by MAX_DEGREE * MAX_POINTS = 2**28
+        calls = _count_cells(monkeypatch)
+        one = ((K.params.A,), (K.params.B,), (K.params.lam,), (255,), 0.983)
+        with pytest.raises(ValueError, match="268435968 coefficient-samples exceed 268435456"):
+            sweep_parameter_grid(*one, coarse_angles=2**20, refine_iters=1)
+        assert calls == []
+        assert len(sweep_parameter_grid(*one, coarse_angles=2**20, refine_iters=0)) == 1
+        # 2**16 cells: at n = 1, 2, 4, 8 (8.5e7) admitted, at n = 256 (4.6e9) not
+        a_values = [-0.5 + 0.005 * k for k in range(64)]
+        b_values = [-1.0 + 0.005 * k for k in range(64)]
+        grid = (a_values, b_values, [0.5 + 0.01 * k for k in range(4)])
+        calls.clear()
+        assert len(sweep_parameter_grid(*grid, (1, 2, 4, 8), 0.983)) == search.MAX_CELLS
+        assert len(calls) == search.MAX_CELLS
+        calls.clear()
+        with pytest.raises(ValueError, match="4581228544 coefficient-samples"):
+            sweep_parameter_grid(*grid, (256,) * 4, 0.983)
+        assert calls == []
 
     def test_tiny_radius_has_no_violations(self):
         cells = sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), (1, 2, 4), 0.05)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import janostab
 from janostab.janowski import JanowskiParams, janowski_series
 from janostab.serialize import dumps
-from janostab.series import BranchFailureError, _circle_points, ray_log_values
+from janostab.series import BranchFailureError, TruncatedSeries, _circle_points, ray_log_values
 from janostab.subordination import (
     KNOWN_COUNTEREXAMPLE,
     DiskSpec,
@@ -461,6 +461,38 @@ class TestBatchIndependence:
             assert np.ndim(log) == 0 and np.ndim(log_failed) == 0
             assert _bits([log]) == _bits(logs[i : i + 1])
             assert log_failed == failed[i]
+
+    # finite points of |z| < 1 in all four quadrants and on both axes, signed zeros included
+    _parts = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-0.7, 0.7))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=1, max_size=41),
+            min_size=1, max_size=5,
+        ),
+        st.integers(0, 5),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_each_row_of_a_stack_alone(self, rows, failing_at, size, data):
+        # 1 + 2z meets (-inf, 0] on every circle |z| >= 0.5: its points there fail
+        failing_at = min(failing_at, len(rows))
+        rows = [*rows[:failing_at], [1.0, 2.0], *rows[failing_at:], [0.5, 1.0, 0.0]]
+        stack = [TruncatedSeries(row) for row in rows]
+        points = np.array(
+            data.draw(st.lists(st.tuples(self._parts, self._parts), min_size=size * len(rows),
+                               max_size=size * len(rows))),
+        ).view(complex).reshape(len(rows), size)
+        params = JanowskiParams(-0.679, -0.97, 0.3)
+        vals, _, bad = (a.reshape(points.shape) for a in ratio_samples(stack, params, points))
+        for row, pts, row_vals, row_bad in zip(rows, points, vals, bad):
+            alone, _, alone_bad = ratio_samples(TruncatedSeries(row), params, pts)
+            assert _bits(row_vals) == _bits(alone)
+            assert row_bad.tolist() == alone_bad.tolist()
+        moduli = np.abs(points[failing_at])
+        clear = np.abs(moduli - 0.5) > 1e-6  # away from the rounding of |z| and the slack
+        assert bad[failing_at][clear].tolist() == (moduli[clear] > 0.5).tolist()
 
 
 class TestDerivativeModulusBound:

@@ -63,6 +63,10 @@ CASES = [
     "check-stability --A -0.5 --B -1 --lambda 0.5 --n-max 128",
     "self-check --A -0.8 --B -1 --lambda 0.3 --n 256 --r 0.999",
     "search --n-values 64,128,256",
+    # one lock-step search over mixed degrees: a repeated n, rows padded
+    # across degrees 1..64, two (A, B, lambda) groups
+    "search --A-values -0.679,-0.3 --B-values -0.97 --lambda-values 0.3,1 --n-values 1,1,2,8,64 "
+    "--r 0.983",
     # the counterexample path: one search cell, the figure at its best
     # witness, and a witness at the pole z = -1/A (a usage error)
     "search --A-values -0.3 --B-values -0.9 --lambda-values 0.7 --n-values 1,2,4 --r 0.983",
