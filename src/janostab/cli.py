@@ -24,9 +24,7 @@ from .figure import (
 from .inequalities import (
     GridSpec,
     check_alternating_identity,
-    check_coeff_pair_inequality,
-    check_coeff_positivity,
-    check_weighted_pair_inequality,
+    check_coeff_lemmas,
 )
 from .janowski import JanowskiParams, coeff_table, convolution_coeffs
 from .search import SWEEP_CSV_HEADER, sweep_parameter_grid
@@ -47,7 +45,8 @@ EXIT_USAGE = 2
 EXIT_BRANCH_FAILURE = 3
 
 # The longest coefficient list (convolutions are quadratic in it), and the most
-# values in a coefficient-pair table or one point's weighted block (4x default).
+# coefficient pairs of a lemma grid (a bound on work: they are streamed) or
+# values in one point's weighted block (4x default).
 MAX_ORDER = 10_000
 MAX_LEMMA_VALUES = 2**23
 
@@ -153,11 +152,12 @@ def cmd_verify_lemmas(args) -> int:
     points = GridSpec.default_size(args.step, args.lambda_step, args.allow_outside)
     check_coeff_size(points, args.n_max, args.m_max, args.alt_n_max)
     grid = GridSpec.default(args.n_max, args.m_max, args.step, args.lambda_step, args.allow_outside)
+    positivity, pair, weighted = check_coeff_lemmas(grid, args.tol)
     reports = {
-        "coeff_positivity": check_coeff_positivity(grid, args.tol),
+        "coeff_positivity": positivity,
         "alternating_identity": check_alternating_identity(grid.lambda_values, args.alt_n_max, args.tol),
-        "coeff_pair_inequality": check_coeff_pair_inequality(grid, args.tol),
-        "weighted_pair_inequality": check_weighted_pair_inequality(grid, args.tol),
+        "coeff_pair_inequality": pair,
+        "weighted_pair_inequality": weighted,
     }
     total = sum(rep.found for rep in reports.values())
     doc = {

@@ -1,9 +1,11 @@
 """Grid verification of coefficient positivity and related inequalities.
 
 Every check sweeps a parameter grid, evaluates one scalar quantity per grid
-cell, and reports cells where it drops below ``-tol``.  The coefficient
-checks share one table per grid of consecutive coefficient pairs scaled by
-powers of two (:func:`~janostab.janowski.coeff_pairs`); a statement at
+cell, and reports cells where it drops below ``-tol``.  The three
+coefficient checks run as one pass (:func:`check_coeff_lemmas`) over the
+grid's consecutive coefficient pairs scaled by powers of two, streamed in
+chunks of a few blocks of orders (:func:`~janostab.janowski.next_pair_chunk`)
+that each check reads once; no whole table is built.  A statement at
 index n is divided by max(|a_n|, |a_{n+1}|), so it cannot underflow and
 ``tol`` applies to values of order one.  ``min_margin`` is the minimum over
 the grid.  Reports are deterministic: violations are listed
@@ -16,7 +18,6 @@ counts every violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -25,6 +26,8 @@ from .janowski import (
     JanowskiParams,
     _falling_over_factorial,
     coeff_pairs,
+    next_pair_chunk,
+    pair_stream,
 )
 
 __all__ = [
@@ -32,6 +35,7 @@ __all__ = [
     "InequalityReport",
     "InequalityViolation",
     "check_alternating_identity",
+    "check_coeff_lemmas",
     "check_coeff_pair_inequality",
     "check_coeff_positivity",
     "check_weighted_pair_inequality",
@@ -122,13 +126,6 @@ class GridSpec:
         for a, b, lam in zip(*self._point_arrays()):
             yield JanowskiParams(a, b, lam)
 
-    @cached_property
-    def _pairs(self):
-        """The kept points' A, B and lambda, their pairs (a_{j-1}, a_j),
-        j <= n_max + 1, and each pair's max(|a_{j-1}|, |a_j|), all scaled."""
-        a, b, lam = self._point_arrays()
-        return (a, b, lam, *coeff_pairs(a, b, lam, self.n_max + 1))
-
 
 @dataclass(frozen=True)
 class InequalityViolation:
@@ -189,46 +186,182 @@ def _list_hits(violations: list, hits, violation) -> int:
     return len(hits) - len(listed)
 
 
-def _sweep(grid: GridSpec, tol, n_lo, n_hi, shift, statement, m_max=None) -> InequalityReport:
-    """Report on ``statement(B, u, v, m, n)`` for the kept points, orders
-    n_lo <= n < n_hi (pair column n + ``shift``) and m = 0..m_max (no m when
-    None), each divided by its pair's max(|a_{j-1}|, |a_j|).  Statements are
-    affine in m: only (point, n) columns whose value at m = 0 or m_max lies
-    within rounding slack of -tol are evaluated at every m, which lists
-    exactly the violations of a full sweep."""
-    a, b, lam, u, v, pair_max = grid._pairs
-    top = m_max or 0
-    n = np.arange(n_lo, n_hi)
-    m = np.arange(top + 1)[:, None]
+# The coefficient checks, in report order: each statement f(B, u, v, m, n) on
+# the pair (u, v) of column n + shift, for n_lo <= n < n_max + n_end, and
+# whether it runs over m = 0..m_max.
+_STATEMENTS = (
+    (lambda b, u, v, m, n: v, 0, 1, 0, False),
+    (lambda b, u, v, m, n: b * n * u + (n + 1) * v, 1, 0, 1, False),
+    (lambda b, u, v, m, n: b * m * n * u + (m + 1) * (n + 1) * v, 1, 1, 1, True),
+)
+
+
+class _Tally:
+    """One statement's part of the pass: its running minimum, the
+    violations found, and the columns whose violations may still be listed,
+    in (point, n) order."""
+
+    def __init__(self, points, statement, n_lo, n_end, shift, with_m, m_max, tol):
+        self.points, self.statement, self.span, self.tol = points, statement, (n_lo, n_end, shift), tol
+        self.m = np.arange(m_max + 1 if with_m else 1)[:, None]
+        self.with_m, self.low, self.found, self.kept = with_m, np.inf, 0, None
+
+    def _values(self, pts, ns, us, vs, scales):
+        """The statement at every m (rows) on the columns of points ``pts``
+        and orders ``ns``."""
+        return np.atleast_2d(self.statement(self.points[1][pts], us, vs, self.m, ns) / scales)
+
+    def add(self, vals, thr, n0: int, u, v, scale) -> None:
+        """Take in one chunk's values ``vals`` (orders from n0, then points;
+        the minimum over m = 0 and m_max where the statement runs over m):
+        their minimum, and the columns at or below ``thr``, each evaluated
+        at every m in batches."""
+        low = vals.min(initial=np.inf)
+        self.low = min(self.low, low)
+        if not low <= np.max(thr):
+            return
+        rows, pts = np.nonzero(vals <= thr)
+        cols = (pts, rows + n0, u[rows, pts], v[rows, pts], scale[rows, pts])
+        hits = np.empty(pts.size, dtype=np.int64)
+        step = max(1, 2**16 // self.m.size)
+        for s in range(0, pts.size, step):
+            at_m = self._values(*(c[s : s + step] for c in cols))
+            self.low = min(self.low, at_m.min())
+            hits[s : s + step] = np.count_nonzero(at_m <= -self.tol, axis=0)
+        self.found += int(hits.sum())
+        has = hits > 0
+        self._keep([c[has] for c in (*cols, hits)])
+
+    def _keep(self, cols) -> None:
+        """Merge columns with violations into the kept ones, and drop the
+        points after the one where the kept violations reach
+        ``MAX_LISTED_VIOLATIONS``: no later chunk can list theirs."""
+        if self.kept is not None:
+            cols = [np.concatenate(pair) for pair in zip(self.kept, cols)]
+        order = np.argsort(cols[0], kind="stable")
+        cols = [c[order] for c in cols]
+        total = np.cumsum(cols[-1])
+        if total.size and total[-1] > MAX_LISTED_VIOLATIONS:
+            last = cols[0][np.searchsorted(total, MAX_LISTED_VIOLATIONS)]
+            cols = [c[: np.searchsorted(cols[0], last, side="right")] for c in cols]
+        self.kept = cols
+
+    def report(self, grid: GridSpec) -> InequalityReport:
+        """The report: the kept columns' violations listed in (A, B, lambda)
+        and then index order."""
+        a, b, lam = self.points
+        violations = []
+        if self.kept is not None:
+            pts, ns, us, vs, scales, _ = self.kept
+            starts = np.flatnonzero(np.diff(pts, prepend=-1))
+            for lo, hi in zip(starts, [*starts[1:], pts.size]):
+                pt, k = pts[lo], slice(lo, hi)
+                vals = self._values(pts[k], ns[k], us[k], vs[k], scales[k])
+                _list_hits(violations, np.argwhere(vals <= -self.tol), lambda hit: (
+                    InequalityViolation(float(a[pt]), float(b[pt]), float(lam[pt]), int(ns[lo + hit[1]]),
+                                        int(hit[0]) if self.with_m else None, float(vals[tuple(hit)]))
+                ))
+        n_lo, n_end, _ = self.span
+        checked = b.size * max(grid.n_max + n_end - n_lo, 0) * self.m.size
+        low = self._zero_low(grid) if self.low == 0.0 else self.low
+        return InequalityReport(checked, tuple(violations), float(low), self.found - len(violations))
+
+    def _zero_low(self, grid: GridSpec) -> float:
+        """A minimum of 0 with the sign that sweeping whole pair tables over
+        blocks of 128 points gives it, as earlier versions reported it (the
+        sweep is kept in ``tests/oracles.py``).  numpy's min returns +0 or -0
+        by where they lie in memory, so the block minima are taken again, on
+        each block's own pair table and in its layout, up to the first that
+        reads 0."""
+        (a, b, lam), statement, m, tol = self.points, self.statement, self.m, self.tol
+        n_lo, n_end, shift = self.span
+        n, top = np.arange(n_lo, grid.n_max + n_end), m.size - 1
+        slack = 16.0 * np.finfo(float).eps * top * (n + 1)
+        for start in range(0, b.size, 128):
+            rows, cols = slice(start, start + 128), slice(n_lo + shift, n.size + n_lo + shift)
+            u, v, pair_max = (t[:, cols] for t in coeff_pairs(a[rows], b[rows], lam[rows], grid.n_max + 1))
+            pb, scale = b[rows, None], np.maximum(pair_max, 0.5)
+            low = statement(pb, u, v, 0, n) / scale
+            if top:
+                np.minimum(low, statement(pb, u, v, top, n) / scale, out=low)
+            if (block_low := low.min(initial=np.inf)) == 0.0:
+                return block_low
+            near = low <= slack - tol
+            for i in np.flatnonzero(near.any(axis=1)):
+                k = np.flatnonzero(near[i])
+                vals = np.atleast_2d(statement(pb[i], u[i, k], v[i, k], m, n[k]) / scale[i, k])
+                if vals.min() == 0.0:
+                    return vals.min()
+        raise AssertionError("no statement reads 0")
+
+
+def check_coeff_lemmas(grid: GridSpec, tol: float = DEFAULT_TOL) -> tuple:
+    """The reports of :func:`check_coeff_positivity`,
+    :func:`check_coeff_pair_inequality` and
+    :func:`check_weighted_pair_inequality`, from one pass over the grid's
+    coefficient pairs.
+
+    The pairs come chunk by chunk (:func:`~janostab.janowski.next_pair_chunk`)
+    and each chunk is read once: its scales, and the three statements at
+    m = 0 and m = m_max (the weighted one is affine in m, so these bound it
+    up to rounding).  Only the columns within rounding slack of -tol are
+    evaluated at every m, which finds exactly the violations of a sweep
+    over every m; the ones that can still be listed are kept until the
+    end.  Memory stays a few chunks and about ``MAX_LISTED_VIOLATIONS``
+    columns.
+    """
+    points = grid._point_arrays()
+    b, n_max, top = points[1], grid.n_max, grid.m_max
+    b_top = b * top
     # 5 roundings of terms <= 3m(n+1) put a value within 7.5 eps m(n+1); twice that bounds a dip
-    slack = 16.0 * np.finfo(float).eps * top * (n + 1)
-    low_all, violations, unlisted = np.inf, [], 0
-    for start in range(0, b.size, 128):  # blocks of points keep temporaries small
-        rows, cols = slice(start, start + 128), slice(n_lo + shift, n_hi + shift)
-        pb, pu, pv = b[rows, None], u[rows, cols], v[rows, cols]
+    slack_per_order = 16.0 * np.finfo(float).eps * top
+    tallies = [_Tally(points, *spec, top, tol) for spec in _STATEMENTS]
+    stream = pair_stream(*points, n_max + 1)
+    bufs = None
+    while (chunk := next_pair_chunk(stream)) is not None:
+        j0, u, v, pair_max = chunk
+        if bufs is None:  # sized by the first chunk, the largest
+            bufs = np.empty((4,) + u.shape)
+        scale, t, x, y = bufs[:, : len(u)]
         # max(|u|, |v|) is in [0.5, 1) but for a pair of zeros, whose statements are 0
-        scale = np.maximum(pair_max[rows, cols], 0.5)
-        low = statement(pb, pu, pv, 0, n) / scale
-        if top:
-            np.minimum(low, statement(pb, pu, pv, top, n) / scale, out=low)
-        low_all = min(low_all, low.min(initial=np.inf))
-        near = low <= slack - tol
-        for i in np.flatnonzero(near.any(axis=1)):
-            k, pt = np.flatnonzero(near[i]), start + i
-            vals = np.atleast_2d(statement(pb[i], pu[i, k], pv[i, k], m, n[k]) / scale[i, k])
-            low_all = min(low_all, vals.min())
-            unlisted += _list_hits(violations, np.argwhere(vals <= -tol), lambda hit: (
-                InequalityViolation(float(a[pt]), float(b[pt]), float(lam[pt]), int(n[k[hit[1]]]),
-                                    None if m_max is None else int(hit[0]), float(vals[tuple(hit)]))
-            ))
-    return InequalityReport(b.size * n.size * (top + 1), tuple(violations), float(low_all), unlisted)
+        np.maximum(pair_max, 0.5, out=scale)
+        # positivity of a_n, n = j <= n_max
+        k = min(len(u), n_max + 1 - j0)
+        np.divide(v[:k], scale[:k], out=x[:k])
+        tallies[0].add(x[:k], 0.0 - tol, j0, u, v, scale)
+        # the pair (n = j - 1 < n_max) and weighted (n = j - 1 <= n_max) statements
+        r = max(2 - j0, 0)
+        if r >= len(u):
+            continue
+        j = np.arange(j0 + r, j0 + len(u), dtype=float)[:, None]
+        u, v, scale, t, x, y = (c[r:] for c in (u, v, scale, t, x, y))
+        np.multiply(j, v, out=t)  # (n + 1) v
+        np.multiply(b, j - 1.0, out=x)
+        x *= u
+        x += t
+        x /= scale
+        k = min(len(u), n_max + 1 - j0 - r)
+        tallies[1].add(x[:k], 0.0 - tol, j0 + r - 1, u, v, scale)
+        # the weighted statement at m = m_max, then its minimum with m = 0,
+        # which is (n + 1) v up to the sign of a zero: these values only
+        # decide the minimum (a minimum of 0 gets its sign from
+        # _Tally._zero_low) and which columns are evaluated at every m
+        np.multiply(b_top, j - 1.0, out=x)
+        x *= u
+        np.multiply((top + 1) * j, v, out=y)
+        x += y
+        x /= scale
+        np.divide(t, scale, out=y)
+        np.minimum(x, y, out=x)
+        tallies[2].add(x, slack_per_order * j - tol, j0 + r - 1, u, v, scale)
+    return tuple(tally.report(grid) for tally in tallies)
 
 
 def check_coeff_positivity(grid: GridSpec, tol: float = DEFAULT_TOL) -> InequalityReport:
     """All coefficients a_n must be positive on the grid (n = 0..n_max).
     Divided by max(|a_{n-1}|, |a_n|) (a_{-1} = 0, so a_0 reads 1) it is
     q_{n-1} = a_n / a_{n-1} inside the range."""
-    return _sweep(grid, tol, 0, grid.n_max + 1, 0, lambda b, u, v, m, n: v)
+    return check_coeff_lemmas(grid, tol)[0]
 
 
 def check_alternating_identity(lams, n_max: int, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -263,7 +396,7 @@ def check_coeff_pair_inequality(
     closed form has positive coefficients throughout the kept range.
     Divided by max(|a_n|, |a_{n+1}|) it is (n+1)*q_n + B*n.
     """
-    return _sweep(grid, tol, 1, grid.n_max, 1, lambda b, u, v, m, n: b * n * u + (n + 1) * v)
+    return check_coeff_lemmas(grid, tol)[1]
 
 
 def check_weighted_pair_inequality(
@@ -275,5 +408,4 @@ def check_weighted_pair_inequality(
     of the pair inequality together with coefficient positivity implies it.
     Divided by max(|a_n|, |a_{n+1}|) it is (m+1)*(n+1)*q_n + B*m*n.
     """
-    return _sweep(grid, tol, 1, grid.n_max + 1, 1,
-                  lambda b, u, v, m, n: b * m * n * u + (m + 1) * (n + 1) * v, grid.m_max)
+    return check_coeff_lemmas(grid, tol)[2]

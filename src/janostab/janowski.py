@@ -26,6 +26,8 @@ __all__ = [
     "coeff_table",
     "convolution_coeffs",
     "janowski_series",
+    "next_pair_chunk",
+    "pair_stream",
 ]
 
 
@@ -89,11 +91,10 @@ def _weights(lead, s, p, n, out=(None, None)):
     return w_cur, np.multiply(p, n - 1, out=out[1])
 
 
-def _next_coeff(w, n: int, prev, cur, out=None):
+def _next_coeff(w, n: int, prev, cur):
     """a_{n+1} from a_{n-1}, a_n and their weights ``w`` at n: the three-term
-    recurrence, computed in ``out`` when given (a ufunc call on floats costs
-    more than the arithmetic)."""
-    nxt = w[0] * cur if out is None else np.multiply(w[0], cur, out=out)
+    recurrence."""
+    nxt = w[0] * cur
     nxt -= w[1] * prev
     nxt /= n + 1
     return nxt
@@ -119,9 +120,11 @@ def coeff_table(a, b, lam, n_max: int) -> np.ndarray:
     return np.array(rows[: n_max + 1]).T
 
 
-# Orders per block of coeff_pairs: the recurrence runs unscaled inside a
-# block, and its pairs are rescaled once per block.
+# Orders per block of the pair recurrence: it runs unscaled inside a block,
+# and the block's pairs are rescaled in one pass.
 PAIR_BLOCK = 32
+# About this many values per chunk of pairs (whole blocks, at least one).
+PAIR_CHUNK = 2**14
 
 
 def _scales_exactly(mags, w_lo, w_hi) -> bool:
@@ -156,6 +159,99 @@ def _scale_pairs(rows, mags, u, v, m, e) -> None:
     np.ldexp(rows[1:], e, out=v)
 
 
+class _PairStream:
+    """The state of :func:`next_pair_chunk`: the parameters' weights, the
+    next order, and buffers reused by every chunk (large temporaries, and
+    indexing a row, cost more than the arithmetic on it)."""
+
+    def __init__(self, a, b, lam, n_max: int):
+        self.lead, self.s, self.p = lam * (a - b), a + b, a * b
+        shape = np.shape(self.lead)
+        self.n_max, self.j, self.nd = n_max, 0, len(shape)
+        blocks = max(1, PAIR_CHUNK // (PAIR_BLOCK * max(1, int(np.prod(shape)))))
+        self.orders = min(blocks, -(-n_max // PAIR_BLOCK)) * PAIR_BLOCK
+        # row 0 holds the last pair of the previous chunk, rows 1.. this chunk's
+        self.uvm = np.empty((3, self.orders + 1) + shape)
+        self.rows = np.empty((PAIR_BLOCK + 2,) + shape)
+        self.mags = np.empty((PAIR_BLOCK + 1,) + shape)
+        self.prod = np.empty((2,) + shape)
+        # (weight of a_{n-1}, weight of a_n) per order, against the rows (a_{n-1}, a_n)
+        self.w = np.empty((PAIR_BLOCK, 2) + shape)
+        self.e = np.empty((PAIR_BLOCK,) + shape, dtype=np.int32)
+        self.row = [self.rows[i, ...] for i in range(PAIR_BLOCK + 2)]
+        self.pair = [self.rows[i : i + 2] for i in range(PAIR_BLOCK)]
+        self.w_row = [self.w[i] for i in range(PAIR_BLOCK)]
+        # nonzero weights lie in [w_lo, w_hi]: |p (n-1)| >= |p|, and a nonzero
+        # lead - s n is at least one unit in the last place of the smaller of
+        # |lead| and |s n| >= |s|
+        wmag = np.abs([self.lead, self.s, self.p])
+        self.w_lo = 2.0**-53 * float(np.min(wmag, where=wmag > 0, initial=np.inf))
+        self.w_hi = 2.0 * float(np.max(wmag[0] + (wmag[1] + wmag[2]) * n_max, initial=0.0))
+
+
+def pair_stream(a, b, lam, n_max: int) -> _PairStream:
+    """A stream of the pairs of :func:`coeff_pairs`, read chunk by chunk
+    with :func:`next_pair_chunk`."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    return _PairStream(a, b, lam, n_max)
+
+
+def _run_block(st: _PairStream, size: int) -> None:
+    """The recurrence from the pair in rows 0, 1 through ``size`` orders from
+    ``st.j`` into rows 2..: per order one call forms both products on the
+    adjacent rows (a_{n-1}, a_n), then they are subtracted and divided by
+    n + 1 in place, the operations of :func:`_next_coeff` in its order."""
+    n0 = st.j - 1
+    n = np.arange(n0, n0 + size, dtype=float).reshape((-1,) + (1,) * st.nd)
+    _weights(st.lead, st.s, st.p, n, (st.w[:size, 1], st.w[:size, 0]))
+    prod, row = st.prod, st.row
+    for k in range(size):
+        np.multiply(st.w_row[k], st.pair[k], out=prod)
+        np.subtract(prod[1], prod[0], out=row[k + 2])
+        np.divide(row[k + 2], n0 + k + 1, out=row[k + 2])
+
+
+def next_pair_chunk(st: _PairStream):
+    """The next chunk of pairs, ``(j0, u, v, m)``: rows of :func:`coeff_pairs`
+    columns j0, j0 + 1, ... (orders, then points), views of buffers the
+    next call overwrites; None past column n_max.
+
+    A chunk holds whole blocks of ``PAIR_BLOCK`` orders, about
+    ``PAIR_CHUNK`` values; the first one also holds column 0.  The
+    recurrence runs unscaled over each block from the last scaled pair, and
+    each block is scaled in one pass; a block whose values or products could
+    leave the normal range, where scaling would not commute with rounding,
+    is run again one order at a time.
+    """
+    uvm, rows, mags = st.uvm, st.rows, st.mags
+    if st.j == 0:  # column 0: the pair (a_{-1}, a_0) = (0, 1)
+        rows[1], rows[2] = 0.0 * st.lead, st.lead**0
+        np.abs(rows[1:3], out=mags[:2])
+        _scale_pairs(rows[1:3], mags[:2], *uvm[:, :1], st.e[:1])
+        first, st.j = 0, 1
+    elif st.j > st.n_max:
+        return None
+    else:
+        uvm[:, 0] = uvm[:, -1]
+        first = 1
+    j0, end = st.j, min(st.j + st.orders, st.n_max + 1)
+    exact_to = j0
+    while st.j < end:
+        size = 1 if st.j < exact_to else min(PAIR_BLOCK, end - st.j)
+        r = st.j - j0 + 1
+        rows[:2] = uvm[:2, r - 1]
+        _run_block(st, size)
+        block, block_mags = rows[1 : size + 2], mags[: size + 1]
+        np.abs(block, out=block_mags)
+        if size > 1 and not _scales_exactly(block_mags, st.w_lo, st.w_hi):
+            exact_to = st.j + size  # run these orders again one at a time
+            continue
+        _scale_pairs(block, block_mags, *uvm[:, r : r + size], st.e[:size])
+        st.j += size
+    return (j0 - 1 + first, *uvm[:, first : end - j0 + 1])
+
+
 def coeff_pairs(a, b, lam, n_max: int):
     """``(u, v, m)`` shaped like :func:`coeff_table`: u[i, j] = a_{j-1} * 2**-e
     and v[i, j] = a_j * 2**-e (a_{-1} = 0), e putting m = max(|u|, |v|) in
@@ -163,54 +259,15 @@ def coeff_pairs(a, b, lam, n_max: int):
     power-of-two scaling is exact, so nothing underflows and every sign is
     exact; where :func:`coeff_table` stays normal, its entries are 2**e u, 2**e v.
 
-    The tables are those of rescaling after every order.  The recurrence runs
-    unscaled over blocks of ``PAIR_BLOCK`` orders from the last scaled pair,
-    and each block is scaled in one pass; a block whose values or products
-    could leave the normal range, where scaling would not commute with
-    rounding, is run again one order at a time.
+    The tables are those of rescaling after every order, the chunks of
+    :func:`next_pair_chunk` put together.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    lead = lam * (a - b)
-    s = a + b
-    p = a * b
-    shape = np.shape(lead)
-    u, v, m = (np.empty((n_max + 1,) + shape) for _ in range(3))
-    # every block works in these buffers, and in views of their rows made
-    # once: large temporaries, and indexing a row, cost more than the
-    # arithmetic on it
-    rows = np.empty((PAIR_BLOCK + 2,) + shape)
-    mags = np.empty((PAIR_BLOCK + 1,) + shape)
-    w = np.empty((2, PAIR_BLOCK) + shape)
-    e = np.empty((PAIR_BLOCK,) + shape, dtype=np.int32)
-    row = [rows[i, ...] for i in range(PAIR_BLOCK + 2)]
-    w_row = [(w[0, i, ...], w[1, i, ...]) for i in range(PAIR_BLOCK)]
-    rows[1], rows[2] = 0.0 * lead, lead**0  # a_{-1} and a_0
-    np.abs(rows[1:3], out=mags[:2])
-    _scale_pairs(rows[1:3], mags[:2], u[:1], v[:1], m[:1], e[:1])
-    # nonzero weights lie in [w_lo, w_hi]: |p (n-1)| >= |p|, and a nonzero
-    # lead - s n is at least one unit in the last place of the smaller of
-    # |lead| and |s n| >= |s|
-    wmag = np.abs([lead, s, p])
-    w_lo = 2.0**-53 * float(np.min(wmag, where=wmag > 0, initial=np.inf))
-    w_hi = 2.0 * float(np.max(wmag[0] + (wmag[1] + wmag[2]) * n_max, initial=0.0))
-    j, exact_to = 1, 1
-    while j <= n_max:
-        size = 1 if j < exact_to else min(PAIR_BLOCK, n_max + 1 - j)
-        n = np.arange(j - 1.0, j - 1 + size).reshape((-1,) + (1,) * len(shape))
-        _weights(lead, s, p, n, w[:, :size])
-        rows[0], rows[1] = u[j - 1], v[j - 1]
-        for k in range(size):
-            _next_coeff(w_row[k], j - 1 + k, row[k], row[k + 1], row[k + 2])
-        block, block_mags = rows[1 : size + 2], mags[: size + 1]
-        np.abs(block, out=block_mags)
-        if size > 1 and not _scales_exactly(block_mags, w_lo, w_hi):
-            exact_to = j + size  # run these orders again one at a time
-            continue
-        orders = slice(j, j + size)
-        _scale_pairs(block, block_mags, u[orders], v[orders], m[orders], e[:size])
-        j += size
-    return u.T, v.T, m.T
+    st = pair_stream(a, b, lam, n_max)
+    out = np.empty((3, n_max + 1) + np.shape(st.lead))
+    while (chunk := next_pair_chunk(st)) is not None:
+        j0, *uvm = chunk
+        out[:, j0 : j0 + len(uvm[0])] = uvm
+    return tuple(x.T for x in out)
 
 
 def janowski_series(params: JanowskiParams, order: int) -> TruncatedSeries:

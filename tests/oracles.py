@@ -8,7 +8,10 @@ container, so agreement is meaningful cross-validation.  The series helpers
 ``binomial_series``) have no caller in the package and live here for the
 tests that build reference series from them.
 ``sequential_coeff_pairs`` is the renormalised coefficient-pair table
-rescaled after every order.  ``root_counted_logs`` is the branch rule the
+rescaled after every order, and ``table_sweep_reports`` the three
+coefficient checks as they ran on that whole table, swept once per check
+(it builds the package's report types, and reads the grid's points).
+``root_counted_logs`` is the branch rule the
 package used before its crossing test: the continued logarithm from the
 roots of the series, one ``arctan2`` pass per root; ``crosses_negative_axis``
 decides a crossing from the roots of a degree-2n polynomial instead of a
@@ -20,6 +23,8 @@ from math import factorial
 
 import numpy as np
 
+from janostab import inequalities
+from janostab.inequalities import InequalityReport, InequalityViolation
 from janostab.series import TruncatedSeries
 
 
@@ -97,6 +102,56 @@ def sequential_coeff_pairs(a, b, lam, n_max: int):
         prev = np.ldexp(prev, -e, out=u[j, ...])
         cur = np.ldexp(cur, -e, out=v[j, ...])
     return u.T, v.T
+
+
+def _table_sweep(points, u, v, pair_max, tol, n_lo, n_hi, shift, statement, m_max=None):
+    """Report on ``statement(B, u, v, m, n)`` for the points, orders
+    n_lo <= n < n_hi (pair column n + ``shift``) and m = 0..m_max (no m when
+    None), each divided by its pair's max(|a_{j-1}|, |a_j|), over blocks of
+    128 points.  Only (point, n) columns whose value at m = 0 or m_max lies
+    within rounding slack of -tol are evaluated at every m."""
+    a, b, lam = points
+    top = m_max or 0
+    n = np.arange(n_lo, n_hi)
+    m = np.arange(top + 1)[:, None]
+    slack = 16.0 * np.finfo(float).eps * top * (n + 1)
+    low_all, violations, unlisted = np.inf, [], 0
+    for start in range(0, b.size, 128):
+        rows, cols = slice(start, start + 128), slice(n_lo + shift, n_hi + shift)
+        pb, pu, pv = b[rows, None], u[rows, cols], v[rows, cols]
+        scale = np.maximum(pair_max[rows, cols], 0.5)
+        low = statement(pb, pu, pv, 0, n) / scale
+        if top:
+            np.minimum(low, statement(pb, pu, pv, top, n) / scale, out=low)
+        low_all = min(low_all, low.min(initial=np.inf))
+        near = low <= slack - tol
+        for i in np.flatnonzero(near.any(axis=1)):
+            k, pt = np.flatnonzero(near[i]), start + i
+            vals = np.atleast_2d(statement(pb[i], pu[i, k], pv[i, k], m, n[k]) / scale[i, k])
+            low_all = min(low_all, vals.min())
+            for hit in np.argwhere(vals <= -tol):
+                if len(violations) < inequalities.MAX_LISTED_VIOLATIONS:
+                    violations.append(InequalityViolation(
+                        float(a[pt]), float(b[pt]), float(lam[pt]), int(n[k[hit[1]]]),
+                        None if m_max is None else int(hit[0]), float(vals[tuple(hit)])))
+                else:
+                    unlisted += 1
+    return InequalityReport(b.size * n.size * (top + 1), tuple(violations), float(low_all), unlisted)
+
+
+def table_sweep_reports(grid, tol):
+    """The positivity, pair and weighted reports of ``grid``: one table of
+    scaled pairs (a_{j-1}, a_j), j <= n_max + 1, shared by three sweeps."""
+    points = grid._point_arrays()
+    u, v = sequential_coeff_pairs(*points, grid.n_max + 1)
+    pair_max = np.maximum(np.abs(u), np.abs(v))
+    sweep = lambda *args, **kw: _table_sweep(points, u, v, pair_max, tol, *args, **kw)  # noqa: E731
+    return (
+        sweep(0, grid.n_max + 1, 0, lambda b, u, v, m, n: v),
+        sweep(1, grid.n_max, 1, lambda b, u, v, m, n: b * n * u + (n + 1) * v),
+        sweep(1, grid.n_max + 1, 1, lambda b, u, v, m, n: b * m * n * u + (m + 1) * (n + 1) * v,
+              grid.m_max),
+    )
 
 
 def horner(coeffs, z):

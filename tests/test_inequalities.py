@@ -1,10 +1,12 @@
 """Inequality sweeps: positivity, pair forms, alternating identity."""
 
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from janostab import inequalities
@@ -12,11 +14,12 @@ from janostab.inequalities import (
     GridSpec,
     InequalityViolation,
     check_alternating_identity,
+    check_coeff_lemmas,
     check_coeff_pair_inequality,
     check_coeff_positivity,
     check_weighted_pair_inequality,
 )
-from janostab.janowski import JanowskiParams
+from janostab.janowski import PAIR_BLOCK, PAIR_CHUNK, JanowskiParams
 from janostab.serialize import dumps
 from janostab.subordination import (
     SampleGrid,
@@ -24,7 +27,7 @@ from janostab.subordination import (
     check_power_product_subordination,
 )
 
-from oracles import alternating_sum_exact, coeff_recurrence_scalar
+from oracles import alternating_sum_exact, coeff_recurrence_scalar, table_sweep_reports
 
 POINT = GridSpec(A_values=(-0.5,), B_values=(-1.0,), lambda_values=(0.5,), n_max=2, m_max=1)
 
@@ -278,6 +281,59 @@ class TestScaleFreeValues:
                 if value <= -1e-12 and scale <= 1.0:
                     assert key[1:] in flagged, key
             assert seen == sum(1 for key in raw if key[0] == name)
+
+
+class TestStreamedChecks:
+    @settings(deadline=None, max_examples=20)
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9, unique=True),
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9, unique=True),
+        st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=7, unique=True),
+        st.integers(0, 6),
+        st.booleans(),
+        st.sampled_from([1e-12, 0.0, -1.0]),
+        st.integers(0, 8),
+        st.sampled_from([None, 1, 7, 60]),
+    )
+    # 567 points, where a chunk is one block
+    @example([k / 9 for k in range(9)], [k / 9 - 1 for k in range(9)], [k / 7 for k in range(1, 8)],
+             3, True, 1e-12, 4, None)
+    # every statement reads 0 at some order and none reads below: minima of 0
+    @example([0.5, 1.0], [0.0], [1.0], 3, True, 0.0, 1, None)
+    def test_reports_equal_the_table_sweep(self, a_vals, b_vals, lam_vals, m_max, outside, tol, pick, cap):
+        grid = GridSpec(a_vals, b_vals, lam_vals, 0, m_max, allow_positive_A=outside)
+        points = sum(1 for _ in grid.iter_params())
+        assume(points)
+        # the pairs run to column n_max + 1; chunks end after columns
+        # orders, 2 orders, ...
+        orders = PAIR_BLOCK * max(1, PAIR_CHUNK // (PAIR_BLOCK * points))
+        edges = {PAIR_BLOCK} | {e for e in (orders, 2 * orders) if e <= 400}
+        n_maxes = sorted(e + d for e in edges for d in (-1, 0, 1))
+        n_max = n_maxes[pick % len(n_maxes)]
+        grid = dataclasses.replace(grid, n_max=n_max)
+        with pytest.MonkeyPatch.context() as patch:
+            # a small listing cap drops kept columns between chunks
+            if cap is not None:
+                patch.setattr(inequalities, "MAX_LISTED_VIOLATIONS", cap)
+            pairs = zip(check_coeff_lemmas(grid, tol), table_sweep_reports(grid, tol))
+        for got, want in pairs:
+            # min_margin's sign of zero included
+            assert dumps(got.to_json_dict()) == dumps(want.to_json_dict())
+
+    def test_three_checks_peak_below_one_table(self):
+        # the table sweep held three (n_max + 2) x P tables and swept them
+        # with table-sized temporaries
+        tracemalloc.start()
+        try:
+            grid = GridSpec.default(n_max=500, step=0.1, lambda_step=0.1)
+            for check in CHECKS.values():
+                check(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        points = sum(1 for _ in grid.iter_params())
+        assert points == 550
+        assert peak < (grid.n_max + 2) * points * np.dtype(float).itemsize
 
 
 class TestReports:

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from janostab.janowski import (
     PAIR_BLOCK,
+    PAIR_CHUNK,
     JanowskiParams,
     _falling_over_factorial,
     coeff_pairs,
     coeff_table,
     convolution_coeffs,
     janowski_series,
+    next_pair_chunk,
+    pair_stream,
 )
 from oracles import (
     binomial_series,
@@ -248,6 +251,33 @@ class TestCoeffPairs:
         assert u[0, 0] == 0 and np.all(u[0, 3:] == 0) and np.all(v[0, 2:] == 0)
         assert coeff_table(-0.05, -0.1, 0.05, 500)[-1] == 0.0
         assert np.all(u[1, 1:] > 0) and np.all(v[1] > 0)
+
+
+class TestPairStream:
+    @settings(deadline=None, max_examples=30)
+    @given(
+        st.lists(st.one_of(PARAM_POINT, TINY_POINT, st.sampled_from(HAZARDS)), min_size=1, max_size=8),
+        st.integers(1, 700),
+        st.data(),
+    )
+    def test_chunks_are_whole_blocks_of_the_table(self, points, size, data):
+        # ``size`` points cycled from the drawn ones; beyond 512 points a
+        # chunk is one block
+        a, b, lam = (np.resize(np.array(col), size) for col in zip(*points))
+        orders = PAIR_BLOCK * max(1, PAIR_CHUNK // (PAIR_BLOCK * size))
+        edges = [k * orders + d for k in (1, 2) for d in (-1, 0, 1) if k * orders < 700]
+        n_max = data.draw(st.sampled_from(edges) if edges else st.integers(0, 300))
+        u, v = sequential_coeff_pairs(a, b, lam, n_max)
+        stream = pair_stream(a, b, lam, n_max)
+        end = 0
+        while (chunk := next_pair_chunk(stream)) is not None:
+            j0, *got = chunk
+            assert j0 == end and len(got[0]) == min(orders + (j0 == 0), n_max + 1 - j0)
+            cols = slice(j0, j0 + len(got[0]))
+            for g, w in zip(got, (u[:, cols], v[:, cols], np.maximum(np.abs(u), np.abs(v))[:, cols])):
+                assert np.array_equal(g.view(np.uint64), w.T.view(np.uint64))
+            end += len(got[0])
+        assert end == n_max + 1
 
 
 class TestJanowskiSeries:
