@@ -6,10 +6,20 @@ the stability ratio on |z| = r, and the ratio at one marked witness point.
 Geometry is computed once and can be dumped to / reloaded from CSV; the
 SVG is a pure function of the geometry, so a replot from CSV reproduces
 the original file byte for byte.
+
+Every number in the SVG is ``"%.6f"`` of its float: the exact binary value
+correctly rounded to 6 decimals, ties to even, with "-" before a negative
+value even where it rounds to zero.  A path's ``d`` text is built from
+numpy digit words (see :func:`_fixed6_slice`) when every coordinate of the
+path lies below 10**6 in magnitude and provably off a rounding tie; a path
+with any other coordinate (an exact tie such as k/128, a huge or a
+non-finite value) is formatted wholly by ``%``, so the bytes are the same
+either way and the choice rests on the coordinates alone.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +44,8 @@ _STYLE = {
 }
 _CURVE_COLOR = "#2f9e44"
 _SCALE = 500.0
+_SLICE = 2**15  # points per numpy pass of a path: bounds its temporaries
+_SEPARATORS = np.array([0, 1000])  # offsets into the tail words: "," after x, " " after y
 
 
 @dataclass(frozen=True)
@@ -122,14 +134,80 @@ def _xy(pts) -> np.ndarray:
     return np.column_stack((_SCALE * pts.real, -_SCALE * pts.imag))
 
 
+@functools.cache
+def _digit_words() -> tuple:
+    """The word tables of :func:`_fixed6_slice`, built on first use.  Each
+    word is 4 bytes, NUL where a table entry is shorter: ``sign[1000 s + h]``
+    is "-" when s = 1 and then h without leading zeros (nothing for h = 0);
+    ``lead[1000 z + m]`` is m with 3 digits when z = 0 and without leading
+    zeros when z = 1; ``dot[f]`` is "." and f with 3 digits; ``tail[1000 k
+    + g]`` is g with 3 digits and then ",", " " or nothing for k = 0, 1, 2."""
+    padded = [f"{k:03d}" for k in range(1000)]
+    bare = ["", *map(str, range(1, 1000))]
+    texts = (
+        bare + ["-" + b for b in bare],
+        padded + ["0", *bare[1:]],
+        ["." + f for f in padded],
+        [g + "," for g in padded] + [g + " " for g in padded] + padded,
+    )
+    tables = tuple(np.array(t, dtype="S4").view(np.uint32) for t in texts)
+    for table in tables:
+        table.flags.writeable = False  # shared by every call
+    return tables
+
+
+def _fixed6_slice(xy: np.ndarray, last: bool):
+    """``"%.6f,%.6f "`` of each row (x, y) of ``xy`` as ASCII bytes, without
+    the final space when ``last``; None unless every coordinate is finite,
+    rounds below 10**6 in magnitude and is provably off a rounding tie.
+
+    Proof that the bytes are those of ``"%.6f"``.  That format prints "-"
+    when x has its sign bit set, then the integer nearest t = |x| 10**6
+    (exactly), as digits with a "." before the last six.  The rounded
+    product y = fl(t) has |y - t| <= y 2**-53.  The half-integer nearest y
+    is floor(y) + 1/2, at d = |y - floor(y) - 1/2|, and every other one is
+    at least 1/2 >= d away; so where d > |y - t|, t lies strictly on the
+    same side of every half-integer as y, is no tie, and rint(y) is the
+    integer nearest t.  With q = rint(y) < 10**12, y < 2**52: floor(y) is
+    exact, and so is y - floor(y) (Sterbenz's lemma when floor(y) >= 1, y
+    itself when it is 0); subtracting 1/2 then rounds once, so the computed
+    d' <= d (1 + 2**-53).  For y >= 1/4 the test d' > y 2**-51 (exact
+    there) therefore gives d > y 2**-53 >= |y - t|; below 1/4, where
+    y 2**-51 may underflow, d > 1/4 > |y - t| anyway.  NaN and infinity
+    fail q < 10**12.  Of q = 10**9 h + 10**6 m + 10**3 f + g, the words of
+    :func:`_digit_words` give the sign and h, m (unpadded when h = 0, so
+    that 0 prints as "0"), "." and f, then g and the separator; the NULs
+    between them are dropped."""
+    y = np.abs(xy) * 1e6
+    q = np.rint(y)
+    if not (np.all(q < 1e12) and np.all(np.abs(y - np.floor(y) - 0.5) > y * 2.0**-51)):
+        return None
+    whole, frac = np.divmod(q.astype(np.int64), 10**6)
+    high, mid = np.divmod(whole, 1000)
+    dots, low = np.divmod(frac, 1000)
+    low += _SEPARATORS
+    if last:
+        low[-1, 1] += 1000
+    sign, lead, dot, tail = _digit_words()
+    words = np.empty(xy.shape + (4,), np.uint32)
+    words[..., 0] = sign[high + 1000 * np.signbit(xy)]
+    words[..., 1] = lead[mid + 1000 * (high == 0)]
+    words[..., 2] = dot[dots]
+    words[..., 3] = tail[low]
+    return words.tobytes().translate(None, b"\0")
+
+
 def _path(points: np.ndarray, color: str, extra: str = "") -> str:
     xy = _xy(points)
-    # one %-format over every coordinate: the 6-decimal rounding of fmt6
-    coords = " ".join(["%.6f,%.6f"] * len(xy)) % tuple(xy.ravel().tolist())
-    return (
-        f'<path d="M {coords} Z" fill="none" stroke="{color}" '
-        f'stroke-width="2" {extra}/>'
-    )
+    coords = []
+    for start in range(0, len(xy), _SLICE):
+        piece = _fixed6_slice(xy[start : start + _SLICE], start + _SLICE >= len(xy))
+        if piece is None:
+            coords = [" ".join(["%.6f,%.6f"] * len(xy)) % tuple(xy.ravel().tolist())]
+            break
+        coords.append(piece.decode("ascii"))
+    tail = f' Z" fill="none" stroke="{color}" stroke-width="2" {extra}/>'
+    return "".join(['<path d="M ', *coords, tail])  # one copy of a long path's text
 
 
 def render_svg(geom: FigureGeometry) -> str:
@@ -141,9 +219,12 @@ def render_svg(geom: FigureGeometry) -> str:
     """
     # the origin keeps the axes inside the viewport
     pts = [*(b for _, b in geom.boundaries), geom.curve, [geom.point, 0j]]
-    xs, ys = _xy(np.concatenate(pts)).T.tolist()
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    xy = _xy(np.concatenate(pts))
+    # numpy's min and max may return either zero of a -0.0/0.0 tie, but the
+    # bytes cannot change: the bounds hold the origin and pad >= 0.05, so
+    # the padded bounds, width and height are never zero
+    (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
+    del xy  # a long figure's paths are formatted without this copy of them
     pad = 0.05 * max(x1 - x0, y1 - y0, 1.0)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
     width, height = x1 - x0, y1 - y0
@@ -214,5 +295,5 @@ def render_svg(geom: FigureGeometry) -> str:
             f'<text x="{fmt6(lx + 30)}" y="{fmt6(y)}" font-family="monospace" '
             f'font-size="13" fill="#333333">{label}</text>'
         )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out += ["</svg>", ""]  # "" ends the text with a newline without copying it
+    return "\n".join(out)

@@ -101,6 +101,7 @@ def _search_rows(stack, params: JanowskiParams, disk: DiskSpec, r: float, angles
     ascending n, searched in lock step as the module describes; a failed
     sample raises :class:`~janostab.series.BranchFailureError` at the end."""
     live, failure = len(stack), None
+    rows = np.arange(live)
 
     def samples(points):
         # (margins, zs, vals) of the live rows, one row of ``points`` each
@@ -112,7 +113,7 @@ def _search_rows(stack, params: JanowskiParams, disk: DiskSpec, r: float, angles
         return disk.margin(vals[:live]), zs[:live], vals[:live]
 
     margins, zs, vals = samples(np.repeat(_circle_points([r], angles), live, axis=0))
-    pick = np.arange(live), np.argmax(margins, axis=1)
+    pick = rows[:live], margins.argmax(axis=1)
     best_m, best_z, best_v = margins[pick], zs[pick], vals[pick]
     theta, step = 2.0 * np.pi * pick[1] / angles, np.pi / angles
     for _ in range(iters):
@@ -120,10 +121,11 @@ def _search_rows(stack, params: JanowskiParams, disk: DiskSpec, r: float, angles
             break
         probes = theta[:live, None] + (-step, step)  # x + (-h) is x - h exactly
         margins, zs, vals = samples([cmath.rect(r, t) for t in probes.ravel().tolist()])
-        pick = np.arange(live), np.argmax(margins, axis=1)
+        pick = rows[:live], margins.argmax(axis=1)
         up = margins[pick] > best_m[:live]
-        for best, probe in ((best_m, margins), (best_z, zs), (best_v, vals), (theta, probes)):
-            np.copyto(best[:live], probe[pick], where=up)
+        if up.any():  # a round that improves no row copies nothing
+            for best, probe in ((best_m, margins), (best_z, zs), (best_v, vals), (theta, probes)):
+                np.copyto(best[:live], probe[pick], where=up)
         step *= 0.5
     if failure is not None:
         _defined(failure)  # raises at the row's first failed sample

@@ -24,7 +24,8 @@ def fmt17(x: float) -> str:
 
 
 def fmt6(x: float) -> str:
-    """Fixed 6-decimal form used for SVG coordinates."""
+    """Fixed 6-decimal form of the SVG's scalar attributes; path coordinates
+    take the same form from :func:`janostab.figure._path`."""
     return f"{float(x):.6f}"
 
 

@@ -187,7 +187,9 @@ def _principal_log(stack, pts: np.ndarray, vals: np.ndarray):
 
 def _padded(stack) -> np.ndarray:
     """The coefficients of ``stack`` as columns, zero-padded to the highest
-    degree: coefficient k of series i at [k, i]."""
+    degree: coefficient k of series i at [k, i] (a view for a lone series)."""
+    if len(stack) == 1:
+        return stack[0].coeffs[:, None]
     cols = np.zeros((max(f.coeffs.size for f in stack), len(stack)), dtype=np.complex128)
     for i, f in enumerate(stack):
         cols[: f.coeffs.size, i] = f.coeffs

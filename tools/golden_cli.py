@@ -78,6 +78,8 @@ CASES = [
     "search --A-values -0.3 --B-values -0.9 --lambda-values 0.7 --n-values 1,2,4 --r 0.983",
     "plot --A -0.3 --B -0.9 --lambda 0.7 --n 1 --r 0.983 "
     "--z0 0.51567165807293502,0.83688215482247552 --csv-dir {dir}",
+    # a long figure, each of its paths formatted from digit words in several slices
+    "plot --angles 65536 --boundary-samples 65536 --out {dir}/fig.svg",
     "plot --z0 1.4727540500736376,0",
     "self-check --z0 1.4727540500736376,0",
     # witnesses outside the open unit disk, and one on its boundary (usage errors)
