@@ -5,6 +5,9 @@ search | plot.  Reports are JSON, tables are CSV (17 significant digits,
 round-trip exact), figures are SVG 1.1 (6-decimal coordinates).  Identical
 flags always produce byte-identical output; files are written atomically.
 ``main`` builds its parser once per process; in-process callers reuse it.
+A call that names a subcommand is parsed once, by that subcommand's parser;
+any other call, or one with arguments left over, goes through the whole
+parser, so every usage text, error message and exit code is the same.
 """
 
 from __future__ import annotations
@@ -273,12 +276,12 @@ def _accept_negative_values(parser: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use.  Reuse is safe:
-    ``parse_args`` does not mutate it; every default is None, a number, a
-    complex, a string or a tuple; ``main`` finds the ``cmd_*`` handler, and
-    each handler its callees, by module global at call time; help and usage
-    texts are formatted when printed."""
+def build_parser() -> tuple:
+    """The one parser of the process and its subcommand parsers by name,
+    built on first use.  Reuse is safe: parsing does not mutate them; every
+    default is None, a number, a complex, a string or a tuple; ``main``
+    finds the ``cmd_*`` handler, and each handler its callees, by module
+    global at call time; help and usage texts are formatted when printed."""
     known = KNOWN_COUNTEREXAMPLE
     parser = argparse.ArgumentParser(
         prog="janostab",
@@ -363,11 +366,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     for child in sub.choices.values():
         _accept_negative_values(child)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named subcommand is parsed by its own parser alone; anything else, or
+    # anything it leaves over, by the whole parser, for its usage and errors
+    child = commands.get(argv[0]) if argv else None
+    if child is not None:
+        args, rest = child.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if child is None or rest:
+        args = parser.parse_args(argv)
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except BranchFailureError as exc:

@@ -218,13 +218,17 @@ def render_svg(geom: FigureGeometry) -> str:
     carry exactly 6 decimals, so identical geometry yields identical bytes.
     """
     # the origin keeps the axes inside the viewport
-    pts = [*(b for _, b in geom.boundaries), geom.curve, [geom.point, 0j]]
-    xy = _xy(np.concatenate(pts))
-    # numpy's min and max may return either zero of a -0.0/0.0 tie, but the
-    # bytes cannot change: the bounds hold the origin and pad >= 0.05, so
-    # the padded bounds, width and height are never zero
-    (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
-    del xy  # a long figure's paths are formatted without this copy of them
+    pts = np.concatenate([*(b for _, b in geom.boundaries), geom.curve, [geom.point, 0j]])
+    # the bounds of _xy's coordinates, from 1-D reductions: rounding is
+    # monotone and negation exact, so _SCALE * min(re) is min(_SCALE * re)
+    # and -(_SCALE * max(im)) is min(-_SCALE * im).  numpy's min and max may
+    # return either zero of a -0.0/0.0 tie, but the bytes cannot change: the
+    # bounds hold the origin and pad >= 0.05, so the padded bounds, width
+    # and height are never zero
+    re, im = pts.real, pts.imag
+    x0, x1 = _SCALE * float(re.min()), _SCALE * float(re.max())
+    y0, y1 = -(_SCALE * float(im.max())), -(_SCALE * float(im.min()))
+    del pts, re, im  # a long figure's paths are formatted without this copy of them
     pad = 0.05 * max(x1 - x0, y1 - y0, 1.0)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
     width, height = x1 - x0, y1 - y0

@@ -18,15 +18,38 @@ theta - h and theta + h, moves to the better if it improves, and halves h
 is local, so the result is the best margin found, not a certified maximum.
 
 The cells of one (A, B, lambda) hold partial sums of one coefficient
-sequence, and they are searched in lock step: one row per n, one
-evaluator call for every row's scan, then one per round for every row's
-two probes, each row with its own theta and best.  A call holds at most
-``MAX_POINTS`` samples, so the rows are split into chunks of at most
-``MAX_POINTS // coarse_angles``.  Each row's values are bit for bit those
-of its cell alone (see :mod:`janostab.series`), so a cell does not depend
-on its sweep.  A failed sample drops its row and the rows above it; the
-search then raises at the first failed sample of the lowest-n failing
-cell, as a search of one cell after another would.
+sequence, and they are searched in lock step: one row per n, each row
+with its own theta and best.  One evaluator call holds every row's scan.
+Then, while rows x 26 <= ``coarse_angles``, one call holds every row's
+probe tree of up to three rounds: the 2 probes of the first round, the 6
+of the three places the row can be at after it and the 18 of the nine
+after the second, 26 in all (see :func:`_tree`).  The rounds are then
+replayed row by row from those margins, each row going on from the node
+its replay reaches (:func:`_replay`); the angles are built with the same
+float additions as round by round, so every cell is bit for bit the same.
+With more rows than that, a call holds one round, every row's two probes,
+and numpy takes every row's step at once: there a replay row by row
+costs more than numpy's step, and trees evaluate more probes than the
+calls they save cost (timed interleaved on 2 vCPUs, sweeps of n = 1..10,
+1..40 and 1..200: replayed row by row they take 5 to 17% longer; with
+trees 17 and 28% longer at 40 and 200 rows, 12% shorter at 10).  A
+default search (three rows, 256 angles, 8 rounds) makes 1 + 3 calls.
+
+A sweep uses trees of three rounds only if its coefficient-samples,
+counted with their 26 probes for every 6 of single rounds, stay within
+the bound that admits it; otherwise its trees hold one round each, so no
+admitted sweep evaluates more than that bound.  A call holds at most
+``MAX_POINTS`` samples (a tree is no larger than one scan row), so the
+rows are split into chunks of at most ``MAX_POINTS // coarse_angles``.
+Each row's values are bit for bit those of its cell alone (see
+:mod:`janostab.series`), so a cell does not depend on its sweep.
+
+A failed sample counts only on a row's path: anywhere in its scan, or
+among the two probes of a round it replays; a probe of a tree that the
+replay does not reach cannot fail the search.  A failed sample drops its
+row and the rows above it; the search then raises at the first failed
+sample of the lowest-n failing cell, as a search of one cell after
+another would.
 """
 
 from __future__ import annotations
@@ -64,6 +87,8 @@ SWEEP_CSV_HEADER = (
 )
 
 MAX_CELLS = 2**16
+_TREE_ROUNDS = 3  # refine rounds per evaluator call while a tree is no larger than a scan row
+_TREE_PROBES = 3**_TREE_ROUNDS - 1  # 2 + 6 + 18 probes per row
 
 
 @dataclass(frozen=True)
@@ -96,10 +121,44 @@ class SweepCell:
         ]
 
 
-def _search_rows(stack, params: JanowskiParams, disk: DiskSpec, r: float, angles: int, iters: int):
+def _tree(theta: float, step: float, depth: int) -> list:
+    """The probe angles of a ``depth``-round tree from ``theta``, level by
+    level: each node's theta - h and theta + h, h halving with the level;
+    a node's children stay at its theta or move to either of its probes."""
+    nodes, probes = [theta], []
+    for _ in range(depth):
+        level = [t + h for t in nodes for h in (-step, step)]
+        probes += level
+        nodes = [t for node in zip(nodes, level[::2], level[1::2]) for t in node]
+        step *= 0.5
+    return probes
+
+
+def _replay(margins: list, bad, first: int, top: float, depth: int):
+    """One row's rounds replayed in its tree's margins (from flat index
+    ``first``, in :func:`_tree`'s order) from best margin ``top``: the flat
+    index of the probe that last improved it (-1 if none), and the index of
+    the first probe pair on the path with a bad sample (None if none), where
+    the replay stops."""
+    node, at = 0, -1
+    for k in range(depth):
+        pair = first + 2 * node
+        if bad is not None and (bad[pair] or bad[pair + 1]):
+            return at, pair
+        j = margins[pair + 1] > margins[pair]  # argmax: the first of a tie
+        if margins[pair + j] > top:
+            top, at, node = margins[pair + j], pair + j, 3 * node + 1 + j
+        else:
+            node *= 3
+        first += 2 * 3**k
+    return at, None
+
+
+def _search_rows(stack, params: JanowskiParams, disk: DiskSpec, r: float, angles: int, iters: int, rounds: int):
     """Best (margin, z, ratio) on |z| = r of each series of ``stack``, in
-    ascending n, searched in lock step as the module describes; a failed
-    sample raises :class:`~janostab.series.BranchFailureError` at the end."""
+    ascending n, searched in lock step as the module describes, with trees
+    of at most ``rounds`` rounds; a failed sample raises
+    :class:`~janostab.series.BranchFailureError` at the end."""
     live, failure = len(stack), None
     rows = np.arange(live)
 
@@ -116,23 +175,35 @@ def _search_rows(stack, params: JanowskiParams, disk: DiskSpec, r: float, angles
     pick = rows[:live], margins.argmax(axis=1)
     best_m, best_z, best_v = margins[pick], zs[pick], vals[pick]
     theta, step = 2.0 * np.pi * pick[1] / angles, np.pi / angles
-    for _ in range(iters):
-        if not live:
-            break
-        probes = theta[:live, None] + (-step, step)  # x + (-h) is x - h exactly
-        margins, zs, vals = samples([cmath.rect(r, t) for t in probes.ravel().tolist()])
-        pick = rows[:live], margins.argmax(axis=1)
-        up = margins[pick] > best_m[:live]
-        if up.any():  # a round that improves no row copies nothing
-            for best, probe in ((best_m, margins), (best_z, zs), (best_v, vals), (theta, probes)):
-                np.copyto(best[:live], probe[pick], where=up)
-        step *= 0.5
+    while iters and live:
+        if live * _TREE_PROBES > angles:  # one round: every row's two probes
+            depth = 1
+            probes = theta[:live, None] + (-step, step)  # x + (-h) is x - h exactly
+            margins, zs, vals = samples([cmath.rect(r, t) for t in probes.ravel().tolist()])
+            pick = rows[:live], margins.argmax(axis=1)
+            up = margins[pick] > best_m[:live]
+            if up.any():  # a round that improves no row copies nothing
+                for best, probe in ((best_m, margins), (best_z, zs), (best_v, vals), (theta, probes)):
+                    np.copyto(best[:live], probe[pick], where=up)
+        else:  # every row's tree in one call, then each row's rounds replayed
+            depth = min(iters, rounds)
+            probes = [t for start in theta[:live].tolist() for t in _tree(start, step, depth)]
+            vals, zs, bad = ratio_samples(stack[:live], params, [cmath.rect(r, t) for t in probes])
+            margins, flags = disk.margin(vals).tolist(), (bad.tolist() if bad.any() else None)
+            for i, top in enumerate(best_m[:live].tolist()):
+                at, pair = _replay(margins, flags, i * (3**depth - 1), top, depth)
+                if pair is not None:  # a failed sample on the path drops the row and those above
+                    live, failure = i, (vals[pair : pair + 2], zs[pair : pair + 2], bad[pair : pair + 2])
+                    break
+                if at >= 0:
+                    best_m[i], best_z[i], best_v[i], theta[i] = margins[at], zs[at], vals[at], probes[at]
+        step, iters = step * 0.5**depth, iters - depth  # exact: powers of two
     if failure is not None:
         _defined(failure)  # raises at the row's first failed sample
     return list(zip(best_m.tolist(), best_z.tolist(), best_v.tolist()))
 
 
-def _search_group(params: JanowskiParams, ns: list, disk: DiskSpec, r: float, angles: int, iters: int):
+def _search_group(params: JanowskiParams, ns: list, disk: DiskSpec, r: float, angles: int, iters: int, rounds: int):
     """Best (margin, z, ratio) of each cell (params, n), n in ascending
     ``ns``: the prefixes of one coefficient table, searched in lock step by
     chunks of rows that hold at most ``MAX_POINTS`` scan samples."""
@@ -141,7 +212,7 @@ def _search_group(params: JanowskiParams, ns: list, disk: DiskSpec, r: float, an
     best = []
     for i in range(0, len(ns), size):
         stack = [TruncatedSeries(coeffs[: n + 1]) for n in ns[i : i + size]]
-        best += _search_rows(stack, params, disk, r, angles, iters)
+        best += _search_rows(stack, params, disk, r, angles, iters, rounds)
     return best
 
 
@@ -196,10 +267,14 @@ def sweep_parameter_grid(
     if count > MAX_CELLS:
         raise ValueError(f"{count} sweep cells exceed {MAX_CELLS}")
     # (n + 1) coefficients times the samples of each cell: its time grows with both
-    groups = pairs * len(lambda_values)
-    work = groups * sum(n + 1 for n in n_values) * (coarse_angles + 2 * refine_iters)
+    degrees = pairs * len(lambda_values) * sum(n + 1 for n in n_values)
+    work = degrees * (coarse_angles + 2 * refine_iters)
     if work > MAX_DEGREE * MAX_POINTS:
         raise ValueError(f"the sweep's {work} coefficient-samples exceed {MAX_DEGREE * MAX_POINTS}")
+    # a cell's probe trees evaluate up to 26 probes per three rounds, not 6:
+    # a sweep uses them only if it stays within the bound counted with them
+    trees = _TREE_PROBES * (refine_iters // 3) + 3 ** (refine_iters % 3) - 1
+    rounds = _TREE_ROUNDS if degrees * (coarse_angles + trees) <= MAX_DEGREE * MAX_POINTS else 1
     cells = []
     for a in a_values:
         for b in b_values:
@@ -208,6 +283,6 @@ def sweep_parameter_grid(
             for lam in lambda_values:
                 params = JanowskiParams(a, b, lam)
                 disk = disk_for(disk_source, params, r)
-                best = _search_group(params, n_values, disk, r, coarse_angles, refine_iters)
+                best = _search_group(params, n_values, disk, r, coarse_angles, refine_iters, rounds)
                 cells += (SweepCell(params, n, *cell, disk, disk_source) for n, cell in zip(n_values, best))
     return cells

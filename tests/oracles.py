@@ -16,8 +16,12 @@ package used before its crossing test: the continued logarithm from the
 roots of the series, one ``arctan2`` pass per root; ``crosses_negative_axis``
 decides a crossing from the roots of a degree-2n polynomial instead of a
 Chebyshev series.
+``search_rows_by_round`` is the counterexample search refined one round
+per evaluator call; it runs on the evaluator it is given and so checks the
+plan of the package's search, not its arithmetic.
 """
 
+import cmath
 from fractions import Fraction
 from math import factorial
 
@@ -25,7 +29,8 @@ import numpy as np
 
 from janostab import inequalities
 from janostab.inequalities import InequalityReport, InequalityViolation
-from janostab.series import TruncatedSeries
+from janostab.series import TruncatedSeries, _circle_points
+from janostab.subordination import _defined
 
 
 def falling_exact(lam: Fraction, k: int) -> Fraction:
@@ -314,3 +319,41 @@ def crosses_negative_axis(coeffs, rho: float, slack: float) -> bool:
     ts = np.append(ts[np.abs(np.abs(ts) - 1.0) <= slack], (1.0, -1.0))
     re = np.polynomial.polynomial.polyval(ts / np.abs(ts), b).real
     return bool((re <= slack).any())
+
+
+def search_rows_by_round(stack, params, disk, r, angles, iters, rounds, evaluate):
+    """The lock-step search of ``janostab.search`` as it ran with one
+    evaluator call per refine round, every row's two probes in each, whatever
+    tree depth ``rounds`` allows: the reference for the probe trees.
+    ``evaluate`` is the evaluator (``ratio_samples`` or a stand-in with its
+    signature).  A row with a bad sample anywhere in a call is dropped with
+    the rows above it; the end raises at the first bad sample of the lowest
+    row dropped."""
+    live, failure = len(stack), None
+    rows = np.arange(live)
+
+    def samples(points):
+        nonlocal live, failure
+        vals, zs, bad = (a.reshape(live, -1) for a in evaluate(stack[:live], params, points))
+        if bad.any():
+            live = int(np.flatnonzero(bad.any(axis=1))[0])
+            failure = vals[live], zs[live], bad[live]
+        return disk.margin(vals[:live]), zs[:live], vals[:live]
+
+    margins, zs, vals = samples(np.repeat(_circle_points([r], angles), live, axis=0))
+    pick = rows[:live], margins.argmax(axis=1)
+    best_m, best_z, best_v = margins[pick], zs[pick], vals[pick]
+    theta, step = 2.0 * np.pi * pick[1] / angles, np.pi / angles
+    for _ in range(iters):
+        if not live:
+            break
+        probes = theta[:live, None] + (-step, step)
+        margins, zs, vals = samples([cmath.rect(r, t) for t in probes.ravel().tolist()])
+        pick = rows[:live], margins.argmax(axis=1)
+        up = margins[pick] > best_m[:live]
+        for best, probe in ((best_m, margins), (best_z, zs), (best_v, vals), (theta, probes)):
+            np.copyto(best[:live], probe[pick], where=up)
+        step *= 0.5
+    if failure is not None:
+        _defined(failure)
+    return list(zip(best_m.tolist(), best_z.tolist(), best_v.tolist()))

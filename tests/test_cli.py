@@ -1,7 +1,10 @@
 """CLI behavior: outputs, exit codes, determinism, round-trips."""
 
 import argparse
+import importlib.util
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -594,11 +597,96 @@ class TestParserReuse:
     def test_every_default_is_immutable(self):
         # a list or dict default would carry one call's state into the next
         immutable = (type(None), bool, int, float, complex, str)
-        root = cli.build_parser()
+        root, commands = cli.build_parser()
         (sub,) = [a for a in root._actions if isinstance(a, argparse._SubParsersAction)]
-        assert len(sub.choices) == 6
-        for parser in (root, *sub.choices.values()):
+        assert commands is sub.choices and len(commands) == 6
+        for parser in (root, *commands.values()):
             defaults = [action.default for action in parser._actions]
             for value in defaults + list(parser._defaults.values()):
                 items = value if isinstance(value, tuple) else (value,)
                 assert all(isinstance(item, immutable) for item in items), (parser.prog, value)
+
+
+def _golden_cases() -> list:
+    """The argv lists of ``tools/golden_cli.py``, ``{dir}`` unreplaced."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "golden_cli.py"
+    spec = importlib.util.spec_from_file_location("golden_cli", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return [shlex.split(case) for case in golden.CASES]
+
+
+class TestOneParse:
+    # anything but a subcommand's own flags: unknown flags, stray positionals,
+    # "--", abbreviations, negative values, errors and help
+    ODD = [
+        ["search", "--bogus", "1"],
+        ["search", "stray"],
+        ["search", "--n-values", "1", "stray"],
+        ["search", "--"],
+        ["search", "--", "--n-values", "1"],
+        ["--", "search"],
+        ["search", "--lam", "0.5", "--n-values", "1", "--coarse-angles", "16", "--refine-iters", "1"],
+        ["self-check", "--lam", "0.5", "--samples", "64", "--radii", "0.9"],
+        ["search", "--A-values", "-0.5,-0.3", "--B-values", "-0.9", "--n-values", "1",
+         "--coarse-angles", "16", "--refine-iters", "0"],
+        ["search", "--A-values=-0.5", "--n-values=1,2", "--coarse-angles=16"],
+        ["search", "--A-values", "-0.5", "-0.3"],
+        ["self-check", "--z0", "-0.5,-0.25", "--samples", "64", "--radii", "0.9"],
+        ["coeffs", "--A", "-0.5", "--B", "-1"],
+        ["search", "--r", "x"],
+        ["coeffs", "--A", "-0.5", "--B", "-1", "--lambda", "0.5", "--n-max", "1.5"],
+        ["search", "-h"],
+        ["plot", "--help"],
+        ["search", "--n-values", "1", "-h"],
+        ["-h"],
+        [],
+        ["frobnicate"],
+        ["search", "search"],
+        ["verify-lemmas", "--step"],
+    ]
+
+    @staticmethod
+    def call(capsys, argv):
+        """(exit code, stdout, stderr) of one main call; a SystemExit's code
+        counts as the exit code."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_one_parse_answers_as_the_whole_parser(self, capsys, monkeypatch, tmp_path):
+        # each handler prints the namespace it gets, so stdout shows any parsed
+        # value that differs; the whole parser runs only where the subcommand's
+        # parser leaves arguments over or no subcommand leads the call
+        parser, commands = cli.build_parser()
+        for name in commands:
+            monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"),
+                                lambda args: print(sorted(vars(args).items())) or 0)
+        whole = []
+        monkeypatch.setattr(parser, "parse_known_args",
+                            lambda *a, **k: whole.append(1) or type(parser).parse_known_args(parser, *a, **k))
+        golden = _golden_cases()
+        corpus = [[arg.replace("{dir}", str(tmp_path)) for arg in argv] for argv in golden + self.ODD]
+        once = []
+        for argv in corpus:
+            whole.clear()
+            once.append((self.call(capsys, argv), len(whole)))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda: (parser, {}))
+            forced = [self.call(capsys, argv) for argv in corpus]
+        for argv, (got, _), want in zip(corpus, once, forced):
+            assert got == want, argv
+        assert [passes for _, passes in once[:len(golden)]] == [0] * len(golden)
+        # every golden case reaches its handler, but for the one usage error
+        # argparse itself raises
+        failing = [argv[-2:] for argv, ((code, _, _), _) in zip(golden, once) if code != 0]
+        assert failing == [["--tol", "nan"]]
+        odd = {tuple(argv): result for argv, result in zip(self.ODD, once[len(golden):])}
+        assert odd[("search", "--bogus", "1")][0][0] == ("SystemExit", 2)
+        assert odd[("search", "--bogus", "1")][1] == 1
+        assert odd[("search", "-h")][0][0] == ("SystemExit", 0)
+        assert odd[("search", "-h")][1] == 0
+        assert odd[("coeffs", "--A", "-0.5", "--B", "-1")][0][0] == ("SystemExit", 2)

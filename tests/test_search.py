@@ -1,14 +1,19 @@
 """Counterexample search and parameter sweeps."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import janostab.search as search
+import oracles
 from janostab.cli import main
 from janostab.janowski import janowski_series
 from janostab.search import sweep_parameter_grid
 from janostab.series import BranchFailureError, _circle_points
-from janostab.subordination import KNOWN_COUNTEREXAMPLE, ratio_samples, stability_ratio
+from janostab.subordination import KNOWN_COUNTEREXAMPLE, disk_for, ratio_samples, stability_ratio
 
 K = KNOWN_COUNTEREXAMPLE
 
@@ -20,6 +25,53 @@ LATTICE = dict(
     n_values=(1, 4),
     r=0.983,
 )
+
+
+def _marking(mark):
+    """``ratio_samples`` with a failed sample (NaN, flagged bad) wherever
+    ``mark(n, zs)`` holds, zs being the points of one row and n the degree of
+    its series: a verdict that depends on the point alone, as the real one."""
+
+    def evaluate(series, params, points):
+        vals, zs, bad = ratio_samples(series, params, points)
+        shape = len(series), -1
+        for row, f in enumerate(series):
+            hit = mark(f.coeffs.size - 1, zs.reshape(shape)[row])
+            vals.reshape(shape)[row][hit] = np.nan
+            bad.reshape(shape)[row] |= hit
+        return vals, zs, bad
+
+    return evaluate
+
+
+def _run(evaluate, reference, *sweep, **kwargs):
+    """The ``_cell_bits`` of a sweep, or the text of its
+    ``BranchFailureError``, with ``evaluate`` as the evaluator of the
+    package's search or, if ``reference``, of the round-by-round oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "ratio_samples", evaluate)
+        if reference:
+            rows = functools.partial(oracles.search_rows_by_round, evaluate=evaluate)
+            patch.setattr(search, "_search_rows", rows)
+        try:
+            return [_cell_bits(cell) for cell in sweep_parameter_grid(*sweep, **kwargs)]
+        except BranchFailureError as exc:
+            return str(exc)
+
+
+def _calls(sweep, **kwargs) -> list:
+    """(degrees, points) of each evaluator call of the round-by-round
+    oracle's sweep, one row of points per series: the scan, then one call
+    per round holding the probes on every row's path."""
+    calls = []
+
+    def recording(series, params, points):
+        vals, zs, bad = ratio_samples(series, params, points)
+        calls.append(([f.coeffs.size - 1 for f in series], zs.reshape(len(series), -1).copy()))
+        return vals, zs, bad
+
+    _run(recording, True, *sweep, **kwargs)
+    return calls
 
 
 class TestPremise:
@@ -51,33 +103,38 @@ class TestPremise:
         with pytest.raises(BranchFailureError, match="undefined"):
             sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), (1,), 0.983)
 
+    # the n = 4 row fails at scan sample 3, the n = 2 row at its scan sample 5
+    # or at its second probe of round 2: the message names the n = 2 sample,
+    # as a search of one cell after another would; the failing rows are
+    # dropped from the next call on, with 256 angles (probe trees) and with 32
+    # (single rounds while two rows x 26 probes exceed a scan row)
+    PLANS = {
+        (256, 0): [(3, 768), (1, 26), (1, 26), (1, 8)],
+        (256, 2): [(3, 768), (2, 52), (1, 26), (1, 8)],
+        (32, 0): [(3, 96), (1, 26), (1, 26), (1, 8)],
+        (32, 2): [(3, 96), (2, 4), (2, 4), (1, 26), (1, 26)],
+    }
+
     @pytest.mark.parametrize("lower_round", [0, 2])
-    def test_lowest_failing_n_names_the_sample(self, monkeypatch, lower_round):
-        # the n = 4 row fails at scan sample 3, the n = 2 row at its sample 5 of
-        # the scan or at its second probe of round 2: the message names the
-        # n = 2 sample, as a search of one cell after another would
-        rounds, named = [], []
+    def test_lowest_failing_n_names_the_sample(self, lower_round):
+        sweep = ((K.params.A,), (K.params.B,), (K.params.lam,), (1, 2, 4), 0.983)
+        for angles in (256, 32):
+            calls = _calls(sweep, coarse_angles=angles)
+            named = calls[lower_round][1][1, 5 if lower_round == 0 else 1]
+            if lower_round == 0:
+                assert named == _circle_points([0.983], angles)[0, 5]
+            scan = _circle_points([0.983], angles)[0, 3]
+            failing = _marking(lambda n, zs: (zs == scan) & (n == 4) | (zs == named) & (n == 2))
+            plan = []
 
-        def failing(series, params, points):
-            vals, zs, bad = ratio_samples(series, params, points)
-            rows = bad.reshape(len(series), -1)
-            if not rounds:
-                rows[2, 3] = True
-            if len(rounds) == lower_round:
-                j = 5 if lower_round == 0 else 1
-                rows[1, j] = True
-                named.append(zs.reshape(rows.shape)[1, j])
-            rounds.append(len(series))
-            return vals, zs, bad
+            def counting(series, params, points):
+                plan.append((len(series), np.size(points)))
+                return failing(series, params, points)
 
-        monkeypatch.setattr(search, "ratio_samples", failing)
-        with pytest.raises(BranchFailureError) as err:
-            sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), (1, 2, 4), 0.983)
-        assert f"at z = {complex(named[0])!r}:" in str(err.value)
-        if lower_round == 0:
-            assert named[0] == _circle_points([0.983], 256)[0, 5]
-        # the failing rows are dropped: two rows after the scan, one after round 2
-        assert rounds == [3] + [2] * lower_round + [1] * (8 - lower_round)
+            text = _run(counting, False, *sweep, coarse_angles=angles)
+            assert f"at z = {complex(named)!r}:" in text
+            assert plan == self.PLANS[angles, lower_round]
+            assert text == _run(failing, True, *sweep, coarse_angles=angles)
 
 
 class TestOneCircle:
@@ -106,21 +163,29 @@ class TestOneCircle:
             assert cell.margin == cell.disk.margin(cell.ratio)
             assert abs(abs(cell.z) - LATTICE["r"]) <= 4e-16
 
-    def test_one_evaluation_per_round(self, monkeypatch):
+    def test_one_evaluation_per_tree_or_round(self, monkeypatch):
+        # one call for every row's scan; then one per tree of up to three rounds
+        # (2 + 6 + 18 probes a row) while rows x 26 <= coarse_angles, else one
+        # per round (2 probes a row)
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return ratio_samples(*args, **kwargs)
+        def counting(series, params, points):
+            calls.append((len(series), np.size(points)))
+            return ratio_samples(series, params, points)
 
         monkeypatch.setattr(search, "ratio_samples", counting)
-        for ns in ((1,), (1, 2, 4)):
-            for iters in (0, 1, 8, 64):
+        cases = (((1,), 256), ((1, 2, 4), 256), ((1, 2, 4), 64), ((1,), 16), ((1, 2), 52), ((1, 2), 51))
+        for ns, angles in cases:
+            rows, tree = len(ns), len(ns) * 26 <= angles
+            for iters in (0, 1, 2, 3, 4, 8, 64):
                 calls.clear()
                 sweep_parameter_grid(
-                    (K.params.A,), (K.params.B,), (K.params.lam,), ns, 0.983, refine_iters=iters
+                    (K.params.A,), (K.params.B,), (K.params.lam,), ns, 0.983,
+                    coarse_angles=angles, refine_iters=iters,
                 )
-                assert len(calls) == 1 + iters
+                depths = [3] * (iters // 3) + [iters % 3] * (iters % 3 > 0) if tree else [1] * iters
+                assert calls == [(rows, rows * angles)] + [(rows, rows * (3**d - 1)) for d in depths]
+                assert len(calls) == 1 + (-(-iters // 3) if tree else iters)
 
     def test_refinement_never_lowers_the_margin(self):
         margins = [
@@ -163,6 +228,84 @@ class TestLockStep:
                                      refine_iters=1)
         assert sizes == [4 * 2**18, 4 * 2, 3 * 2**18, 3 * 2]
         assert [c.n for c in cells] == list(ns)
+
+
+@st.composite
+def _sweeps(draw):
+    """One (A, B, lambda) with 1 to 12 n values (on both sides of the rule
+    rows x 26 <= coarse_angles), r, coarse_angles, refine_iters, a period
+    of failed samples (0: none), whether the scan's samples are spared and
+    whether the values are coarsened to multiples of 1/8, where margins tie."""
+    a = draw(st.floats(-0.95, -0.05))
+    b = draw(st.floats(-1.0, a - 0.01))
+    lam = draw(st.floats(0.05, 1.0))
+    ns = draw(st.lists(st.integers(1, 40), min_size=1, max_size=draw(st.sampled_from([3, 12]))))
+    r = draw(st.floats(0.05, 0.999))
+    angles = draw(st.sampled_from([16, 32, 64, 256]))
+    iters, period = draw(st.integers(0, 20)), draw(st.sampled_from([0, 11, 41, 257]))
+    return ((a,), (b,), (lam,), ns, r), angles, iters, period, draw(st.booleans()), draw(st.booleans())
+
+
+class TestProbeTrees:
+    @settings(deadline=None, max_examples=150)
+    @given(_sweeps())
+    def test_cells_and_failures_match_the_round_by_round_search(self, drawn):
+        # cells bit for bit, and the same BranchFailureError text, with failed
+        # samples at pseudo-random points of the scan and the probes
+        sweep, angles, iters, period, spare_scan, coarse = drawn
+        scan = _circle_points([sweep[-1]], angles)[0] if spare_scan else []
+
+        def mark(n, zs):
+            hit = (zs.real.view(np.uint64) + n) % period == 0 if period else np.zeros(zs.shape, bool)
+            return hit & ~np.isin(zs, scan)
+
+        marked = _marking(mark)
+
+        def evaluate(series, params, points):
+            vals, zs, bad = marked(series, params, points)
+            return (np.round(vals * 8) / 8 if coarse else vals), zs, bad
+
+        got = _run(evaluate, False, *sweep, coarse_angles=angles, refine_iters=iters)
+        assert got == _run(evaluate, True, *sweep, coarse_angles=angles, refine_iters=iters)
+
+    def test_replay_takes_the_first_of_a_tie(self):
+        # as argmax does: of two equal probes that improve the row, the -h one;
+        # then the -h node's probes (columns 4, 5) are read
+        margins = [1.0, 1.0, 0.0, 0.0, 2.0, 3.0, 0.0, 0.0]
+        assert search._replay(margins, None, 0, 0.5, 2) == (5, None)
+        assert search._replay(margins, [False] * 4 + [False, True] + [False] * 2, 0, 0.5, 2) == (0, 4)
+
+    SWEEP = ((-0.3,), (-0.9,), (0.7,), (1, 2, 4), 0.983)
+
+    def test_failed_probe_off_the_path_changes_nothing(self):
+        # every probe of the trees that the round-by-round search does not
+        # evaluate fails, and every cell stays bit for bit the same
+        on_path = {}
+        for degrees, zs in _calls(self.SWEEP):
+            for n, row in zip(degrees, zs):
+                on_path.setdefault(n, set()).update(row.tolist())
+        off = []
+
+        def mark(n, zs):
+            hit = np.array([z not in on_path[n] for z in zs.tolist()])
+            off.append(int(hit.sum()))
+            return hit
+
+        assert _run(_marking(mark), False, *self.SWEEP) == _run(ratio_samples, False, *self.SWEEP)
+        # the scan marks nothing; each tree marks some probes of every row (of
+        # its 26 + 26 + 8 probes, 16 lie on the path, and a few more coincide
+        # with a probe on it, such as (theta - h) + h/2 and theta + (-h/2))
+        assert len(off) == 3 * 4 and off[:3] == [0, 0, 0] and min(off[3:]) > 0
+
+    @pytest.mark.parametrize("probe", [0, 1])
+    def test_failed_probe_on_the_path_raises_there(self, probe):
+        # the n = 2 row's probe of round 5 fails: the search raises at it, as
+        # the round-by-round search does
+        named = _calls(self.SWEEP)[5][1][1, probe]
+        failing = _marking(lambda n, zs: (zs == named) & (n == 2))
+        text = _run(failing, False, *self.SWEEP)
+        assert f"at z = {complex(named)!r}:" in text
+        assert text == _run(failing, True, *self.SWEEP)
 
 
 def _count_cells(monkeypatch) -> list:
@@ -275,6 +418,39 @@ class TestSweep:
         with pytest.raises(ValueError, match="4581228544 coefficient-samples"):
             sweep_parameter_grid(*grid, (256,) * 4, 0.983)
         assert calls == []
+
+    def test_trees_only_within_the_work_bound(self, monkeypatch):
+        # a sweep uses probe trees (26 probes per three rounds) only if its
+        # coefficient-samples counted with them stay within 2**28: one cell at
+        # n = 255 with 64 rounds counts 26 * 21 + 2 = 548 probes with them
+        depths = []
+
+        def searched(params, ns, disk, r, angles, iters, rounds):
+            depths.append(rounds)
+            return [(0.0, 0j, 0j)] * len(ns)
+
+        monkeypatch.setattr(search, "_search_group", searched)
+        one = ((K.params.A,), (K.params.B,), (K.params.lam,), (255,), 0.983)
+        for angles in (2**20 - 548, 2**20 - 547, 2**20 - 128):
+            sweep_parameter_grid(*one, coarse_angles=angles, refine_iters=64)
+        assert depths == [3, 1, 1]
+
+    def test_single_rounds_evaluate_what_admission_counts(self, monkeypatch):
+        # with trees of one round each row evaluates coarse_angles + 2 *
+        # refine_iters points, as the work bound counts, and finds the cells
+        # of three-round trees bit for bit
+        calls = []
+
+        def counting(series, params, points):
+            calls.append((len(series), np.size(points)))
+            return ratio_samples(series, params, points)
+
+        monkeypatch.setattr(search, "ratio_samples", counting)
+        disk = disk_for("mobius_image", K.params, 0.983)
+        group = (K.params, [1, 2, 4], disk, 0.983, 256, 8)
+        cells = search._search_group(*group, 1)
+        assert calls == [(3, 3 * 256)] + [(3, 3 * 2)] * 8
+        assert repr(cells) == repr(search._search_group(*group, 3))
 
     def test_tiny_radius_has_no_violations(self):
         cells = sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), (1, 2, 4), 0.05)
