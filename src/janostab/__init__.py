@@ -6,9 +6,7 @@ from .inequalities import (
     InequalityReport,
     InequalityViolation,
     check_alternating_identity,
-    check_coeff_pair_inequality,
-    check_coeff_positivity,
-    check_weighted_pair_inequality,
+    check_coeff_lemmas,
 )
 from .janowski import (
     JanowskiParams,

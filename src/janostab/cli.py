@@ -152,6 +152,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
+    if args.alt_n_max < 1:
+        raise ValueError("--alt-n-max must be >= 1")
     points = GridSpec.default_size(args.step, args.lambda_step, args.allow_outside)
     check_coeff_size(points, args.n_max, args.m_max, args.alt_n_max)
     grid = GridSpec.default(args.n_max, args.m_max, args.step, args.lambda_step, args.allow_outside)

@@ -8,7 +8,10 @@ chunks of a few blocks of orders (:func:`~janostab.janowski.next_pair_chunk`)
 that each check reads once; no whole table is built.  A statement at
 index n is divided by max(|a_n|, |a_{n+1}|), so it cannot underflow and
 ``tol`` applies to values of order one.  ``min_margin`` is the minimum over
-the grid.  Reports are deterministic: violations are listed
+the grid; a minimum of exactly 0 is reported as +0 whatever the sign of the
+zero it came from (that sign depends only on how the pass laid out its
+chunks), except for the alternating identity, whose -|sum| reads -0.
+Reports are deterministic: violations are listed
 lexicographically by (A, B, lambda) and then by indices.  Every
 :class:`InequalityReport`, these and the derivative and product checks of
 :mod:`janostab.subordination`, lists at most ``MAX_LISTED_VIOLATIONS`` and
@@ -22,13 +25,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .janowski import (
-    JanowskiParams,
-    _falling_over_factorial,
-    coeff_pairs,
-    next_pair_chunk,
-    pair_stream,
-)
+from .janowski import JanowskiParams, PairStream, _falling_over_factorial, next_pair_chunk
 
 __all__ = [
     "GridSpec",
@@ -36,9 +33,6 @@ __all__ = [
     "InequalityViolation",
     "check_alternating_identity",
     "check_coeff_lemmas",
-    "check_coeff_pair_inequality",
-    "check_coeff_positivity",
-    "check_weighted_pair_inequality",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -187,12 +181,12 @@ def _list_hits(violations: list, hits, violation) -> int:
 
 
 # The coefficient checks, in report order: each statement f(B, u, v, m, n) on
-# the pair (u, v) of column n + shift, for n_lo <= n < n_max + n_end, and
-# whether it runs over m = 0..m_max.
+# the pair (u, v) of column n (positivity) or n + 1, for n_lo <= n < n_max +
+# n_end, and whether it runs over m = 0..m_max.
 _STATEMENTS = (
-    (lambda b, u, v, m, n: v, 0, 1, 0, False),
-    (lambda b, u, v, m, n: b * n * u + (n + 1) * v, 1, 0, 1, False),
-    (lambda b, u, v, m, n: b * m * n * u + (m + 1) * (n + 1) * v, 1, 1, 1, True),
+    (lambda b, u, v, m, n: v, 0, 1, False),
+    (lambda b, u, v, m, n: b * n * u + (n + 1) * v, 1, 0, False),
+    (lambda b, u, v, m, n: b * m * n * u + (m + 1) * (n + 1) * v, 1, 1, True),
 )
 
 
@@ -201,9 +195,10 @@ class _Tally:
     violations found, and the columns whose violations may still be listed,
     in (point, n) order."""
 
-    def __init__(self, points, statement, n_lo, n_end, shift, with_m, m_max, tol):
-        self.points, self.statement, self.span, self.tol = points, statement, (n_lo, n_end, shift), tol
+    def __init__(self, points, statement, n_lo, n_end, with_m, n_max, m_max, tol):
+        self.points, self.statement, self.tol = points, statement, tol
         self.m = np.arange(m_max + 1 if with_m else 1)[:, None]
+        self.checked = points[1].size * max(n_max + n_end - n_lo, 0) * self.m.size
         self.with_m, self.low, self.found, self.kept = with_m, np.inf, 0, None
 
     def _values(self, pts, ns, us, vs, scales):
@@ -246,9 +241,9 @@ class _Tally:
             cols = [c[: np.searchsorted(cols[0], last, side="right")] for c in cols]
         self.kept = cols
 
-    def report(self, grid: GridSpec) -> InequalityReport:
+    def report(self) -> InequalityReport:
         """The report: the kept columns' violations listed in (A, B, lambda)
-        and then index order."""
+        and then index order, and the minimum with a zero read as +0."""
         a, b, lam = self.points
         violations = []
         if self.kept is not None:
@@ -261,45 +256,25 @@ class _Tally:
                     InequalityViolation(float(a[pt]), float(b[pt]), float(lam[pt]), int(ns[lo + hit[1]]),
                                         int(hit[0]) if self.with_m else None, float(vals[tuple(hit)]))
                 ))
-        n_lo, n_end, _ = self.span
-        checked = b.size * max(grid.n_max + n_end - n_lo, 0) * self.m.size
-        low = self._zero_low(grid) if self.low == 0.0 else self.low
-        return InequalityReport(checked, tuple(violations), float(low), self.found - len(violations))
-
-    def _zero_low(self, grid: GridSpec) -> float:
-        """A minimum of 0 with the sign that sweeping whole pair tables over
-        blocks of 128 points gives it, as earlier versions reported it (the
-        sweep is kept in ``tests/oracles.py``).  numpy's min returns +0 or -0
-        by where they lie in memory, so the block minima are taken again, on
-        each block's own pair table and in its layout, up to the first that
-        reads 0."""
-        (a, b, lam), statement, m, tol = self.points, self.statement, self.m, self.tol
-        n_lo, n_end, shift = self.span
-        n, top = np.arange(n_lo, grid.n_max + n_end), m.size - 1
-        slack = 16.0 * np.finfo(float).eps * top * (n + 1)
-        for start in range(0, b.size, 128):
-            rows, cols = slice(start, start + 128), slice(n_lo + shift, n.size + n_lo + shift)
-            u, v, pair_max = (t[:, cols] for t in coeff_pairs(a[rows], b[rows], lam[rows], grid.n_max + 1))
-            pb, scale = b[rows, None], np.maximum(pair_max, 0.5)
-            low = statement(pb, u, v, 0, n) / scale
-            if top:
-                np.minimum(low, statement(pb, u, v, top, n) / scale, out=low)
-            if (block_low := low.min(initial=np.inf)) == 0.0:
-                return block_low
-            near = low <= slack - tol
-            for i in np.flatnonzero(near.any(axis=1)):
-                k = np.flatnonzero(near[i])
-                vals = np.atleast_2d(statement(pb[i], u[i, k], v[i, k], m, n[k]) / scale[i, k])
-                if vals.min() == 0.0:
-                    return vals.min()
-        raise AssertionError("no statement reads 0")
+        return InequalityReport(self.checked, tuple(violations), float(self.low + 0.0),
+                                self.found - len(violations))
 
 
 def check_coeff_lemmas(grid: GridSpec, tol: float = DEFAULT_TOL) -> tuple:
-    """The reports of :func:`check_coeff_positivity`,
-    :func:`check_coeff_pair_inequality` and
-    :func:`check_weighted_pair_inequality`, from one pass over the grid's
-    coefficient pairs.
+    """The positivity, pair and weighted pair reports of the grid, in that
+    order, from one pass over its coefficient pairs.  Each statement at
+    index n is divided by max(|a_n|, |a_{n+1}|); inside the range, with
+    q_n = a_{n+1} / a_n, it reads:
+
+    * positivity: a_n > 0 for 0 <= n <= n_max, divided by
+      max(|a_{n-1}|, |a_n|) (a_{-1} = 0, so a_0 reads 1): q_{n-1};
+    * pair: (n+1) a_{n+1} + B n a_n > 0 for 1 <= n < n_max, the z**n
+      coefficient of (1+Bz) times the derivative of the series:
+      (n+1) q_n + B n;
+    * weighted pair: (m+1)(n+1) a_{n+1} + B m n a_n >= 0 for
+      0 <= m <= m_max and 1 <= n <= n_max, which is m times the pair
+      statement plus (n+1) a_{n+1}, so the other two imply it:
+      (m+1)(n+1) q_n + B m n.
 
     The pairs come chunk by chunk (:func:`~janostab.janowski.next_pair_chunk`)
     and each chunk is read once: its scales, and the three statements at
@@ -315,8 +290,8 @@ def check_coeff_lemmas(grid: GridSpec, tol: float = DEFAULT_TOL) -> tuple:
     b_top = b * top
     # 5 roundings of terms <= 3m(n+1) put a value within 7.5 eps m(n+1); twice that bounds a dip
     slack_per_order = 16.0 * np.finfo(float).eps * top
-    tallies = [_Tally(points, *spec, top, tol) for spec in _STATEMENTS]
-    stream = pair_stream(*points, n_max + 1)
+    tallies = [_Tally(points, *spec, n_max, top, tol) for spec in _STATEMENTS]
+    stream = PairStream(*points, n_max + 1)
     bufs = None
     while (chunk := next_pair_chunk(stream)) is not None:
         j0, u, v, pair_max = chunk
@@ -344,8 +319,7 @@ def check_coeff_lemmas(grid: GridSpec, tol: float = DEFAULT_TOL) -> tuple:
         tallies[1].add(x[:k], 0.0 - tol, j0 + r - 1, u, v, scale)
         # the weighted statement at m = m_max, then its minimum with m = 0,
         # which is (n + 1) v up to the sign of a zero: these values only
-        # decide the minimum (a minimum of 0 gets its sign from
-        # _Tally._zero_low) and which columns are evaluated at every m
+        # decide the minimum and which columns are evaluated at every m
         np.multiply(b_top, j - 1.0, out=x)
         x *= u
         np.multiply((top + 1) * j, v, out=y)
@@ -354,14 +328,7 @@ def check_coeff_lemmas(grid: GridSpec, tol: float = DEFAULT_TOL) -> tuple:
         np.divide(t, scale, out=y)
         np.minimum(x, y, out=x)
         tallies[2].add(x, slack_per_order * j - tol, j0 + r - 1, u, v, scale)
-    return tuple(tally.report(grid) for tally in tallies)
-
-
-def check_coeff_positivity(grid: GridSpec, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """All coefficients a_n must be positive on the grid (n = 0..n_max).
-    Divided by max(|a_{n-1}|, |a_n|) (a_{-1} = 0, so a_0 reads 1) it is
-    q_{n-1} = a_n / a_{n-1} inside the range."""
-    return check_coeff_lemmas(grid, tol)[0]
+    return tuple(tally.report() for tally in tallies)
 
 
 def check_alternating_identity(lams, n_max: int, tol: float = DEFAULT_TOL) -> InequalityReport:
@@ -385,27 +352,3 @@ def check_alternating_identity(lams, n_max: int, tol: float = DEFAULT_TOL) -> In
         checked += margins.size
         low = min(low, margins.min())
     return InequalityReport(checked, tuple(violations), float(low), unlisted)
-
-
-def check_coeff_pair_inequality(
-    grid: GridSpec, tol: float = DEFAULT_TOL
-) -> InequalityReport:
-    """(n+1)*a_{n+1} + B*n*a_n must stay positive for 1 <= n < n_max.
-
-    This is the z**n coefficient of (1+Bz) * d/dz of the series, whose
-    closed form has positive coefficients throughout the kept range.
-    Divided by max(|a_n|, |a_{n+1}|) it is (n+1)*q_n + B*n.
-    """
-    return check_coeff_lemmas(grid, tol)[1]
-
-
-def check_weighted_pair_inequality(
-    grid: GridSpec, tol: float = DEFAULT_TOL
-) -> InequalityReport:
-    """(m+1)*(n+1)*a_{n+1} + B*m*n*a_n >= 0 for 0 <= m <= m_max, 1 <= n <= n_max.
-
-    Decomposes as m*((n+1)a_{n+1} + B*n*a_n) + (n+1)a_{n+1}, so positivity
-    of the pair inequality together with coefficient positivity implies it.
-    Divided by max(|a_n|, |a_{n+1}|) it is (m+1)*(n+1)*q_n + B*m*n.
-    """
-    return check_coeff_lemmas(grid, tol)[2]

@@ -22,12 +22,11 @@ from .series import TruncatedSeries
 
 __all__ = [
     "JanowskiParams",
-    "coeff_pairs",
+    "PairStream",
     "coeff_table",
     "convolution_coeffs",
     "janowski_series",
     "next_pair_chunk",
-    "pair_stream",
 ]
 
 
@@ -159,12 +158,23 @@ def _scale_pairs(rows, mags, u, v, m, e) -> None:
     np.ldexp(rows[1:], e, out=v)
 
 
-class _PairStream:
-    """The state of :func:`next_pair_chunk`: the parameters' weights, the
-    next order, and buffers reused by every chunk (large temporaries, and
-    indexing a row, cost more than the arithmetic on it)."""
+class PairStream:
+    """The consecutive coefficient pairs of ``a``, ``b`` and ``lam`` (floats
+    or equal-length 1-D arrays, as for :func:`coeff_table`) up to column
+    n_max, read chunk by chunk with :func:`next_pair_chunk`.  Column j of
+    point i is u = a_{j-1} * 2**-e and v = a_j * 2**-e (a_{-1} = 0), e
+    putting m = max(|u|, |v|) in [0.5, 1) unless both are 0.  The recurrence
+    runs on these pairs, and power-of-two scaling is exact, so nothing
+    underflows and every sign is exact; where :func:`coeff_table` stays
+    normal, its entries are 2**e u, 2**e v.
+
+    The stream holds the parameters' weights, the next order, and buffers
+    reused by every chunk (large temporaries, and indexing a row, cost more
+    than the arithmetic on it)."""
 
     def __init__(self, a, b, lam, n_max: int):
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
         self.lead, self.s, self.p = lam * (a - b), a + b, a * b
         shape = np.shape(self.lead)
         self.n_max, self.j, self.nd = n_max, 0, len(shape)
@@ -189,15 +199,7 @@ class _PairStream:
         self.w_hi = 2.0 * float(np.max(wmag[0] + (wmag[1] + wmag[2]) * n_max, initial=0.0))
 
 
-def pair_stream(a, b, lam, n_max: int) -> _PairStream:
-    """A stream of the pairs of :func:`coeff_pairs`, read chunk by chunk
-    with :func:`next_pair_chunk`."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return _PairStream(a, b, lam, n_max)
-
-
-def _run_block(st: _PairStream, size: int) -> None:
+def _run_block(st: PairStream, size: int) -> None:
     """The recurrence from the pair in rows 0, 1 through ``size`` orders from
     ``st.j`` into rows 2..: per order one call forms both products on the
     adjacent rows (a_{n-1}, a_n), then they are subtracted and divided by
@@ -212,10 +214,11 @@ def _run_block(st: _PairStream, size: int) -> None:
         np.divide(row[k + 2], n0 + k + 1, out=row[k + 2])
 
 
-def next_pair_chunk(st: _PairStream):
-    """The next chunk of pairs, ``(j0, u, v, m)``: rows of :func:`coeff_pairs`
-    columns j0, j0 + 1, ... (orders, then points), views of buffers the
-    next call overwrites; None past column n_max.
+def next_pair_chunk(st: PairStream):
+    """The next chunk of pairs, ``(j0, u, v, m)``: columns j0, j0 + 1, ... of
+    the stream (orders, then points), views of buffers the next call
+    overwrites; None past column n_max.  The chunks are the pairs of
+    rescaling after every order.
 
     A chunk holds whole blocks of ``PAIR_BLOCK`` orders, about
     ``PAIR_CHUNK`` values; the first one also holds column 0.  The
@@ -250,24 +253,6 @@ def next_pair_chunk(st: _PairStream):
         _scale_pairs(block, block_mags, *uvm[:, r : r + size], st.e[:size])
         st.j += size
     return (j0 - 1 + first, *uvm[:, first : end - j0 + 1])
-
-
-def coeff_pairs(a, b, lam, n_max: int):
-    """``(u, v, m)`` shaped like :func:`coeff_table`: u[i, j] = a_{j-1} * 2**-e
-    and v[i, j] = a_j * 2**-e (a_{-1} = 0), e putting m = max(|u|, |v|) in
-    [0.5, 1) unless both are 0.  The recurrence runs on these pairs, and
-    power-of-two scaling is exact, so nothing underflows and every sign is
-    exact; where :func:`coeff_table` stays normal, its entries are 2**e u, 2**e v.
-
-    The tables are those of rescaling after every order, the chunks of
-    :func:`next_pair_chunk` put together.
-    """
-    st = pair_stream(a, b, lam, n_max)
-    out = np.empty((3, n_max + 1) + np.shape(st.lead))
-    while (chunk := next_pair_chunk(st)) is not None:
-        j0, *uvm = chunk
-        out[:, j0 : j0 + len(uvm[0])] = uvm
-    return tuple(x.T for x in out)
 
 
 def janowski_series(params: JanowskiParams, order: int) -> TruncatedSeries:

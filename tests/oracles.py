@@ -9,8 +9,9 @@ container, so agreement is meaningful cross-validation.  The series helpers
 tests that build reference series from them.
 ``sequential_coeff_pairs`` is the renormalised coefficient-pair table
 rescaled after every order, and ``table_sweep_reports`` the three
-coefficient checks as they ran on that whole table, swept once per check
-(it builds the package's report types, and reads the grid's points).
+coefficient checks as they ran on that whole table, swept once per check,
+with a minimum of 0 reported as +0 (it builds the package's report types,
+and reads the grid's points).
 ``root_counted_logs`` is the branch rule the
 package used before its crossing test: the continued logarithm from the
 roots of the series, one ``arctan2`` pass per root; ``crosses_negative_axis``
@@ -114,7 +115,8 @@ def _table_sweep(points, u, v, pair_max, tol, n_lo, n_hi, shift, statement, m_ma
     n_lo <= n < n_hi (pair column n + ``shift``) and m = 0..m_max (no m when
     None), each divided by its pair's max(|a_{j-1}|, |a_j|), over blocks of
     128 points.  Only (point, n) columns whose value at m = 0 or m_max lies
-    within rounding slack of -tol are evaluated at every m."""
+    within rounding slack of -tol are evaluated at every m.  A minimum of 0
+    reads +0, whichever zero the blocks met first."""
     a, b, lam = points
     top = m_max or 0
     n = np.arange(n_lo, n_hi)
@@ -141,7 +143,7 @@ def _table_sweep(points, u, v, pair_max, tol, n_lo, n_hi, shift, statement, m_ma
                         None if m_max is None else int(hit[0]), float(vals[tuple(hit)])))
                 else:
                     unlisted += 1
-    return InequalityReport(b.size * n.size * (top + 1), tuple(violations), float(low_all), unlisted)
+    return InequalityReport(b.size * n.size * (top + 1), tuple(violations), float(low_all + 0.0), unlisted)
 
 
 def table_sweep_reports(grid, tol):

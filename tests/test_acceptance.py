@@ -20,9 +20,7 @@ import janostab
 from janostab.inequalities import (
     GridSpec,
     check_alternating_identity,
-    check_coeff_pair_inequality,
-    check_coeff_positivity,
-    check_weighted_pair_inequality,
+    check_coeff_lemmas,
 )
 from janostab.janowski import JanowskiParams, coeff_table, convolution_coeffs
 from janostab.subordination import (
@@ -119,7 +117,7 @@ def test_a03_coefficient_oracle_equivalence():
 def test_a04_coefficient_positivity():
     t0 = time.perf_counter()
     grid = GridSpec.default(n_max=500)
-    report = check_coeff_positivity(grid, tol=1e-12)
+    report, _, _ = check_coeff_lemmas(grid, tol=1e-12)
     elapsed = time.perf_counter() - t0
     ok = report.passed and elapsed < 60.0
     finish(
@@ -133,9 +131,9 @@ def test_a04_coefficient_positivity():
 def test_a05_pair_inequalities():
     t0 = time.perf_counter()
     pair_grid = GridSpec.default(n_max=500)
-    pair = check_coeff_pair_inequality(pair_grid, tol=1e-12)
+    _, pair, _ = check_coeff_lemmas(pair_grid, tol=1e-12)
     weighted_grid = GridSpec.default(n_max=100, m_max=100)
-    weighted = check_weighted_pair_inequality(weighted_grid, tol=1e-10)
+    _, _, weighted = check_coeff_lemmas(weighted_grid, tol=1e-10)
     elapsed = time.perf_counter() - t0
     ok = pair.passed and weighted.passed and elapsed < 60.0
     finish(

@@ -100,6 +100,13 @@ class TestVerifyLemmas:
             assert doc[section]["checked"] == 0
             assert doc[section]["min_margin"] is None
 
+    @pytest.mark.parametrize("alt_n_max", ["0", "-3"])
+    def test_bad_alternating_order_names_its_flag(self, capsys, alt_n_max):
+        code, out, err = run(capsys, "verify-lemmas", "--step", "0.5", "--lambda-step", "0.5",
+                             "--n-max", "5", "--alt-n-max", alt_n_max)
+        assert code == 2 and not out
+        assert "error: --alt-n-max must be >= 1" in err
+
     def test_widened_grid_finds_violations(self, capsys):
         code, out, _ = run(
             capsys, "verify-lemmas", "--step", "0.5", "--lambda-step", "0.5",

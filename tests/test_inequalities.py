@@ -15,9 +15,6 @@ from janostab.inequalities import (
     InequalityViolation,
     check_alternating_identity,
     check_coeff_lemmas,
-    check_coeff_pair_inequality,
-    check_coeff_positivity,
-    check_weighted_pair_inequality,
 )
 from janostab.janowski import PAIR_BLOCK, PAIR_CHUNK, JanowskiParams
 from janostab.serialize import dumps
@@ -30,6 +27,13 @@ from janostab.subordination import (
 from oracles import alternating_sum_exact, coeff_recurrence_scalar, table_sweep_reports
 
 POINT = GridSpec(A_values=(-0.5,), B_values=(-1.0,), lambda_values=(0.5,), n_max=2, m_max=1)
+# the reports of check_coeff_lemmas, in order
+CHECKS = ("positivity", "pair", "weighted")
+
+
+def lemmas(grid: GridSpec, tol: float = 1e-12) -> dict:
+    """The three coefficient reports of one pass, by name."""
+    return dict(zip(CHECKS, check_coeff_lemmas(grid, tol)))
 
 
 def pair_scale(a, n):
@@ -68,7 +72,7 @@ class TestPositivity:
     def test_single_point_margin(self):
         # a = 1, 1/4, 7/32: the values a_n / max(|a_{n-1}|, |a_n|) are 1, 1/4, 7/8
         a = coeff_recurrence_scalar(-0.5, -1.0, 0.5, 2)
-        report = check_coeff_positivity(POINT)
+        report = lemmas(POINT)["positivity"]
         assert report.passed
         assert report.checked == 3
         assert report.min_margin == pytest.approx(a[1] / pair_scale(a, 0), abs=1e-15)
@@ -76,7 +80,7 @@ class TestPositivity:
 
     def test_zero_order_grid_sees_only_a0(self):
         grid = GridSpec(A_values=(-0.3,), B_values=(-0.9,), lambda_values=(0.7,), n_max=0)
-        report = check_coeff_positivity(grid)
+        report = lemmas(grid)["positivity"]
         assert report.checked == 1 and report.min_margin == 1.0
 
     def test_detects_negative_coefficients_outside_range(self):
@@ -84,7 +88,7 @@ class TestPositivity:
             A_values=(1.0,), B_values=(0.5,), lambda_values=(0.5,),
             n_max=4, allow_positive_A=True,
         )
-        report = check_coeff_positivity(grid)
+        report = lemmas(grid)["positivity"]
         assert not report.passed
         assert report.min_margin < 0
 
@@ -107,7 +111,7 @@ class TestPositivity:
             expected.extend(
                 InequalityViolation(p.A, p.B, p.lam, int(n), None, float(vals[n])) for n in flagged
             )
-        report = check_coeff_positivity(grid)
+        report = lemmas(grid)["positivity"]
         assert len(expected) > 10 and extra > 0
         assert report.violations == tuple(expected)
 
@@ -140,7 +144,7 @@ class TestPairInequality:
     def test_single_point_value(self):
         # (2 a_2 + B a_1) / max(a_1, a_2) = (7/16 - 1/4) / (1/4)
         a = coeff_recurrence_scalar(-0.5, -1.0, 0.5, 2)
-        report = check_coeff_pair_inequality(POINT)
+        report = lemmas(POINT)["pair"]
         assert report.passed
         assert report.checked == 1  # n = 1 only for n_max = 2
         assert report.min_margin == pytest.approx((2 * a[2] - a[1]) / pair_scale(a, 1), abs=1e-15)
@@ -158,14 +162,14 @@ class TestWeightedPairInequality:
         # with m_max = 0 the weighted values are (n+1)*a_{n+1} / max(|a_n|, |a_{n+1}|)
         grid = GridSpec(A_values=(-0.3,), B_values=(-0.8,), lambda_values=(0.6,), n_max=7)
         a = coeff_recurrence_scalar(-0.3, -0.8, 0.6, 8)
-        report = check_weighted_pair_inequality(grid)
+        report = lemmas(grid)["weighted"]
         assert report.checked == 7
         assert report.min_margin == min((n + 1) * a[n + 1] / pair_scale(a, n) for n in range(1, 8))
 
     def test_grid_minimum_comes_from_m_zero_row(self):
         # rows m = 0, 1 at n = 1, 2: 1.75, 2.5 and 2.68, 3.36
         a = coeff_recurrence_scalar(-0.5, -1.0, 0.5, 3)
-        report = check_weighted_pair_inequality(POINT)
+        report = lemmas(POINT)["weighted"]
         assert report.passed
         assert report.min_margin == pytest.approx(2 * a[2] / pair_scale(a, 1), abs=1e-15)
         assert report.min_margin == pytest.approx(1.75, abs=1e-15)
@@ -190,13 +194,13 @@ class TestWeightedPairInequality:
                 pair = (nn + 1) * coeffs[nn + 1] + params.B * nn * coeffs[nn]
                 rebuilt.append((mm * pair + (nn + 1) * coeffs[nn + 1]) / pair_scale(coeffs, nn))
         grid = GridSpec(A_values=(a,), B_values=(b,), lambda_values=(lam,), n_max=n, m_max=m)
-        report = check_weighted_pair_inequality(grid)
+        report = lemmas(grid)["weighted"]
         assert report.checked == len(rebuilt)
         assert report.min_margin == pytest.approx(min(rebuilt), abs=1e-12)
 
     def test_zero_order_grid_has_no_weighted_terms(self):
         grid = GridSpec(A_values=(-0.3,), B_values=(-0.9,), lambda_values=(0.7,), n_max=0, m_max=3)
-        report = check_weighted_pair_inequality(grid)
+        report = lemmas(grid)["weighted"]
         assert report.checked == 0 and report.passed
         assert '"min_margin": null' in dumps(report.to_json_dict())
 
@@ -205,9 +209,10 @@ class TestWeightedPairInequality:
             A_values=(-0.7, -0.2), B_values=(-1.0, -0.8), lambda_values=(0.3, 0.9),
             n_max=40, m_max=20,
         )
-        assert check_coeff_positivity(grid).passed
-        assert check_coeff_pair_inequality(grid).passed
-        assert check_weighted_pair_inequality(grid).passed
+        reports = lemmas(grid)
+        assert reports["positivity"].passed
+        assert reports["pair"].passed
+        assert reports["weighted"].passed
 
 
 def raw_statements(grid: GridSpec) -> dict:
@@ -238,13 +243,6 @@ def raw_statements(grid: GridSpec) -> dict:
     return out
 
 
-CHECKS = {
-    "positivity": check_coeff_positivity,
-    "pair": check_coeff_pair_inequality,
-    "weighted": check_weighted_pair_inequality,
-}
-
-
 class TestScaleFreeValues:
     @settings(deadline=None, max_examples=60)
     @given(
@@ -260,12 +258,11 @@ class TestScaleFreeValues:
         grid = GridSpec(a_vals, b_vals, lam_vals, n_max, m_max, allow_positive_A=outside)
         assume(any(True for _ in grid.iter_params()))
         raw = raw_statements(grid)
-        for name, check in CHECKS.items():
-            # tol = -inf lists every value as a violation, in report order
-            every = check(grid, -np.inf).violations
-            flagged = {
-                (v.A, v.B, v.lam, v.n, v.m) for v in check(grid, 1e-12).violations
-            }
+        # tol = -inf lists every value as a violation, in report order
+        everies, flags = lemmas(grid, -np.inf), lemmas(grid)
+        for name in CHECKS:
+            every = everies[name].violations
+            flagged = {(v.A, v.B, v.lam, v.n, v.m) for v in flags[name].violations}
             seen = 0
             for v in every:
                 key = (name, v.A, v.B, v.lam, v.n, v.m)
@@ -326,8 +323,7 @@ class TestStreamedChecks:
         tracemalloc.start()
         try:
             grid = GridSpec.default(n_max=500, step=0.1, lambda_step=0.1)
-            for check in CHECKS.values():
-                check(grid)
+            check_coeff_lemmas(grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -342,8 +338,8 @@ class TestReports:
             A_values=(-0.6, -0.1), B_values=(-0.9,), lambda_values=(0.25, 0.75),
             n_max=25, m_max=10,
         )
-        first = dumps(check_weighted_pair_inequality(grid).to_json_dict())
-        second = dumps(check_weighted_pair_inequality(grid).to_json_dict())
+        first = dumps(lemmas(grid)["weighted"].to_json_dict())
+        second = dumps(lemmas(grid)["weighted"].to_json_dict())
         assert first == second
 
     def test_violation_schema(self):
@@ -351,27 +347,38 @@ class TestReports:
             A_values=(1.0,), B_values=(0.5,), lambda_values=(0.5,),
             n_max=4, allow_positive_A=True,
         )
-        report = check_coeff_positivity(grid)
+        report = lemmas(grid)["positivity"]
         doc = report.to_json_dict()
         assert set(doc) == {"checked", "violations", "min_margin"}
         assert doc["violations"], "expected violations outside the proven range"
         assert set(doc["violations"][0]) == {"A", "B", "lambda", "n", "m", "value"}
 
+    def test_a_zero_minimum_reads_plus_zero(self):
+        # every minimum on this lattice is 0; for 1 + z (A = 1, B = 0,
+        # lambda = 1) the recurrence gives a_2 = 0 and a_3 = -0
+        for report in check_coeff_lemmas(GridSpec.default(3, 0, 1, 1, True)):
+            assert report.passed and report.min_margin == 0.0
+            assert not np.signbit(report.min_margin)
+            assert '"min_margin": 0' in dumps(report.to_json_dict())
+
     def test_listing_stops_at_the_cap_and_counting_does_not(self, monkeypatch):
         grid = GridSpec.default(n_max=40, m_max=5, step=0.5, lambda_step=0.5, allow_positive_A=True)
         samples = SampleGrid((0.5, 0.9), 8, (0.3j,))
-        checks = {**{name: lambda tol, c=c: c(grid, tol) for name, c in CHECKS.items()},
-                  "alternating": lambda tol: check_alternating_identity((0.5, 1.0), 20, tol),
-                  "derivative": lambda tol: check_derivative_modulus_bound(
-                      JanowskiParams(-0.5, -1.0, 0.5), 3, samples, tol),
-                  "product": lambda tol: check_power_product_subordination(
-                      0.4, 0.9, -0.8, [[0.5], [-0.7, 0.2]], samples, tol)}
-        # tol = -inf makes every finite value a violation
-        tols = {"alternating": -np.inf, "derivative": -np.inf, "product": -np.inf}
-        full = {name: run(tols.get(name, 1e-12)) for name, run in checks.items()}
+
+        def run_all():
+            # the grid's lemma reports list violations at the default tol;
+            # tol = -inf makes every finite value of the others a violation
+            return {**lemmas(grid),
+                    "alternating": check_alternating_identity((0.5, 1.0), 20, -np.inf),
+                    "derivative": check_derivative_modulus_bound(
+                        JanowskiParams(-0.5, -1.0, 0.5), 3, samples, -np.inf),
+                    "product": check_power_product_subordination(
+                        0.4, 0.9, -0.8, [[0.5], [-0.7, 0.2]], samples, -np.inf)}
+
+        full = run_all()
         monkeypatch.setattr(inequalities, "MAX_LISTED_VIOLATIONS", 3)
-        for name, run in checks.items():
-            capped, whole = run(tols.get(name, 1e-12)), full[name]
+        for name, capped in run_all().items():
+            whole = full[name]
             assert len(whole.violations) > 3 and "violations_found" not in whole.to_json_dict()
             assert capped.violations == whole.violations[:3]
             assert capped.found == whole.found == len(whole.violations)

@@ -11,13 +11,12 @@ from janostab.janowski import (
     PAIR_BLOCK,
     PAIR_CHUNK,
     JanowskiParams,
+    PairStream,
     _falling_over_factorial,
-    coeff_pairs,
     coeff_table,
     convolution_coeffs,
     janowski_series,
     next_pair_chunk,
-    pair_stream,
 )
 from oracles import (
     binomial_series,
@@ -208,12 +207,23 @@ class TestCoeffTable:
         assert np.array_equal(a, coeff_recurrence_scalar(0.4, -0.9, 0.35, 50))
 
 
+def streamed_pairs(a, b, lam, n_max: int):
+    """``(u, v, m)`` shaped like :func:`coeff_table`: the chunks of
+    ``next_pair_chunk`` put together, column j of the stream in column j."""
+    stream = PairStream(a, b, lam, n_max)
+    out = np.empty((3, n_max + 1) + np.shape(stream.lead))
+    while (chunk := next_pair_chunk(stream)) is not None:
+        j0, *uvm = chunk
+        out[:, j0 : j0 + len(uvm[0])] = uvm
+    return tuple(x.T for x in out)
+
+
 class TestCoeffPairs:
     @settings(deadline=None, max_examples=60)
     @given(st.lists(PARAM_POINT, min_size=1, max_size=12), st.integers(0, 600))
     def test_pairs_are_power_of_two_scalings_of_the_table(self, points, n_max):
         a, b, lam = (np.array(col) for col in zip(*points))
-        u, v, pair_max = coeff_pairs(a, b, lam, n_max)
+        u, v, pair_max = streamed_pairs(a, b, lam, n_max)
         table = np.hstack([np.zeros((len(points), 1)), coeff_table(a, b, lam, n_max)])
         assert u.shape == v.shape == (len(points), n_max + 1)
         scale = np.maximum(np.abs(u), np.abs(v))
@@ -239,7 +249,7 @@ class TestCoeffPairs:
         # bit for bit, signs of zero and the blocks the range check redoes included
         args = points[0] if scalar else [np.array(col) for col in zip(*points)]
         u, v = sequential_coeff_pairs(*args, n_max)
-        got = coeff_pairs(*args, n_max)
+        got = streamed_pairs(*args, n_max)
         for g, w in zip(got, (u, v, np.maximum(np.abs(u), np.abs(v)))):
             assert g.shape == w.shape
             assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
@@ -247,7 +257,7 @@ class TestCoeffPairs:
     def test_exact_zeros_and_deep_decay_keep_their_signs(self):
         # A = 0.5, B = 0, lambda = 1 is 1 + z/2: exact zeros from a_2 on;
         # A = -0.05, B = -0.1, lambda = 0.05 decays below the double range
-        u, v, _ = coeff_pairs(np.array([0.5, -0.05]), np.array([0.0, -0.1]), np.array([1.0, 0.05]), 500)
+        u, v, _ = streamed_pairs(np.array([0.5, -0.05]), np.array([0.0, -0.1]), np.array([1.0, 0.05]), 500)
         assert u[0, 0] == 0 and np.all(u[0, 3:] == 0) and np.all(v[0, 2:] == 0)
         assert coeff_table(-0.05, -0.1, 0.05, 500)[-1] == 0.0
         assert np.all(u[1, 1:] > 0) and np.all(v[1] > 0)
@@ -268,7 +278,7 @@ class TestPairStream:
         edges = [k * orders + d for k in (1, 2) for d in (-1, 0, 1) if k * orders < 700]
         n_max = data.draw(st.sampled_from(edges) if edges else st.integers(0, 300))
         u, v = sequential_coeff_pairs(a, b, lam, n_max)
-        stream = pair_stream(a, b, lam, n_max)
+        stream = PairStream(a, b, lam, n_max)
         end = 0
         while (chunk := next_pair_chunk(stream)) is not None:
             j0, *got = chunk
@@ -278,6 +288,10 @@ class TestPairStream:
                 assert np.array_equal(g.view(np.uint64), w.T.view(np.uint64))
             end += len(got[0])
         assert end == n_max + 1
+
+    def test_rejects_a_negative_order(self):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            PairStream(-0.5, -1.0, 0.5, -1)
 
 
 class TestJanowskiSeries:

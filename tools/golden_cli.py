@@ -57,11 +57,12 @@ CASES = [
     "verify-lemmas --step 0.2 --lambda-step 0.2 --n-max 33 --m-max 12 --alt-n-max 20 "
     "--allow-outside",
     # a widened grid streamed in two chunks of pairs (220 points: 64 orders a
-    # chunk), with violations listed from both; and a lattice whose minima
-    # are all 0, of either sign
+    # chunk), with violations listed from both; and lattices whose minima
+    # are all 0, the pass meeting some as -0 at --n-max 3: each reads 0
     "verify-lemmas --step 0.2 --lambda-step 0.25 --n-max 70 --m-max 6 --alt-n-max 10 "
     "--allow-outside",
     "verify-lemmas --step 1 --lambda-step 1 --n-max 40 --m-max 3 --alt-n-max 3 --allow-outside",
+    "verify-lemmas --step 1 --lambda-step 1 --n-max 3 --m-max 0 --alt-n-max 3 --allow-outside",
     # s_n = 1 + z + ... + z^n: every root on |z| = 1, just outside the sampled
     # circle, where |s_n| is small and every sample ties (|ratio - 1| = |z|^(n+1))
     "check-stability --A 0 --B -1 --lambda 1 --n-max 32",
