@@ -32,7 +32,7 @@ from .inequalities import (
 from .janowski import JanowskiParams, coeff_table, convolution_coeffs
 from .search import SWEEP_CSV_HEADER, sweep_parameter_grid
 from .serialize import csv_text, dumps, write_text_atomic
-from .series import MAX_DEGREE, MAX_POINTS, BranchFailureError
+from .series import BranchFailureError, check_size
 from .subordination import (
     DISK_SOURCES,
     KNOWN_COUNTEREXAMPLE,
@@ -52,15 +52,6 @@ EXIT_BRANCH_FAILURE = 3
 # values in one point's weighted block (4x default).
 MAX_ORDER = 10_000
 MAX_LEMMA_VALUES = 2**23
-
-
-def check_size(degree: int, points: int) -> None:
-    """Reject a series degree or a per-evaluation sample count beyond the
-    limits; commands call it before any series is built."""
-    if degree > MAX_DEGREE:
-        raise ValueError(f"series degree {degree} exceeds {MAX_DEGREE}")
-    if points > MAX_POINTS:
-        raise ValueError(f"{points} sample points in one evaluation exceed {MAX_POINTS}")
 
 
 def check_coeff_size(points: float, n_max: int, m_max: int = 0, alt_n_max: int = 0) -> None:
@@ -229,7 +220,6 @@ def cmd_self_check(args) -> int:
 
 
 def cmd_search(args) -> int:
-    check_size(max(args.n_values, default=0), args.coarse_angles)
     cells = sweep_parameter_grid(
         args.A_values,
         args.B_values,
@@ -251,7 +241,7 @@ def cmd_plot(args) -> int:
         params = JanowskiParams(args.A, args.B, args.lam)
         if args.z0 is None:
             raise ValueError("--z0 must name a witness point for plotting")
-        check_size(args.n, max(args.angles, args.boundary_samples))
+        check_size(args.n, max(args.angles + 1, args.boundary_samples))  # the curve and z0
         geometry = compute_figure_geometry(
             params, args.n, args.r, args.z0,
             curve_angles=args.angles, boundary_samples=args.boundary_samples,

@@ -19,28 +19,22 @@ is local, so the result is the best margin found, not a certified maximum.
 
 The cells of one (A, B, lambda) hold partial sums of one coefficient
 sequence, and they are searched in lock step: one row per n, each row
-with its own theta and best.  One evaluator call holds every row's scan.
-Then, while rows x 26 <= ``coarse_angles``, one call holds every row's
-probe tree of up to three rounds: the 2 probes of the first round, the 6
-of the three places the row can be at after it and the 18 of the nine
-after the second, 26 in all (see :func:`_tree`).  The rounds are then
-replayed row by row from those margins, each row going on from the node
-its replay reaches (:func:`_replay`); the angles are built with the same
-float additions as round by round, so every cell is bit for bit the same.
-With more rows than that, a call holds one round, every row's two probes,
-and numpy takes every row's step at once: there a replay row by row
-costs more than numpy's step, and trees evaluate more probes than the
-calls they save cost (timed interleaved on 2 vCPUs, sweeps of n = 1..10,
-1..40 and 1..200: replayed row by row they take 5 to 17% longer; with
-trees 17 and 28% longer at 40 and 200 rows, 12% shorter at 10).  A
-default search (three rows, 256 angles, 8 rounds) makes 1 + 3 calls.
+with its own theta and best.  One evaluator call holds every row's scan;
+each further call holds every row's probe tree of up to three rounds: the
+2 probes of the first round, the 6 of the three places the row can be at
+after it and the 18 of the nine after the second, 26 in all (see
+:func:`_tree`).  The rounds are then replayed row by row from those
+margins, each row going on from the node its replay reaches
+(:func:`_replay`); the angles are built with the same float additions as
+round by round, so every cell is bit for bit the same.  A default search
+(three rows, 256 angles, 8 rounds) makes 1 + 3 calls.
 
 A sweep uses trees of three rounds only if its coefficient-samples,
 counted with their 26 probes for every 6 of single rounds, stay within
 the bound that admits it; otherwise its trees hold one round each, so no
 admitted sweep evaluates more than that bound.  A call holds at most
-``MAX_POINTS`` samples (a tree is no larger than one scan row), so the
-rows are split into chunks of at most ``MAX_POINTS // coarse_angles``.
+``MAX_POINTS`` samples: the rows are split into chunks of at most
+``MAX_POINTS // max(coarse_angles, 26)``, a scan row or a tree each.
 Each row's values are bit for bit those of its cell alone (see
 :mod:`janostab.series`), so a cell does not depend on its sweep.
 
@@ -61,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .janowski import JanowskiParams, coeff_table
-from .series import MAX_DEGREE, MAX_POINTS, TruncatedSeries, _circle_points
+from .series import MAX_DEGREE, MAX_POINTS, TruncatedSeries, _circle_points, check_size
 from .subordination import DiskSpec, _count, _defined, disk_for, ratio_samples
 
 __all__ = [
@@ -87,7 +81,7 @@ SWEEP_CSV_HEADER = (
 )
 
 MAX_CELLS = 2**16
-_TREE_ROUNDS = 3  # refine rounds per evaluator call while a tree is no larger than a scan row
+_TREE_ROUNDS = 3  # refine rounds per evaluator call
 _TREE_PROBES = 3**_TREE_ROUNDS - 1  # 2 + 6 + 18 probes per row
 
 
@@ -160,43 +154,27 @@ def _search_rows(stack, params: JanowskiParams, disk: DiskSpec, r: float, angles
     of at most ``rounds`` rounds; a failed sample raises
     :class:`~janostab.series.BranchFailureError` at the end."""
     live, failure = len(stack), None
-    rows = np.arange(live)
-
-    def samples(points):
-        # (margins, zs, vals) of the live rows, one row of ``points`` each
-        nonlocal live, failure
-        vals, zs, bad = (a.reshape(live, -1) for a in ratio_samples(stack[:live], params, points))
-        if bad.any():
-            live = int(np.flatnonzero(bad.any(axis=1))[0])
-            failure = vals[live], zs[live], bad[live]
-        return disk.margin(vals[:live]), zs[:live], vals[:live]
-
-    margins, zs, vals = samples(np.repeat(_circle_points([r], angles), live, axis=0))
-    pick = rows[:live], margins.argmax(axis=1)
+    scan = np.repeat(_circle_points([r], angles), live, axis=0)
+    vals, zs, bad = (a.reshape(live, -1) for a in ratio_samples(stack, params, scan))
+    if bad.any():  # a failed scan sample drops its row and those above
+        live = int(np.flatnonzero(bad.any(axis=1))[0])
+        failure = vals[live], zs[live], bad[live]
+    margins = disk.margin(vals[:live])
+    pick = np.arange(live), margins.argmax(axis=1)
     best_m, best_z, best_v = margins[pick], zs[pick], vals[pick]
     theta, step = 2.0 * np.pi * pick[1] / angles, np.pi / angles
-    while iters and live:
-        if live * _TREE_PROBES > angles:  # one round: every row's two probes
-            depth = 1
-            probes = theta[:live, None] + (-step, step)  # x + (-h) is x - h exactly
-            margins, zs, vals = samples([cmath.rect(r, t) for t in probes.ravel().tolist()])
-            pick = rows[:live], margins.argmax(axis=1)
-            up = margins[pick] > best_m[:live]
-            if up.any():  # a round that improves no row copies nothing
-                for best, probe in ((best_m, margins), (best_z, zs), (best_v, vals), (theta, probes)):
-                    np.copyto(best[:live], probe[pick], where=up)
-        else:  # every row's tree in one call, then each row's rounds replayed
-            depth = min(iters, rounds)
-            probes = [t for start in theta[:live].tolist() for t in _tree(start, step, depth)]
-            vals, zs, bad = ratio_samples(stack[:live], params, [cmath.rect(r, t) for t in probes])
-            margins, flags = disk.margin(vals).tolist(), (bad.tolist() if bad.any() else None)
-            for i, top in enumerate(best_m[:live].tolist()):
-                at, pair = _replay(margins, flags, i * (3**depth - 1), top, depth)
-                if pair is not None:  # a failed sample on the path drops the row and those above
-                    live, failure = i, (vals[pair : pair + 2], zs[pair : pair + 2], bad[pair : pair + 2])
-                    break
-                if at >= 0:
-                    best_m[i], best_z[i], best_v[i], theta[i] = margins[at], zs[at], vals[at], probes[at]
+    while iters and live:  # every row's tree in one call, then each row's rounds replayed
+        depth = min(iters, rounds)
+        probes = [t for start in theta[:live].tolist() for t in _tree(start, step, depth)]
+        vals, zs, bad = ratio_samples(stack[:live], params, [cmath.rect(r, t) for t in probes])
+        margins, flags = disk.margin(vals).tolist(), (bad.tolist() if bad.any() else None)
+        for i, top in enumerate(best_m[:live].tolist()):
+            at, pair = _replay(margins, flags, i * (3**depth - 1), top, depth)
+            if pair is not None:  # a failed sample on the path drops the row and those above
+                live, failure = i, (vals[pair : pair + 2], zs[pair : pair + 2], bad[pair : pair + 2])
+                break
+            if at >= 0:
+                best_m[i], best_z[i], best_v[i], theta[i] = margins[at], zs[at], vals[at], probes[at]
         step, iters = step * 0.5**depth, iters - depth  # exact: powers of two
     if failure is not None:
         _defined(failure)  # raises at the row's first failed sample
@@ -206,9 +184,9 @@ def _search_rows(stack, params: JanowskiParams, disk: DiskSpec, r: float, angles
 def _search_group(params: JanowskiParams, ns: list, disk: DiskSpec, r: float, angles: int, iters: int, rounds: int):
     """Best (margin, z, ratio) of each cell (params, n), n in ascending
     ``ns``: the prefixes of one coefficient table, searched in lock step by
-    chunks of rows that hold at most ``MAX_POINTS`` scan samples."""
+    chunks of rows whose scan or trees hold at most ``MAX_POINTS`` samples."""
     coeffs = coeff_table(params.A, params.B, params.lam, ns[-1])
-    size = max(1, MAX_POINTS // angles)
+    size = MAX_POINTS // max(angles, _TREE_PROBES)
     best = []
     for i in range(0, len(ns), size):
         stack = [TruncatedSeries(coeffs[: n + 1]) for n in ns[i : i + size]]
@@ -229,10 +207,12 @@ def sweep_parameter_grid(
     """Best self-stability margin per (A, B, lambda, n) cell.
 
     Each value list must be non-empty and lie inside -1 <= B < A < 0 and
-    0 < lambda <= 1; pairs with B >= A are dropped.  More than ``MAX_CELLS``
-    cells, or a sum over the cells of (n + 1) * (``coarse_angles`` + 2
-    ``refine_iters``) above ``MAX_DEGREE * MAX_POINTS``, raise
-    ``ValueError`` before any cell runs.  Cells are emitted in
+    0 < lambda <= 1; pairs with B >= A are dropped.  An n above
+    ``MAX_DEGREE``, ``coarse_angles`` above ``MAX_POINTS``, more than
+    ``MAX_CELLS`` cells, or a sum over the cells of (n + 1) *
+    (``coarse_angles`` + 2 ``refine_iters``) above ``MAX_DEGREE *
+    MAX_POINTS``, raise ``ValueError`` before any cell runs (the size
+    limits first).  Cells are emitted in
     lexicographic order and each records the best margin found on |z| = r
     with its witness, whether or not it is positive.  A cell with a failed
     sample, as at all when s_n meets (-inf, 0] on |z| = r, raises
@@ -242,6 +222,7 @@ def sweep_parameter_grid(
     b_values = sorted(float(v) for v in b_values)
     lambda_values = sorted(float(v) for v in lambda_values)
     n_values = sorted(int(n) for n in n_values)
+    check_size(max(n_values, default=0), coarse_angles)
     if not (a_values and b_values and lambda_values and n_values):
         raise ValueError("the A, B, lambda and n value lists must be non-empty")
     for v in a_values:

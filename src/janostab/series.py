@@ -51,6 +51,15 @@ RADIUS_GRID = 2.0**30
 CROSSING_SLACK = 1e-9
 
 
+def check_size(degree: int, points: int) -> None:
+    """Reject a series degree or a per-evaluation sample count beyond the
+    limits; callers run it before any series is built."""
+    if degree > MAX_DEGREE:
+        raise ValueError(f"series degree {degree} exceeds {MAX_DEGREE}")
+    if points > MAX_POINTS:
+        raise ValueError(f"{points} sample points in one evaluation exceed {MAX_POINTS}")
+
+
 class BranchFailureError(ArithmeticError):
     """No logarithm or power of s_n is reported at z: s_n meets (-inf, 0] on
     |zeta| = |z|, as with a root in |zeta| <= |z|, or |s_n| < ``EPS_ZERO``."""

@@ -11,15 +11,14 @@ from numpy.polynomial import chebyshev
 import pytest
 
 from janostab.cli import (
-    MAX_DEGREE,
     MAX_LEMMA_VALUES,
     MAX_ORDER,
-    MAX_POINTS,
     check_coeff_size,
     check_size,
     main,
 )
-from janostab import cli, inequalities
+from janostab import cli, inequalities, series
+from janostab.series import MAX_DEGREE, MAX_POINTS
 from janostab.inequalities import GridSpec
 from test_acceptance import CLI_CASES
 
@@ -466,6 +465,16 @@ class TestSizeGuard:
         assert code == 2
         assert out == ""
         assert "degree 257" in err
+
+    def test_plot_counts_its_witness(self, capsys, monkeypatch, tmp_path):
+        # the curve and z0 are one evaluation of --angles + 1 points
+        monkeypatch.setattr(series, "MAX_POINTS", 64)
+        fig = ("--boundary-samples", "8", "--out", str(tmp_path / "fig.svg"))
+        code, out, err = run(capsys, "plot", "--angles", "64", *fig)
+        assert code == 2
+        assert out == ""
+        assert "65 sample points in one evaluation exceed 64" in err
+        assert run(capsys, "plot", "--angles", "63", *fig)[0] == 0
 
 
 class TestCoeffSizeGuard:

@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import janostab.search as search
@@ -106,13 +106,12 @@ class TestPremise:
     # the n = 4 row fails at scan sample 3, the n = 2 row at its scan sample 5
     # or at its second probe of round 2: the message names the n = 2 sample,
     # as a search of one cell after another would; the failing rows are
-    # dropped from the next call on, with 256 angles (probe trees) and with 32
-    # (single rounds while two rows x 26 probes exceed a scan row)
+    # dropped from the next call on, with 256 angles and with 32 alike
     PLANS = {
         (256, 0): [(3, 768), (1, 26), (1, 26), (1, 8)],
         (256, 2): [(3, 768), (2, 52), (1, 26), (1, 8)],
         (32, 0): [(3, 96), (1, 26), (1, 26), (1, 8)],
-        (32, 2): [(3, 96), (2, 4), (2, 4), (1, 26), (1, 26)],
+        (32, 2): [(3, 96), (2, 52), (1, 26), (1, 8)],
     }
 
     @pytest.mark.parametrize("lower_round", [0, 2])
@@ -165,8 +164,7 @@ class TestOneCircle:
 
     def test_one_evaluation_per_tree_or_round(self, monkeypatch):
         # one call for every row's scan; then one per tree of up to three rounds
-        # (2 + 6 + 18 probes a row) while rows x 26 <= coarse_angles, else one
-        # per round (2 probes a row)
+        # (2 + 6 + 18 probes a row), whatever the row count
         calls = []
 
         def counting(series, params, points):
@@ -176,16 +174,16 @@ class TestOneCircle:
         monkeypatch.setattr(search, "ratio_samples", counting)
         cases = (((1,), 256), ((1, 2, 4), 256), ((1, 2, 4), 64), ((1,), 16), ((1, 2), 52), ((1, 2), 51))
         for ns, angles in cases:
-            rows, tree = len(ns), len(ns) * 26 <= angles
+            rows = len(ns)
             for iters in (0, 1, 2, 3, 4, 8, 64):
                 calls.clear()
                 sweep_parameter_grid(
                     (K.params.A,), (K.params.B,), (K.params.lam,), ns, 0.983,
                     coarse_angles=angles, refine_iters=iters,
                 )
-                depths = [3] * (iters // 3) + [iters % 3] * (iters % 3 > 0) if tree else [1] * iters
+                depths = [3] * (iters // 3) + [iters % 3] * (iters % 3 > 0)
                 assert calls == [(rows, rows * angles)] + [(rows, rows * (3**d - 1)) for d in depths]
-                assert len(calls) == 1 + (-(-iters // 3) if tree else iters)
+                assert len(calls) == 1 + -(-iters // 3)
 
     def test_refinement_never_lowers_the_margin(self):
         margins = [
@@ -231,42 +229,65 @@ class TestLockStep:
 
 
 @st.composite
-def _sweeps(draw):
-    """One (A, B, lambda) with 1 to 12 n values (on both sides of the rule
-    rows x 26 <= coarse_angles), r, coarse_angles, refine_iters, a period
-    of failed samples (0: none), whether the scan's samples are spared and
-    whether the values are coarsened to multiples of 1/8, where margins tie."""
+def _sweeps(draw, angles=st.sampled_from([16, 32, 64, 256])):
+    """One (A, B, lambda) with 1 to 40 n values, r, coarse_angles (drawn
+    from ``angles``), refine_iters, a period of failed samples (0: none),
+    whether the scan's samples are spared and whether the values are
+    coarsened to multiples of 1/8, where margins tie."""
     a = draw(st.floats(-0.95, -0.05))
     b = draw(st.floats(-1.0, a - 0.01))
     lam = draw(st.floats(0.05, 1.0))
-    ns = draw(st.lists(st.integers(1, 40), min_size=1, max_size=draw(st.sampled_from([3, 12]))))
+    ns = draw(st.lists(st.integers(1, 40), min_size=1, max_size=draw(st.sampled_from([3, 12, 40]))))
     r = draw(st.floats(0.05, 0.999))
-    angles = draw(st.sampled_from([16, 32, 64, 256]))
+    angles = draw(angles)
     iters, period = draw(st.integers(0, 20)), draw(st.sampled_from([0, 11, 41, 257]))
     return ((a,), (b,), (lam,), ns, r), angles, iters, period, draw(st.booleans()), draw(st.booleans())
+
+
+def _both_searches(drawn):
+    """The search of a drawn sweep with probe trees and round by round (each
+    its ``_run``), failed samples at pseudo-random points of the scan and
+    the probes, and the number of points of each evaluator call of the
+    first."""
+    sweep, angles, iters, period, spare_scan, coarse = drawn
+    scan = _circle_points([sweep[-1]], angles)[0] if spare_scan else []
+
+    def mark(n, zs):
+        hit = (zs.real.view(np.uint64) + n) % period == 0 if period else np.zeros(zs.shape, bool)
+        return hit & ~np.isin(zs, scan)
+
+    marked, sizes = _marking(mark), []
+
+    def evaluate(series, params, points):
+        sizes.append(np.size(points))
+        vals, zs, bad = marked(series, params, points)
+        return (np.round(vals * 8) / 8 if coarse else vals), zs, bad
+
+    got = _run(evaluate, False, *sweep, coarse_angles=angles, refine_iters=iters)
+    calls = sizes.copy()
+    return got, _run(evaluate, True, *sweep, coarse_angles=angles, refine_iters=iters), calls
 
 
 class TestProbeTrees:
     @settings(deadline=None, max_examples=150)
     @given(_sweeps())
     def test_cells_and_failures_match_the_round_by_round_search(self, drawn):
-        # cells bit for bit, and the same BranchFailureError text, with failed
-        # samples at pseudo-random points of the scan and the probes
-        sweep, angles, iters, period, spare_scan, coarse = drawn
-        scan = _circle_points([sweep[-1]], angles)[0] if spare_scan else []
+        # cells bit for bit, and the same BranchFailureError text
+        got, reference, _ = _both_searches(drawn)
+        assert got == reference
 
-        def mark(n, zs):
-            hit = (zs.real.view(np.uint64) + n) % period == 0 if period else np.zeros(zs.shape, bool)
-            return hit & ~np.isin(zs, scan)
-
-        marked = _marking(mark)
-
-        def evaluate(series, params, points):
-            vals, zs, bad = marked(series, params, points)
-            return (np.round(vals * 8) / 8 if coarse else vals), zs, bad
-
-        got = _run(evaluate, False, *sweep, coarse_angles=angles, refine_iters=iters)
-        assert got == _run(evaluate, True, *sweep, coarse_angles=angles, refine_iters=iters)
+    @settings(deadline=None, max_examples=40)
+    @given(_sweeps(st.just(16)))
+    @example((((-0.3,), (-0.9,), (0.7,), list(range(1, 41)), 0.983), 16, 8, 0, False, False))
+    def test_trees_are_chunked_within_max_points(self, drawn):
+        # with 2**10 points a call, 16 angles split the rows into chunks of
+        # 2**10 // 26 = 39 trees (a chunk of 2**10 // 16 = 64 scan rows would
+        # put 40 trees, 1,040 probes, in one call), and chunks change no cell
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "MAX_POINTS", 2**10)
+            got, reference, calls = _both_searches(drawn)
+        assert max(calls) <= 2**10
+        assert got == reference
 
     def test_replay_takes_the_first_of_a_tie(self):
         # as argmax does: of two equal probes that improve the row, the -h one;
@@ -378,6 +399,26 @@ class TestSweep:
         args.update(overrides)
         with pytest.raises(ValueError):
             sweep_parameter_grid(**args)
+
+    @pytest.mark.parametrize(
+        "overrides, text",
+        [
+            (dict(n_values=(1, 257)), "series degree 257 exceeds 256"),
+            # the size limits are checked first: the degree is named, not n = 0 or r
+            (dict(n_values=(0, 257), r=1.5), "series degree 257 exceeds 256"),
+            (dict(coarse_angles=2**20 + 1), "1048577 sample points in one evaluation exceed 1048576"),
+        ],
+    )
+    def test_size_limits_are_checked_before_any_cell(self, monkeypatch, overrides, text):
+        calls = _count_cells(monkeypatch)
+        args = dict(
+            a_values=(K.params.A,), b_values=(K.params.B,), lambda_values=(K.params.lam,),
+            n_values=(1,), r=0.983, refine_iters=0,
+        )
+        args.update(overrides)
+        with pytest.raises(ValueError, match=text):
+            sweep_parameter_grid(**args)
+        assert calls == []
 
     def test_lambda_is_checked_before_any_cell(self, monkeypatch):
         calls = _count_cells(monkeypatch)

@@ -77,12 +77,14 @@ CASES = [
     # the counterexample path: one search cell, the figure at its best
     # witness, and a witness at the pole z = -1/A (a usage error)
     "search --A-values -0.3 --B-values -0.9 --lambda-values 0.7 --n-values 1,2,4 --r 0.983",
-    # refine rounds three to an evaluator call while rows x 26 <= coarse angles
-    # (two rows), one to a call above that (three rows), 7 rounds either way;
-    # and ten rows at the defaults, refined one round to a call
+    # refine rounds three to an evaluator call, 7 rounds ending in a tree of
+    # one; and many rows, with more probes in a call's trees than in a scan row
     "search --n-values 1,2 --coarse-angles 64 --refine-iters 7",
     "search --n-values 1,2,3 --coarse-angles 64 --refine-iters 7",
     "search --n-values 1,2,3,4,5,6,7,8,9,10",
+    "search --n-values " + ",".join(map(str, range(1, 41))),
+    "search --A-values -0.3 --B-values -0.9 --lambda-values 0.7 --n-values 1,2,3,4,5,6,7,8,9,10,11,12 "
+    "--coarse-angles 16 --refine-iters 20",
     "plot --A -0.3 --B -0.9 --lambda 0.7 --n 1 --r 0.983 "
     "--z0 0.51567165807293502,0.83688215482247552 --csv-dir {dir}",
     # a long figure, each of its paths formatted from digit words in several slices
