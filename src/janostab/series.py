@@ -12,16 +12,18 @@ logarithm L on |zeta| <= rho continued from the origin:
    circle, so |Im L| < pi there and, being harmonic, on the whole disk.
 
 That is the premise of the maximum modulus argument of the disk checks.
-The crossing test errs toward a crossing where rounding leaves it open.
+The crossing test is a triangle bound, then Taylor bounds on arcs of the
+circle, halved where open; it is proven, and errs toward a crossing where
+rounding or its cap of 2**16 arcs leaves it open.
 The rounding of rho is exact in binary, so the moduli of one circle share
 one test and a point's verdict depends on the series and the point alone.
 One evaluation takes a stack of series, one per row of points; a single
 series is the one-row stack, and each row's values are bit for bit those
 of its series alone.
 Series are immutable but for a cache of verdicts per radius, and the
-module keeps a small cache of read-only unit roots per circle size
-(``functools.lru_cache``, which is thread-safe); every function is safe to
-call from concurrent workers.
+module keeps a small cache of read-only unit roots per circle size, which
+the arcs share (``functools.lru_cache``, which is thread-safe); every
+function is safe to call from concurrent workers.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 __all__ = [
     "BranchFailureError",
@@ -38,7 +39,7 @@ __all__ = [
     "ray_log_values",
 ]
 
-# The highest series degree the branch test solves for, and the most
+# The highest series degree the branch test decides, and the most
 # sample points one evaluation may hold (one n = 32 base check on 2**20
 # points peaks at ~152 MB RSS with numpy 2.4 on x86-64 Linux).
 MAX_DEGREE = 256
@@ -47,7 +48,7 @@ MAX_POINTS = 2**20
 EPS_ZERO = 1e-12
 EPS = np.finfo(float).eps
 RADIUS_GRID = 2.0**30
-# Slack off [-1, 1] and above Re s = 0 (scaled): more failures, never a wrong branch
+# (-inf, CROSSING_SLACK] stands for (-inf, 0] (scaled): more failures, never a wrong branch
 CROSSING_SLACK = 1e-9
 
 
@@ -92,21 +93,34 @@ class TruncatedSeries:
 
 
 def _meets_negative_axis(a: np.ndarray, rho: float) -> bool:
-    """Whether s(z) = sum_k a_k z**k (real a_k) meets (-inf, 0] on |z| = rho:
-    with b_k = a_k rho**k / max |b| and x = cos(theta), Re s = sum b_k T_k(x)
-    and Im s = sin(theta) sum_(k>=1) b_k U_(k-1)(x), so s crosses where Re s
-    <= 0 at x = +-1 or at a real root of that U series (solved in the T
-    basis), both up to ``CROSSING_SLACK``; a non-finite b is a crossing.
+    """Whether s(z) = sum_k a_k z**k (real a_k) meets (-inf, c] on |z| = rho,
+    c = ``CROSSING_SLACK``, erring toward a crossing.  With b_k = a_k rho**k
+    / max |b| (a non-finite b crosses), N = b.size, S_p = sum_k k**p |b_k|
+    and s = sum_k b_k e^(ik theta) on [0, pi] (s(-theta) is its conjugate), in turn:
 
-    No solve is needed where b_0 - sum_(k>=1) |b_k| > ``CROSSING_SLACK`` +
-    4 (b.size + 2) eps sum_k |b_k|: Re s > 0 on the whole circle, and the
-    solve would find no crossing either.  Its last step computes Re s =
-    sum_k b_k cos(k theta) at theta = 0, pi and each candidate root, where
-    cos(0 theta) = 1 exactly and |fl(cos)| <= 1; so each computed value is
-    at least b_0 - sum_(k>=1) |b_k| less the dot product's rounding, under
-    b.size eps/2 sum |b_k|, and the bound's own sum and difference round by
-    as much again.  The margin covers both more than twice over, so every
-    value the solve would compare exceeds ``CROSSING_SLACK``."""
+    1. b_0 - sum_(k>=1) |b_k| > c + 4 (N + 2) eps S_0: Re s > c, as |cos| <= 1
+       and the sum and difference round by under (N + 2) eps/2 S_0.
+    2. s(0) = sum b_k or s(pi) = sum (-1)**k b_k, real and rounding by under
+       N eps/2 S_0, is at most c + 4 (N + 16) eps S_0: a crossing.
+    3. M = 2**ceil(log2(4N)) arcs of half-width h = pi/2M about theta_j =
+       (2j + 1) h, halved while open; an arc open at M = 2**16 is a crossing.
+       On an arc |s - s_j| <= h |s'_j| + (h**2/2) |s''_j| + (h**3/6) S_3
+       (Taylor; |s'''| <= S_3); R_j is that bound on the computed s_j, s'_j,
+       s''_j, plus m_h.  An arc is cleared where s_j lies farther than R_j
+       from (-inf, c].  A crossing is proven where Im s_j of adjacent arcs
+       exceed m_h in modulus with opposite signs and Re s_j + R_j <= c on
+       both: Re s <= c between their centres, and Im s vanishes there.
+
+    *Margin* m_h = 4 (N + 16) eps (S_0 + h S_1 + h**2 S_2 + h**3 S_3).  With
+    exact centres, e^(ik theta_j) = e^(2 pi i m/4M), m = k (2j + 1) mod 4M,
+    is a product of two table entries exp(i fl(fl(2 pi) q)/T), T a power of
+    two (the second 1 on the first M), each within 6 eps (angle within 4.3
+    eps, cos and sin within an ulp, as glibc's), so within 16 eps.  Each
+    part of its product with (b_k, k b_k, k**2 b_k) is a real dot product of
+    N terms (zero imaginary parts give exact zeros): s_j, s'_j, s''_j are
+    within e_p = (16 + 0.73 N) eps S_p in any order, and e_0 + h e_1 +
+    (h**2/2) e_2, with a few eps of each term of m_h for the rounding of the
+    distance, of R_j and of Re s_j + R_j, stays under m_h/2."""
     with np.errstate(over="ignore", invalid="ignore"):
         b = a * rho ** np.arange(a.size)
         scale = np.abs(b).max()
@@ -116,24 +130,45 @@ def _meets_negative_axis(a: np.ndarray, rho: float) -> bool:
     rest = np.abs(b[1:]).sum()
     if b[0] - rest > CROSSING_SLACK + 4 * (b.size + 2) * EPS * (abs(b[0]) + rest):
         return False
-    return _crossing_solve(b)
+    return _arcs_meet(b)
 
 
-def _crossing_solve(b: np.ndarray) -> bool:
-    """The colleague-matrix solve of :func:`_meets_negative_axis` on the
-    scaled b."""
-    # U_m = 2 (T_m + T_(m-2) + ...), with T_0 once: suffix sums of b[1:] per parity
-    d = np.empty(b.size - 1)
-    for p in (0, 1):
-        d[p::2] = b[1 + p::2][::-1].cumsum()[::-1]
-    d[1:] *= 2.0
-    # drop a tail below rounding on [-1, 1]: it would swamp the colleague matrix
-    tail = np.abs(d[::-1]).cumsum()[::-1]
-    d = d[: np.count_nonzero(tail > EPS * tail.sum(initial=0.0))]
-    x = chebyshev.chebroots(d) if d.size else np.empty(0)
-    near = (np.abs(x.imag) <= CROSSING_SLACK) & (np.abs(x.real) <= 1.0 + CROSSING_SLACK)
-    theta = np.arccos(np.append(np.clip(x.real[near], -1.0, 1.0), (-1.0, 1.0)))
-    return bool((np.cos(np.outer(theta, np.arange(b.size))) @ b <= CROSSING_SLACK).any())
+def _arcs_meet(b: np.ndarray) -> bool:
+    """Steps 2 and 3 of :func:`_meets_negative_axis` on the scaled b."""
+    k = np.arange(b.size)
+    s0, s1, s2, s3 = (k ** np.arange(4)[:, None] @ np.abs(b)).tolist()
+    tol = 4 * (b.size + 16) * EPS
+    if min(b.sum(), b[::2].sum() - b[1::2].sum()) <= CROSSING_SLACK + tol * s0:
+        return True
+    b3 = (k ** np.arange(3)[:, None] * b).T  # s, s'/i and -s'' sum its columns
+    M = 1 << (4 * b.size - 1).bit_length()
+    odd = np.arange(1, 2 * M, 2)  # the centres pi odd / 2M
+    while M <= 2**16:
+        h = np.pi / (2 * M)
+        margin = tol * (s0 + h * (s1 + h * (s2 + h * s3)))
+        s, ds, dds = _arc_sums(b3, odd, 4 * M).T
+        R = h * np.abs(ds) + (h * h / 2) * np.abs(dds) + (h**3 / 6 * s3 + margin)
+        im = s.imag
+        near = np.abs(s - np.minimum(s.real, CROSSING_SLACK)) <= R  # the distance to (-inf, c]
+        if not near.any():
+            return False
+        sure = (s.real + R <= CROSSING_SLACK) & (np.abs(im) > margin)
+        if (sure[1:] & sure[:-1] & (im[1:] * im[:-1] < 0) & (odd[1:] - odd[:-1] == 2)).any():
+            return True
+        odd = np.stack((2 * odd[near] - 1, 2 * odd[near] + 1), axis=1).ravel()
+        M *= 2
+    return True
+
+
+def _arc_sums(b3: np.ndarray, odd: np.ndarray, count: int) -> np.ndarray:
+    """``e @ b3``, e[j, k] = exp(2 pi i k odd_j / count), in blocks of 2**16 entries."""
+    k = np.arange(b3.shape[0])
+    first = 4 << (4 * k.size - 1).bit_length()
+    shift = (count // first).bit_length() - 1
+    roots, low = _unit_roots(first), np.exp(2j * np.pi * np.arange(1 << shift) / count)
+    rows = max(1, 2**16 // k.size)
+    ms = (np.multiply.outer(odd[i : i + rows], k) & (count - 1) for i in range(0, odd.size, rows))
+    return np.concatenate([(roots[m >> shift] * low[m & (low.size - 1)] if shift else roots[m]) @ b3 for m in ms])
 
 
 def _polyval_grid(cols: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -282,8 +282,12 @@ def _disk_points(points) -> np.ndarray:
 
 
 def _ratio(params: JanowskiParams, zs: np.ndarray, L: np.ndarray) -> np.ndarray:
+    # (1+Bz)/(1+Az) * exp(L/lam), overwriting L; L/lam's bits where log|s| is finite:
+    # numpy divides by lam + 0j by Smith's rule, times fl(1/lam) + 0j as here, and the
+    # zero-imaginary terms vanish (log|s| is never -0, Arg is +0.0-normalised)
     with np.errstate(invalid="ignore", over="ignore"):
-        return (1.0 + params.B * zs) / (1.0 + params.A * zs) * np.exp(L / params.lam)
+        L *= 1.0 / params.lam
+        return (1.0 + params.B * zs) / (1.0 + params.A * zs) * np.exp(L, out=L)
 
 
 def ratio_samples(series, params: JanowskiParams, points: Sequence[complex]):

@@ -15,8 +15,9 @@ and reads the grid's points).
 ``root_counted_logs`` is the branch rule the
 package used before its crossing test: the continued logarithm from the
 roots of the series, one ``arctan2`` pass per root; ``crosses_negative_axis``
-decides a crossing from the roots of a degree-2n polynomial instead of a
-Chebyshev series.
+decides a crossing from the roots of a degree-2n polynomial, and
+``crossing_solve`` from the roots of a Chebyshev series (the colleague
+eigensolve the package ran before its arc test).
 ``search_rows_by_round`` is the counterexample search refined one round
 per evaluator call; it runs on the evaluator it is given and so checks the
 plan of the package's search, not its arithmetic.
@@ -27,10 +28,11 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from janostab import inequalities
 from janostab.inequalities import InequalityReport, InequalityViolation
-from janostab.series import TruncatedSeries, _circle_points
+from janostab.series import CROSSING_SLACK, EPS, TruncatedSeries, _circle_points
 from janostab.subordination import _defined
 
 
@@ -321,6 +323,27 @@ def crosses_negative_axis(coeffs, rho: float, slack: float) -> bool:
     ts = np.append(ts[np.abs(np.abs(ts) - 1.0) <= slack], (1.0, -1.0))
     re = np.polynomial.polynomial.polyval(ts / np.abs(ts), b).real
     return bool((re <= slack).any())
+
+
+def crossing_solve(b) -> bool:
+    """Whether s(theta) = sum_k b_k e^(ik theta) (real b, max |b_k| = 1) meets
+    (-inf, 0] on the circle, up to ``CROSSING_SLACK``: with x = cos(theta),
+    Re s = sum b_k T_k(x) and Im s = sin(theta) sum_(k>=1) b_k U_(k-1)(x), so
+    s crosses where Re s <= ``CROSSING_SLACK`` at x = +-1 or at a real root
+    of that U series, solved in the T basis by a colleague eigensolve.
+    """
+    # U_m = 2 (T_m + T_(m-2) + ...), with T_0 once: suffix sums of b[1:] per parity
+    d = np.empty(b.size - 1)
+    for p in (0, 1):
+        d[p::2] = b[1 + p::2][::-1].cumsum()[::-1]
+    d[1:] *= 2.0
+    # drop a tail below rounding on [-1, 1]: it would swamp the colleague matrix
+    tail = np.abs(d[::-1]).cumsum()[::-1]
+    d = d[: np.count_nonzero(tail > EPS * tail.sum(initial=0.0))]
+    x = chebyshev.chebroots(d) if d.size else np.empty(0)
+    near = (np.abs(x.imag) <= CROSSING_SLACK) & (np.abs(x.real) <= 1.0 + CROSSING_SLACK)
+    theta = np.arccos(np.append(np.clip(x.real[near], -1.0, 1.0), (-1.0, 1.0)))
+    return bool((np.cos(np.outer(theta, np.arange(b.size))) @ b <= CROSSING_SLACK).any())
 
 
 def search_rows_by_round(stack, params, disk, r, angles, iters, rounds, evaluate):

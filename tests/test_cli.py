@@ -7,7 +7,6 @@ import shlex
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial import chebyshev
 import pytest
 
 from janostab.cli import (
@@ -526,33 +525,34 @@ class TestCoeffSizeGuard:
 class TestCrossingSolves:
     SELF_CHECK = ("self-check", "--n", "64", "--samples", "256")
     PLOT = ("plot", "--n", "64", "--angles", "256", "--boundary-samples", "64")
-    # a_0 > sum |a_k| r**k fails on both circles: one solve per radius
-    SOLVED = ("--A", "-0.5", "--B", "-1", "--lambda", "0.9")
+    # a_0 > sum |a_k| r**k fails on both circles: the arcs decide each radius
+    DECIDED = ("--A", "-0.5", "--B", "-1", "--lambda", "0.9")
 
     @pytest.mark.parametrize(
-        "argv, solved",
+        "argv, decided",
         [
-            (SELF_CHECK + SOLVED, [63, 63]),
-            (PLOT + SOLVED, [63, 63]),
-            # the defaults: the triangle bound settles both radii, no solve
+            (SELF_CHECK + DECIDED, [64, 64]),
+            (PLOT + DECIDED, [64, 64]),
+            # the defaults: the triangle bound settles both radii, no arcs
             (SELF_CHECK, []),
             (PLOT, []),
         ],
         ids=["self-check", "plot", "self-check-bounded", "plot-bounded"],
     )
-    def test_one_crossing_solve_per_radius(self, capsys, monkeypatch, argv, solved):
-        # at most one solve per radius: the sampled circle and the witness z0
+    def test_one_crossing_solve_per_radius(self, capsys, monkeypatch, argv, decided):
+        # the branch rule is decided on arcs at most once per radius: the
+        # sampled circle and the witness z0, each a degree-64 series
         degrees = []
-        chebroots = chebyshev.chebroots
+        arcs_meet = series._arcs_meet
 
-        def counted(coeffs):
-            degrees.append(len(coeffs) - 1)
-            return chebroots(coeffs)
+        def counted(b):
+            degrees.append(b.size - 1)
+            return arcs_meet(b)
 
-        monkeypatch.setattr(chebyshev, "chebroots", counted)
+        monkeypatch.setattr(series, "_arcs_meet", counted)
         code, out, _ = run(capsys, *argv)
         assert code in (0, 1) and out
-        assert degrees == solved
+        assert degrees == decided
 
 
 class TestDeterminism:

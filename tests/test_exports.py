@@ -2,7 +2,10 @@
 a stale export behind."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -22,3 +25,12 @@ def test_every_export_resolves(name):
 
 def test_modules_are_found():
     assert {"janostab.inequalities", "janostab.janowski", "janostab.cli"} <= set(MODULES)
+
+
+def test_the_cli_imports_no_numpy_polynomial():
+    # every benchmark worker and CLI run imports the CLI; numpy.polynomial
+    # would add its import time to each, and no module of the package needs it
+    code = "import sys, janostab.cli; print('numpy.polynomial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(janostab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

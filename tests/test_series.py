@@ -10,13 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from janostab import series
 from janostab.janowski import JanowskiParams, janowski_series
 from janostab.series import (
     CROSSING_SLACK,
     EPS,
     TruncatedSeries,
+    _arcs_meet,
     _circle_points,
-    _crossing_solve,
     _meets_negative_axis,
     _unit_roots,
     ray_log_values,
@@ -26,6 +27,7 @@ from oracles import (
     binomial_series,
     coeff_exact,
     crosses_negative_axis,
+    crossing_solve,
     derivative,
     evaluate,
     horner,
@@ -403,25 +405,79 @@ class TestCrossingRule:
         with pytest.raises(ValueError, match="real coefficients"):
             ray_log_values(s(1, 0.5j), np.asarray(0.1))
 
-    @settings(deadline=None, max_examples=300)
-    @given(
-        st.lists(finite_coeff, min_size=2, max_size=65),
-        st.floats(0.0, 1.0, exclude_min=True),
-        st.none() | st.floats(-0.01, 0.01),
-    )
-    def test_triangle_bound_settles_only_what_the_solve_settles(self, coeffs, rho, gap):
+    @staticmethod
+    def scaled(coeffs, rho, gap):
         # a_0 free, or within 1% of sum_(k>=1) |a_k| rho**k: both sides of the bound
         a = np.array(coeffs)
         if gap is not None:
             a[0] = (1.0 + gap) * np.abs(a[1:] * rho ** np.arange(1, a.size)).sum()
         b = a * rho ** np.arange(a.size)
         assume(np.abs(b).max() > 0.0)
-        b = b / np.abs(b).max()
-        verdict = _meets_negative_axis(a, rho)
-        assert verdict == _crossing_solve(b)
+        return a, b / np.abs(b).max()
+
+    CIRCLES = (
+        st.lists(finite_coeff, min_size=2, max_size=65),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.none() | st.floats(-0.01, 0.01),
+    )
+
+    @settings(deadline=None, max_examples=300)
+    @given(*CIRCLES)
+    def test_triangle_bound_settles_only_what_the_solve_settles(self, coeffs, rho, gap):
+        a, b = self.scaled(coeffs, rho, gap)
         rest = np.abs(b[1:]).sum()
         if b[0] - rest > CROSSING_SLACK + 4 * (b.size + 2) * EPS * (abs(b[0]) + rest):
-            assert not verdict and not crosses_negative_axis(a, rho, 1e-12)
+            assert not _meets_negative_axis(a, rho)
+            assert not crossing_solve(b) and not crosses_negative_axis(a, rho, 1e-12)
+
+    @settings(deadline=None, max_examples=300)
+    @given(*CIRCLES)
+    def test_arcs_clear_no_circle_an_oracle_flags(self, coeffs, rho, gap):
+        # the arcs run on every circle here, also where the triangle bound settles it
+        a, b = self.scaled(coeffs, rho, gap)
+        flagged = crossing_solve(b) or crosses_negative_axis(a, rho, 1e-12)
+        verdict = _arcs_meet(b)
+        if verdict and not flagged:
+            print(f"the arcs flag a circle the oracles clear: a = {a.tolist()}, rho = {rho!r}")
+        assert verdict or not flagged
+
+    @staticmethod
+    def decided(monkeypatch, coeffs, rho):
+        """The verdict and the (points, circle size) of each arc level."""
+        levels = []
+        arc_sums = series._arc_sums
+
+        def counted(b3, odd, count):
+            levels.append((odd.size, count))
+            return arc_sums(b3, odd, count)
+
+        monkeypatch.setattr(series, "_arc_sums", counted)
+        return _meets_negative_axis(np.array(coeffs), rho), levels
+
+    @pytest.mark.parametrize(
+        "coeffs, rho, points",
+        [
+            ((1.0, 2.0), 0.75, 0),  # s(-rho) = -0.5, before any arc
+            ((1.0, -2.0), 0.75, 0),  # s(rho) = -0.5
+            ((0.6, 1.0), 0.6, 0),  # tangent: s(-rho) = 0
+            ((0.999, 1.0), 0.999, 0),
+            # Im s changes sign where Re s < 0: at pi/2 (s(+-i rho) = -0.215), and near 2.43
+            ((1.0, 0.0, 1.5), 0.9, 16 + 4),
+            ((1.0, 0.5, 0.0, 0.0, 1.3), 0.97, 32),
+        ],
+    )
+    def test_crossings_are_proven_before_the_cap(self, monkeypatch, coeffs, rho, points):
+        verdict, levels = self.decided(monkeypatch, coeffs, rho)
+        assert verdict
+        assert sum(size for size, _ in levels) == points
+        assert all(count < 4 * 2**16 for _, count in levels)
+
+    def test_a_touch_without_a_sign_change_counts_as_a_crossing_at_the_cap(self, monkeypatch):
+        # Im s = sin(theta) (cos(theta) + 0.75)**2 >= 0 touches 0 where
+        # Re s = -0.035; s(0), s(pi) > 0: no proof, so the arcs there stay open
+        verdict, levels = self.decided(monkeypatch, (0.34, 0.8125, 0.75, 0.25), 1.0)
+        assert verdict
+        assert levels[-1][1] == 4 * 2**16 and sum(size for size, _ in levels) < 2**16
 
 
 class TestCirclePoints:

@@ -66,7 +66,10 @@ CASES = [
     # s_n = 1 + z + ... + z^n: every root on |z| = 1, just outside the sampled
     # circle, where |s_n| is small and every sample ties (|ratio - 1| = |z|^(n+1))
     "check-stability --A 0 --B -1 --lambda 1 --n-max 32",
-    # high degree, where the crossing test solves larger eigenproblems
+    # the same up to degree 256, on circles near those roots: the branch test's
+    # arcs are halved most there
+    "check-stability --A 0 --B -1 --lambda 1 --n-max 256 --radii 0.999,0.9999",
+    # high degree, where the branch test decides on more arcs
     "check-stability --A -0.5 --B -1 --lambda 0.5 --n-max 128",
     "self-check --A -0.8 --B -1 --lambda 0.3 --n 256 --r 0.999",
     "search --n-values 64,128,256",
@@ -102,7 +105,7 @@ CASES = [
     "verify-lemmas --step 0.5 --lambda-step 1 --n-max 20 --m-max 4 --alt-n-max 10",
     "verify-lemmas --step 0.35 --lambda-step 0.35 --n-max 20 --m-max 4 --alt-n-max 10",
     # each side of the crossing test's triangle bound a_0 > sum |a_k| r**k:
-    # it settles every circle of the first, and few of the second, unsolved
+    # it settles every circle of the first, and few of the second, without arcs
     "check-stability --A 0 --B -0.25 --lambda 1 --n-max 64",
     "check-stability --A -0.5 --B -1 --lambda 0.9 --n-max 64",
 ]
