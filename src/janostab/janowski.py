@@ -7,9 +7,11 @@ function satisfies, which gives the three-term relation
 
     (n+1) a_{n+1} = (lam*(A-B) - (A+B)*n) a_n - A*B*(n-1) a_{n-1}.
 
-The recurrence is the production method and runs vectorized over whole
-parameter grids; the convolution is retained as a cross-validation oracle
-(the two must agree to ~1e-10 relative for the parameter ranges in scope).
+The recurrence is the production method: :func:`coeff_table` runs it for
+one parameter point, and the pair stream (:class:`PairStream`) runs it
+vectorized over whole parameter grids.  The convolution is retained as a
+cross-validation oracle (the two must agree to ~1e-10 relative for the
+parameter ranges in scope).
 """
 
 from __future__ import annotations
@@ -90,33 +92,18 @@ def _weights(lead, s, p, n, out=(None, None)):
     return w_cur, np.multiply(p, n - 1, out=out[1])
 
 
-def _next_coeff(w, n: int, prev, cur):
-    """a_{n+1} from a_{n-1}, a_n and their weights ``w`` at n: the three-term
-    recurrence."""
-    nxt = w[0] * cur
-    nxt -= w[1] * prev
-    nxt /= n + 1
-    return nxt
-
-
 def coeff_table(a, b, lam, n_max: int) -> np.ndarray:
-    """Coefficients a_0..a_n_max by the three-term recurrence, for many
-    parameter points at once.
-
-    ``a``, ``b`` and ``lam`` are floats or equal-length 1-D arrays.  Row i of
-    the result holds the coefficients of point i (a 1-D array for floats);
-    each row is bit-identical to the recurrence run for that point alone.
-    """
+    """Coefficients a_0..a_n_max of one parameter point by the three-term
+    recurrence in Python floats, with the operations of :func:`_weights`
+    and :func:`_run_block` in their order."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    lead = lam * (a - b)
-    s = a + b
-    p = a * b
-    rows = [lead**0, lead]  # a_0 = 1 and a_1, in the shape of the parameters
-    n = np.arange(1.0, n_max).reshape((-1,) + (1,) * np.ndim(lead))
-    for k, w in enumerate(zip(*_weights(lead, s, p, n)), start=1):
-        rows.append(_next_coeff(w, k, rows[k - 1], rows[k]))
-    return np.array(rows[: n_max + 1]).T
+    a, b, lam = float(a), float(b), float(lam)
+    lead, s, p = lam * (a - b), a + b, a * b
+    out = [1.0, lead]
+    for n in range(1, n_max):
+        out.append(((lead - s * n) * out[n] - p * (n - 1) * out[n - 1]) / (n + 1))
+    return np.array(out[: n_max + 1])
 
 
 # Orders per block of the pair recurrence: it runs unscaled inside a block,
@@ -160,13 +147,13 @@ def _scale_pairs(rows, mags, u, v, m, e) -> None:
 
 class PairStream:
     """The consecutive coefficient pairs of ``a``, ``b`` and ``lam`` (floats
-    or equal-length 1-D arrays, as for :func:`coeff_table`) up to column
-    n_max, read chunk by chunk with :func:`next_pair_chunk`.  Column j of
-    point i is u = a_{j-1} * 2**-e and v = a_j * 2**-e (a_{-1} = 0), e
-    putting m = max(|u|, |v|) in [0.5, 1) unless both are 0.  The recurrence
-    runs on these pairs, and power-of-two scaling is exact, so nothing
-    underflows and every sign is exact; where :func:`coeff_table` stays
-    normal, its entries are 2**e u, 2**e v.
+    or equal-length 1-D arrays) up to column n_max, read chunk by chunk
+    with :func:`next_pair_chunk`.  Column j of point i is u = a_{j-1} *
+    2**-e and v = a_j * 2**-e (a_{-1} = 0), e putting m = max(|u|, |v|) in
+    [0.5, 1) unless both are 0.  The recurrence runs on these pairs, and
+    power-of-two scaling is exact, so nothing underflows and every sign is
+    exact; where :func:`coeff_table` of point i stays normal, its entries
+    are 2**e u, 2**e v.
 
     The stream holds the parameters' weights, the next order, and buffers
     reused by every chunk (large temporaries, and indexing a row, cost more
@@ -203,7 +190,7 @@ def _run_block(st: PairStream, size: int) -> None:
     """The recurrence from the pair in rows 0, 1 through ``size`` orders from
     ``st.j`` into rows 2..: per order one call forms both products on the
     adjacent rows (a_{n-1}, a_n), then they are subtracted and divided by
-    n + 1 in place, the operations of :func:`_next_coeff` in its order."""
+    n + 1 in place, the operations of :func:`coeff_table` in its order."""
     n0 = st.j - 1
     n = np.arange(n0, n0 + size, dtype=float).reshape((-1,) + (1,) * st.nd)
     _weights(st.lead, st.s, st.p, n, (st.w[:size, 1], st.w[:size, 0]))

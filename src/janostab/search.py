@@ -29,11 +29,9 @@ margins, each row going on from the node its replay reaches
 round by round, so every cell is bit for bit the same.  A default search
 (three rows, 256 angles, 8 rounds) makes 1 + 3 calls.
 
-A sweep uses trees of three rounds only if its coefficient-samples,
-counted with their 26 probes for every 6 of single rounds, stay within
-the bound that admits it; otherwise its trees hold one round each, so no
-admitted sweep evaluates more than that bound.  A call holds at most
-``MAX_POINTS`` samples: the rows are split into chunks of at most
+A sweep is admitted by the coefficient-samples it evaluates, each
+tree's probes counted (see :func:`sweep_parameter_grid`).  A call holds
+at most ``MAX_POINTS`` samples: the rows are split into chunks of at most
 ``MAX_POINTS // max(coarse_angles, 26)``, a scan row or a tree each.
 Each row's values are bit for bit those of its cell alone (see
 :mod:`janostab.series`), so a cell does not depend on its sweep.
@@ -128,7 +126,7 @@ def _tree(theta: float, step: float, depth: int) -> list:
     return probes
 
 
-def _replay(margins: list, bad, first: int, top: float, depth: int):
+def _replay(margins: list, bad: list, first: int, top: float, depth: int):
     """One row's rounds replayed in its tree's margins (from flat index
     ``first``, in :func:`_tree`'s order) from best margin ``top``: the flat
     index of the probe that last improved it (-1 if none), and the index of
@@ -137,7 +135,7 @@ def _replay(margins: list, bad, first: int, top: float, depth: int):
     node, at = 0, -1
     for k in range(depth):
         pair = first + 2 * node
-        if bad is not None and (bad[pair] or bad[pair + 1]):
+        if bad[pair] or bad[pair + 1]:
             return at, pair
         j = margins[pair + 1] > margins[pair]  # argmax: the first of a tie
         if margins[pair + j] > top:
@@ -148,11 +146,10 @@ def _replay(margins: list, bad, first: int, top: float, depth: int):
     return at, None
 
 
-def _search_rows(stack, params: JanowskiParams, disk: DiskSpec, r: float, angles: int, iters: int, rounds: int):
+def _search_rows(stack, params: JanowskiParams, disk: DiskSpec, r: float, angles: int, iters: int):
     """Best (margin, z, ratio) on |z| = r of each series of ``stack``, in
-    ascending n, searched in lock step as the module describes, with trees
-    of at most ``rounds`` rounds; a failed sample raises
-    :class:`~janostab.series.BranchFailureError` at the end."""
+    ascending n, searched in lock step as the module describes; a failed
+    sample raises :class:`~janostab.series.BranchFailureError` at the end."""
     live, failure = len(stack), None
     scan = np.repeat(_circle_points([r], angles), live, axis=0)
     vals, zs, bad = (a.reshape(live, -1) for a in ratio_samples(stack, params, scan))
@@ -164,10 +161,10 @@ def _search_rows(stack, params: JanowskiParams, disk: DiskSpec, r: float, angles
     best_m, best_z, best_v = margins[pick], zs[pick], vals[pick]
     theta, step = 2.0 * np.pi * pick[1] / angles, np.pi / angles
     while iters and live:  # every row's tree in one call, then each row's rounds replayed
-        depth = min(iters, rounds)
+        depth = min(iters, _TREE_ROUNDS)
         probes = [t for start in theta[:live].tolist() for t in _tree(start, step, depth)]
         vals, zs, bad = ratio_samples(stack[:live], params, [cmath.rect(r, t) for t in probes])
-        margins, flags = disk.margin(vals).tolist(), (bad.tolist() if bad.any() else None)
+        margins, flags = disk.margin(vals).tolist(), bad.tolist()
         for i, top in enumerate(best_m[:live].tolist()):
             at, pair = _replay(margins, flags, i * (3**depth - 1), top, depth)
             if pair is not None:  # a failed sample on the path drops the row and those above
@@ -181,7 +178,7 @@ def _search_rows(stack, params: JanowskiParams, disk: DiskSpec, r: float, angles
     return list(zip(best_m.tolist(), best_z.tolist(), best_v.tolist()))
 
 
-def _search_group(params: JanowskiParams, ns: list, disk: DiskSpec, r: float, angles: int, iters: int, rounds: int):
+def _search_group(params: JanowskiParams, ns: list, disk: DiskSpec, r: float, angles: int, iters: int):
     """Best (margin, z, ratio) of each cell (params, n), n in ascending
     ``ns``: the prefixes of one coefficient table, searched in lock step by
     chunks of rows whose scan or trees hold at most ``MAX_POINTS`` samples."""
@@ -190,7 +187,7 @@ def _search_group(params: JanowskiParams, ns: list, disk: DiskSpec, r: float, an
     best = []
     for i in range(0, len(ns), size):
         stack = [TruncatedSeries(coeffs[: n + 1]) for n in ns[i : i + size]]
-        best += _search_rows(stack, params, disk, r, angles, iters, rounds)
+        best += _search_rows(stack, params, disk, r, angles, iters)
     return best
 
 
@@ -209,9 +206,10 @@ def sweep_parameter_grid(
     Each value list must be non-empty and lie inside -1 <= B < A < 0 and
     0 < lambda <= 1; pairs with B >= A are dropped.  An n above
     ``MAX_DEGREE``, ``coarse_angles`` above ``MAX_POINTS``, more than
-    ``MAX_CELLS`` cells, or a sum over the cells of (n + 1) *
-    (``coarse_angles`` + 2 ``refine_iters``) above ``MAX_DEGREE *
-    MAX_POINTS``, raise ``ValueError`` before any cell runs (the size
+    ``MAX_CELLS`` cells, or a sum over the cells of (n + 1) times the
+    samples a cell evaluates (``coarse_angles``, and 26 tree probes for
+    every three ``refine_iters``, 2 or 8 for the rest) above ``MAX_DEGREE
+    * MAX_POINTS``, raise ``ValueError`` before any cell runs (the size
     limits first).  Cells are emitted in
     lexicographic order and each records the best margin found on |z| = r
     with its witness, whether or not it is positive.  A cell with a failed
@@ -247,15 +245,12 @@ def sweep_parameter_grid(
     count = pairs * len(lambda_values) * len(n_values)
     if count > MAX_CELLS:
         raise ValueError(f"{count} sweep cells exceed {MAX_CELLS}")
-    # (n + 1) coefficients times the samples of each cell: its time grows with both
-    degrees = pairs * len(lambda_values) * sum(n + 1 for n in n_values)
-    work = degrees * (coarse_angles + 2 * refine_iters)
+    # (n + 1) coefficients times the samples of each cell, its scan and its
+    # trees' probes: its time grows with both
+    probes = _TREE_PROBES * (refine_iters // 3) + 3 ** (refine_iters % 3) - 1
+    work = pairs * len(lambda_values) * sum(n + 1 for n in n_values) * (coarse_angles + probes)
     if work > MAX_DEGREE * MAX_POINTS:
         raise ValueError(f"the sweep's {work} coefficient-samples exceed {MAX_DEGREE * MAX_POINTS}")
-    # a cell's probe trees evaluate up to 26 probes per three rounds, not 6:
-    # a sweep uses them only if it stays within the bound counted with them
-    trees = _TREE_PROBES * (refine_iters // 3) + 3 ** (refine_iters % 3) - 1
-    rounds = _TREE_ROUNDS if degrees * (coarse_angles + trees) <= MAX_DEGREE * MAX_POINTS else 1
     cells = []
     for a in a_values:
         for b in b_values:
@@ -264,6 +259,6 @@ def sweep_parameter_grid(
             for lam in lambda_values:
                 params = JanowskiParams(a, b, lam)
                 disk = disk_for(disk_source, params, r)
-                best = _search_group(params, n_values, disk, r, coarse_angles, refine_iters, rounds)
+                best = _search_group(params, n_values, disk, r, coarse_angles, refine_iters)
                 cells += (SweepCell(params, n, *cell, disk, disk_source) for n, cell in zip(n_values, best))
     return cells

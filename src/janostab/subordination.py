@@ -522,15 +522,10 @@ def check_derivative_modulus_bound(
     _require_base_range(params, allow_outside)
     grid = grid or SampleGrid()
     series = janowski_series(params, n)
-    extra = grid.extra_points
     _, deriv, zs, bad = _defect_and_slope(series, params, _grid_points(grid.radii, grid))
-    # d'(|z|) depends on |z| only: evaluate once per distinct modulus
-    moduli = np.concatenate([np.repeat(grid.radii, grid.points_per_circle), np.abs(extra)])
-    srt = np.sort(moduli)  # its distinct values, found as series._principal_log finds radii
-    radii = np.append(srt[:1], srt[1:][srt[1:] != srt[:-1]])
-    inverse = np.searchsorted(radii, moduli)
-    _, slopes, _, bad_real = _defect_and_slope(series, params, radii)
-    margins = np.where(bad | bad_real[inverse], np.nan, slopes.real[inverse] - np.abs(deriv))
+    moduli = np.concatenate([np.repeat(grid.radii, grid.points_per_circle), np.abs(grid.extra_points)])
+    _, slopes, _, bad_real = _defect_and_slope(series, params, moduli)
+    margins = np.where(bad | bad_real, np.nan, slopes.real - np.abs(deriv))
     good = np.isfinite(margins)
     violations = []
     unlisted = _list_hits(violations, np.flatnonzero(good & (margins < -tol)), lambda k: (

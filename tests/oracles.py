@@ -346,10 +346,10 @@ def crossing_solve(b) -> bool:
     return bool((np.cos(np.outer(theta, np.arange(b.size))) @ b <= CROSSING_SLACK).any())
 
 
-def search_rows_by_round(stack, params, disk, r, angles, iters, rounds, evaluate):
+def search_rows_by_round(stack, params, disk, r, angles, iters, evaluate):
     """The lock-step search of ``janostab.search`` as it ran with one
-    evaluator call per refine round, every row's two probes in each, whatever
-    tree depth ``rounds`` allows: the reference for the probe trees.
+    evaluator call per refine round, every row's two probes in each: the
+    reference for the probe trees.
     ``evaluate`` is the evaluator (``ratio_samples`` or a stand-in with its
     signature).  A row with a bad sample anywhere in a call is dropped with
     the rows above it; the end raises at the first bad sample of the lowest

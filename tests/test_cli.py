@@ -296,6 +296,17 @@ class TestSearch:
         assert out == ""
         assert "69632 sweep cells exceed 65536" in err
 
+    def test_probes_over_the_work_bound_exit_two(self, capsys):
+        # one cell at n = 255: 256 coefficients times 2**20 - 547 scan points
+        # and 26 * 21 + 2 tree probes of 64 rounds is 2**28 + 256
+        code, out, err = run(
+            capsys, "search", "--n-values", "255", "--coarse-angles", "1048029",
+            "--refine-iters", "64",
+        )
+        assert code == 2
+        assert out == ""
+        assert "268435712 coefficient-samples exceed 268435456" in err
+
     def test_negative_witness_point_parses(self, capsys):
         code, out, _ = run(
             capsys, "self-check", "--z0", "-0.5,0.25", "--samples", "128",

@@ -195,11 +195,15 @@ class TestCoeffTable:
     @settings(deadline=None, max_examples=60)
     @given(st.lists(PARAM_POINT, min_size=1, max_size=12), st.integers(0, 600))
     def test_rows_match_the_scalar_recurrence(self, points, n_max):
-        a, b, lam = (np.array(col) for col in zip(*points))
-        table = coeff_table(a, b, lam, n_max)
-        assert table.shape == (len(points), n_max + 1)
-        for row, (pa, pb, plam) in zip(table, points):
+        for pa, pb, plam in points:
+            row = coeff_table(pa, pb, plam, n_max)
+            assert row.shape == (n_max + 1,)
             assert np.array_equal(row, coeff_recurrence_scalar(pa, pb, plam, n_max))
+
+    def test_parameter_arrays_are_rejected(self):
+        # one point per call: an array raises rather than give a table
+        with pytest.raises(TypeError):
+            coeff_table(np.array([-0.5, -0.2]), np.array([-1.0, -0.8]), np.array([0.5, 0.3]), 4)
 
     def test_one_point_view(self):
         a = coeff_table(0.4, -0.9, 0.35, 50)
@@ -208,7 +212,7 @@ class TestCoeffTable:
 
 
 def streamed_pairs(a, b, lam, n_max: int):
-    """``(u, v, m)`` shaped like :func:`coeff_table`: the chunks of
+    """``(u, v, m)``, one row per point (1-D for floats): the chunks of
     ``next_pair_chunk`` put together, column j of the stream in column j."""
     stream = PairStream(a, b, lam, n_max)
     out = np.empty((3, n_max + 1) + np.shape(stream.lead))
@@ -224,7 +228,7 @@ class TestCoeffPairs:
     def test_pairs_are_power_of_two_scalings_of_the_table(self, points, n_max):
         a, b, lam = (np.array(col) for col in zip(*points))
         u, v, pair_max = streamed_pairs(a, b, lam, n_max)
-        table = np.hstack([np.zeros((len(points), 1)), coeff_table(a, b, lam, n_max)])
+        table = np.array([[0.0, *coeff_table(*point, n_max)] for point in points])
         assert u.shape == v.shape == (len(points), n_max + 1)
         scale = np.maximum(np.abs(u), np.abs(v))
         assert np.array_equal(pair_max, scale)

@@ -13,7 +13,7 @@ from janostab.cli import main
 from janostab.janowski import janowski_series
 from janostab.search import sweep_parameter_grid
 from janostab.series import BranchFailureError, _circle_points
-from janostab.subordination import KNOWN_COUNTEREXAMPLE, disk_for, ratio_samples, stability_ratio
+from janostab.subordination import KNOWN_COUNTEREXAMPLE, ratio_samples, stability_ratio
 
 K = KNOWN_COUNTEREXAMPLE
 
@@ -293,7 +293,7 @@ class TestProbeTrees:
         # as argmax does: of two equal probes that improve the row, the -h one;
         # then the -h node's probes (columns 4, 5) are read
         margins = [1.0, 1.0, 0.0, 0.0, 2.0, 3.0, 0.0, 0.0]
-        assert search._replay(margins, None, 0, 0.5, 2) == (5, None)
+        assert search._replay(margins, [False] * 8, 0, 0.5, 2) == (5, None)
         assert search._replay(margins, [False] * 4 + [False, True] + [False] * 2, 0, 0.5, 2) == (0, 4)
 
     SWEEP = ((-0.3,), (-0.9,), (0.7,), (1, 2, 4), 0.983)
@@ -440,15 +440,16 @@ class TestSweep:
         assert len(cells) == len(calls) == search.MAX_CELLS
 
     def test_work_is_checked_before_any_cell(self, monkeypatch):
-        # sum over the cells of (n + 1) * (coarse_angles + 2 * refine_iters) is
-        # bounded by MAX_DEGREE * MAX_POINTS = 2**28
+        # sum over the cells of (n + 1) * (coarse_angles + tree probes) is
+        # bounded by MAX_DEGREE * MAX_POINTS = 2**28; one round is 2 probes
         calls = _count_cells(monkeypatch)
         one = ((K.params.A,), (K.params.B,), (K.params.lam,), (255,), 0.983)
         with pytest.raises(ValueError, match="268435968 coefficient-samples exceed 268435456"):
             sweep_parameter_grid(*one, coarse_angles=2**20, refine_iters=1)
         assert calls == []
         assert len(sweep_parameter_grid(*one, coarse_angles=2**20, refine_iters=0)) == 1
-        # 2**16 cells: at n = 1, 2, 4, 8 (8.5e7) admitted, at n = 256 (4.6e9) not
+        # 2**16 cells of 256 angles and 8 rounds (26 + 26 + 8 probes): at
+        # n = 1, 2, 4, 8 (9.8e7) admitted, at n = 256 (5.3e9) not
         a_values = [-0.5 + 0.005 * k for k in range(64)]
         b_values = [-1.0 + 0.005 * k for k in range(64)]
         grid = (a_values, b_values, [0.5 + 0.01 * k for k in range(4)])
@@ -456,42 +457,37 @@ class TestSweep:
         assert len(sweep_parameter_grid(*grid, (1, 2, 4, 8), 0.983)) == search.MAX_CELLS
         assert len(calls) == search.MAX_CELLS
         calls.clear()
-        with pytest.raises(ValueError, match="4581228544 coefficient-samples"):
+        with pytest.raises(ValueError, match="5322309632 coefficient-samples"):
             sweep_parameter_grid(*grid, (256,) * 4, 0.983)
         assert calls == []
 
-    def test_trees_only_within_the_work_bound(self, monkeypatch):
-        # a sweep uses probe trees (26 probes per three rounds) only if its
-        # coefficient-samples counted with them stay within 2**28: one cell at
-        # n = 255 with 64 rounds counts 26 * 21 + 2 = 548 probes with them
-        depths = []
-
-        def searched(params, ns, disk, r, angles, iters, rounds):
-            depths.append(rounds)
-            return [(0.0, 0j, 0j)] * len(ns)
-
-        monkeypatch.setattr(search, "_search_group", searched)
+    def test_work_counts_the_tree_probes(self, monkeypatch):
+        # one cell at n = 255 with 64 rounds evaluates 26 * 21 + 2 = 548
+        # probes: 2**20 - 548 scan points fill the bound, one more exceeds it
+        calls = _count_cells(monkeypatch)
         one = ((K.params.A,), (K.params.B,), (K.params.lam,), (255,), 0.983)
-        for angles in (2**20 - 548, 2**20 - 547, 2**20 - 128):
-            sweep_parameter_grid(*one, coarse_angles=angles, refine_iters=64)
-        assert depths == [3, 1, 1]
+        assert len(sweep_parameter_grid(*one, coarse_angles=2**20 - 548, refine_iters=64)) == 1
+        assert len(calls) == 1
+        calls.clear()
+        for angles, work in ((2**20 - 547, 268435712), (2**20 - 128, 268542976)):
+            with pytest.raises(ValueError, match=f"{work} coefficient-samples exceed 268435456"):
+                sweep_parameter_grid(*one, coarse_angles=angles, refine_iters=64)
+        assert calls == []
 
-    def test_single_rounds_evaluate_what_admission_counts(self, monkeypatch):
-        # with trees of one round each row evaluates coarse_angles + 2 *
-        # refine_iters points, as the work bound counts, and finds the cells
-        # of three-round trees bit for bit
-        calls = []
+    def test_rows_evaluate_what_admission_counts(self):
+        # each row evaluates its scan and its trees' probes, the samples the
+        # work bound counts (256 + 26 + 26 + 8 at the defaults), and finds
+        # the cells of the round-by-round search bit for bit
+        per_row = []
 
         def counting(series, params, points):
-            calls.append((len(series), np.size(points)))
+            per_row.append(np.size(points) // len(series))
             return ratio_samples(series, params, points)
 
-        monkeypatch.setattr(search, "ratio_samples", counting)
-        disk = disk_for("mobius_image", K.params, 0.983)
-        group = (K.params, [1, 2, 4], disk, 0.983, 256, 8)
-        cells = search._search_group(*group, 1)
-        assert calls == [(3, 3 * 256)] + [(3, 3 * 2)] * 8
-        assert repr(cells) == repr(search._search_group(*group, 3))
+        sweep = ((K.params.A,), (K.params.B,), (K.params.lam,), (1, 2, 4), 0.983)
+        cells = _run(counting, False, *sweep)
+        assert per_row == [256, 26, 26, 8]
+        assert cells == _run(ratio_samples, True, *sweep)
 
     def test_tiny_radius_has_no_violations(self):
         cells = sweep_parameter_grid((K.params.A,), (K.params.B,), (K.params.lam,), (1, 2, 4), 0.05)

@@ -525,8 +525,7 @@ class TestDerivativeModulusBound:
             check_derivative_modulus_bound(JanowskiParams(-0.5, -1.0, 0.5), 3, grid)
 
     def test_first_call_imports_no_masked_arrays(self):
-        # finding distinct moduli must not pull in numpy.ma (~1.5 MB RSS),
-        # as a plain np.unique does
+        # no call may pull in numpy.ma (~1.5 MB RSS), as np.unique would
         script = (
             "import sys\n"
             "from janostab.janowski import JanowskiParams\n"

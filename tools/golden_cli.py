@@ -83,6 +83,8 @@ CASES = [
     # refine rounds three to an evaluator call, 7 rounds ending in a tree of
     # one; and many rows, with more probes in a call's trees than in a scan row
     "search --n-values 1,2 --coarse-angles 64 --refine-iters 7",
+    # the refine limit: 21 trees of three rounds and one of one
+    "search --n-values 1,2 --coarse-angles 16 --refine-iters 64",
     "search --n-values 1,2,3 --coarse-angles 64 --refine-iters 7",
     "search --n-values 1,2,3,4,5,6,7,8,9,10",
     "search --n-values " + ",".join(map(str, range(1, 41))),
