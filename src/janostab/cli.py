@@ -24,11 +24,7 @@ from .figure import (
     load_geometry_csvs,
     render_svg,
 )
-from .inequalities import (
-    GridSpec,
-    check_alternating_identity,
-    check_coeff_lemmas,
-)
+from .inequalities import GridSpec, _lattice_size, check_alternating_identity, check_coeff_lemmas
 from .janowski import JanowskiParams, coeff_table, convolution_coeffs
 from .search import SWEEP_CSV_HEADER, sweep_parameter_grid
 from .serialize import csv_text, dumps, write_text_atomic
@@ -47,23 +43,10 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_BRANCH_FAILURE = 3
 
-# The longest coefficient list (convolutions are quadratic in it), and the most
-# coefficient pairs of a lemma grid (a bound on work: they are streamed) or
-# values in one point's weighted block (4x default).
+# The longest coefficient list (convolutions are quadratic in it), and the
+# coefficient-samples one lemma value is charged (2**23 values fill MAX_WORK).
 MAX_ORDER = 10_000
-MAX_LEMMA_VALUES = 2**23
-
-
-def check_coeff_size(points: float, n_max: int, m_max: int = 0, alt_n_max: int = 0) -> None:
-    """Reject an order above MAX_ORDER, or points x (n_max + 1) coefficient
-    pairs or (m_max + 1) x n_max weighted values above MAX_LEMMA_VALUES."""
-    if max(n_max, alt_n_max) > MAX_ORDER:
-        raise ValueError(f"order {max(n_max, alt_n_max)} exceeds {MAX_ORDER}")
-    if points * (n_max + 1) > MAX_LEMMA_VALUES:
-        raise ValueError(f"{points:.0f} points x {n_max + 1} orders exceed {MAX_LEMMA_VALUES}")
-    if (m_max + 1) * max(n_max, 1) > MAX_LEMMA_VALUES:
-        count = (m_max + 1) * max(n_max, 1)
-        raise ValueError(f"--m-max {m_max}: {count} weighted values exceed {MAX_LEMMA_VALUES}")
+LEMMA_PRICE = 32
 
 
 def _finite_float(text: str) -> float:
@@ -121,7 +104,7 @@ def cmd_coeffs(args) -> int:
     params = JanowskiParams(args.A, args.B, args.lam)
     if args.n_max < 0:
         raise ValueError("--n-max must be >= 0")
-    check_coeff_size(1, args.n_max)
+    check_size(args.n_max, 0, 0, MAX_ORDER)
     ns = list(range(args.n_max + 1))
     conv = convolution_coeffs(params, args.n_max) if args.method in ("convolution", "both") else None
     rec = (coeff_table(params.A, params.B, params.lam, args.n_max)
@@ -145,8 +128,13 @@ def cmd_coeffs(args) -> int:
 def cmd_verify_lemmas(args) -> int:
     if args.alt_n_max < 1:
         raise ValueError("--alt-n-max must be >= 1")
+    if args.n_max < 0 or args.m_max < 0:  # a negative one would lower the count below
+        raise ValueError("--n-max and --m-max must be >= 0")
+    # the grid's pairs, one point's weighted block and the alternating identity's terms
     points = GridSpec.default_size(args.step, args.lambda_step, args.allow_outside)
-    check_coeff_size(points, args.n_max, args.m_max, args.alt_n_max)
+    values = (points * (args.n_max + 1) + (args.m_max + 1) * max(args.n_max, 1)
+              + _lattice_size(args.lambda_step, 1.0, args.lambda_step) * (args.alt_n_max + 1))
+    check_size(max(args.n_max, args.alt_n_max), 0, LEMMA_PRICE * values, MAX_ORDER)
     grid = GridSpec.default(args.n_max, args.m_max, args.step, args.lambda_step, args.allow_outside)
     positivity, pair, weighted = check_coeff_lemmas(grid, args.tol)
     reports = {
@@ -176,7 +164,8 @@ def cmd_check_stability(args) -> int:
     params = JanowskiParams(args.A, args.B, args.lam)
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
-    check_size(args.n_max, len(args.radii) * args.samples)
+    # the largest circle, once per n: samples x the sum of n + 1 over n = 1..n_max
+    check_size(args.n_max, len(args.radii) * args.samples, args.samples * args.n_max * (args.n_max + 3) // 2)
     grid = SampleGrid(radii=args.radii, points_per_circle=args.samples)
     reports = [
         check_stability_vs_base(params, n, grid, tol=args.tol, allow_outside=args.allow_outside)
@@ -192,7 +181,9 @@ def cmd_check_stability(args) -> int:
 def cmd_self_check(args) -> int:
     params = JanowskiParams(args.A, args.B, args.lam)
     extra = (args.z0,) if args.z0 is not None else ()
-    check_size(args.n, len(args.radii) * args.samples + len(extra))
+    # one evaluation: the largest circle, if any, and the explicit point
+    check_size(args.n, len(args.radii) * args.samples + len(extra),
+               (args.n + 1) * (args.samples * min(len(args.radii), 1) + len(extra)))
     grid = SampleGrid(radii=args.radii, points_per_circle=args.samples, extra_points=extra)
     report = check_stability_vs_self(
         params, args.n, args.r, grid, disk_source=args.disk_source, tol=args.tol
@@ -241,7 +232,9 @@ def cmd_plot(args) -> int:
         params = JanowskiParams(args.A, args.B, args.lam)
         if args.z0 is None:
             raise ValueError("--z0 must name a witness point for plotting")
-        check_size(args.n, max(args.angles + 1, args.boundary_samples))  # the curve and z0
+        # the curve and z0 in one evaluation, and the two disks' boundaries
+        check_size(args.n, max(args.angles + 1, args.boundary_samples),
+                   (args.n + 1) * (args.angles + 1) + 2 * args.boundary_samples)
         geometry = compute_figure_geometry(
             params, args.n, args.r, args.z0,
             curve_angles=args.angles, boundary_samples=args.boundary_samples,

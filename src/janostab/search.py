@@ -29,9 +29,10 @@ margins, each row going on from the node its replay reaches
 round by round, so every cell is bit for bit the same.  A default search
 (three rows, 256 angles, 8 rounds) makes 1 + 3 calls.
 
-A sweep is admitted by the coefficient-samples it evaluates, each
-tree's probes counted (see :func:`sweep_parameter_grid`).  A call holds
-at most ``MAX_POINTS`` samples: the rows are split into chunks of at most
+A sweep is admitted by the coefficient-samples it may evaluate, each row
+at the top degree, to which a chunk pads its rows (see
+:func:`sweep_parameter_grid`).  A call holds at most ``MAX_POINTS``
+samples: the rows are split into chunks of at most
 ``MAX_POINTS // max(coarse_angles, 26)``, a scan row or a tree each.
 Each row's values are bit for bit those of its cell alone (see
 :mod:`janostab.series`), so a cell does not depend on its sweep.
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .janowski import JanowskiParams, coeff_table
-from .series import MAX_DEGREE, MAX_POINTS, TruncatedSeries, _circle_points, check_size
+from .series import MAX_POINTS, TruncatedSeries, _circle_points, check_size
 from .subordination import DiskSpec, _count, _defined, disk_for, ratio_samples
 
 __all__ = [
@@ -78,7 +79,7 @@ SWEEP_CSV_HEADER = (
     "disk_source",
 )
 
-MAX_CELLS = 2**16
+_CELL_PRICE = 2**12  # coefficient-samples per cell: 2**16 cells fill MAX_WORK
 _TREE_ROUNDS = 3  # refine rounds per evaluator call
 _TREE_PROBES = 3**_TREE_ROUNDS - 1  # 2 + 6 + 18 probes per row
 
@@ -204,13 +205,13 @@ def sweep_parameter_grid(
     """Best self-stability margin per (A, B, lambda, n) cell.
 
     Each value list must be non-empty and lie inside -1 <= B < A < 0 and
-    0 < lambda <= 1; pairs with B >= A are dropped.  An n above
-    ``MAX_DEGREE``, ``coarse_angles`` above ``MAX_POINTS``, more than
-    ``MAX_CELLS`` cells, or a sum over the cells of (n + 1) times the
-    samples a cell evaluates (``coarse_angles``, and 26 tree probes for
-    every three ``refine_iters``, 2 or 8 for the rest) above ``MAX_DEGREE
-    * MAX_POINTS``, raise ``ValueError`` before any cell runs (the size
-    limits first).  Cells are emitted in
+    0 < lambda <= 1; pairs with B >= A are dropped.  Before any cell runs,
+    and before the values are checked, :func:`~janostab.series.check_size`
+    admits the top n, ``coarse_angles`` samples a call and cells x ((top n
+    + 1) x a cell's samples + 2**12) coefficient-samples; a cell evaluates
+    ``coarse_angles`` and 26 tree probes for every three ``refine_iters``
+    (2 or 8 for the rest), and the cells are the pairs B < A times the
+    lambda values times the n values.  Cells are emitted in
     lexicographic order and each records the best margin found on |z| = r
     with its witness, whether or not it is positive.  A cell with a failed
     sample, as at all when s_n meets (-inf, 0] on |z| = r, raises
@@ -220,7 +221,16 @@ def sweep_parameter_grid(
     b_values = sorted(float(v) for v in b_values)
     lambda_values = sorted(float(v) for v in lambda_values)
     n_values = sorted(int(n) for n in n_values)
-    check_size(max(n_values, default=0), coarse_angles)
+    coarse_angles = _count("coarse_angles", coarse_angles, 16)
+    refine_iters = _count("refine_iters", refine_iters, 0)
+    # 64 halvings of a step <= pi/16 fall below the resolution of arg z
+    if refine_iters > 64:
+        raise ValueError(f"refine_iters must lie in [0, 64], got {refine_iters!r}")
+    # every row at the top degree times a cell's scan and its trees' probes, and a price per cell
+    probes = _TREE_PROBES * (refine_iters // 3) + 3 ** (refine_iters % 3) - 1
+    top = max(n_values, default=0)
+    count = sum(bisect.bisect_left(b_values, a) for a in a_values) * len(lambda_values) * len(n_values)
+    check_size(top, coarse_angles, count * ((top + 1) * (coarse_angles + probes) + _CELL_PRICE))
     if not (a_values and b_values and lambda_values and n_values):
         raise ValueError("the A, B, lambda and n value lists must be non-empty")
     for v in a_values:
@@ -236,21 +246,6 @@ def sweep_parameter_grid(
         raise ValueError("n values must be integers >= 1")
     if not 0.0 < r < 1.0:
         raise ValueError("need 0 < r < 1")
-    coarse_angles = _count("coarse_angles", coarse_angles, 16)
-    refine_iters = _count("refine_iters", refine_iters, 0)
-    # 64 halvings of a step <= pi/16 fall below the resolution of arg z
-    if refine_iters > 64:
-        raise ValueError(f"refine_iters must lie in [0, 64], got {refine_iters!r}")
-    pairs = sum(bisect.bisect_left(b_values, a) for a in a_values)  # the B < A of each A
-    count = pairs * len(lambda_values) * len(n_values)
-    if count > MAX_CELLS:
-        raise ValueError(f"{count} sweep cells exceed {MAX_CELLS}")
-    # (n + 1) coefficients times the samples of each cell, its scan and its
-    # trees' probes: its time grows with both
-    probes = _TREE_PROBES * (refine_iters // 3) + 3 ** (refine_iters % 3) - 1
-    work = pairs * len(lambda_values) * sum(n + 1 for n in n_values) * (coarse_angles + probes)
-    if work > MAX_DEGREE * MAX_POINTS:
-        raise ValueError(f"the sweep's {work} coefficient-samples exceed {MAX_DEGREE * MAX_POINTS}")
     cells = []
     for a in a_values:
         for b in b_values:

@@ -17,9 +17,11 @@ circle, halved where open; it is proven, and errs toward a crossing where
 rounding or its cap of 2**16 arcs leaves it open.
 The rounding of rho is exact in binary, so the moduli of one circle share
 one test and a point's verdict depends on the series and the point alone.
-One evaluation takes a stack of series, one per row of points; a single
-series is the one-row stack, and each row's values are bit for bit those
-of its series alone.
+One evaluation takes a stack of series, one per row of points, padded to
+its top degree; a single series is the one-row stack, and each row's
+values are bit for bit those of its series alone.  It costs (top degree
++ 1) x its points coefficient-samples: each command counts the sum from
+its flags, and :func:`check_size`, the one admission rule, bounds it.
 Series are immutable but for a cache of verdicts per radius, and the
 module keeps a small cache of read-only unit roots per circle size, which
 the arcs share (``functools.lru_cache``, which is thread-safe); every
@@ -39,11 +41,13 @@ __all__ = [
     "ray_log_values",
 ]
 
-# The highest series degree the branch test decides, and the most
-# sample points one evaluation may hold (one n = 32 base check on 2**20
-# points peaks at ~152 MB RSS with numpy 2.4 on x86-64 Linux).
+# The highest series degree the branch test decides, the most sample
+# points one evaluation may hold (one n = 32 base check on 2**20 points
+# peaks at ~152 MB RSS with numpy 2.4 on x86-64 Linux), and the most
+# coefficient-samples one run may evaluate.
 MAX_DEGREE = 256
 MAX_POINTS = 2**20
+MAX_WORK = MAX_DEGREE * MAX_POINTS
 
 EPS_ZERO = 1e-12
 EPS = np.finfo(float).eps
@@ -52,13 +56,18 @@ RADIUS_GRID = 2.0**30
 CROSSING_SLACK = 1e-9
 
 
-def check_size(degree: int, points: int) -> None:
-    """Reject a series degree or a per-evaluation sample count beyond the
-    limits; callers run it before any series is built."""
-    if degree > MAX_DEGREE:
-        raise ValueError(f"series degree {degree} exceeds {MAX_DEGREE}")
+def check_size(degree: int, points: int, work, max_degree: int = MAX_DEGREE) -> None:
+    """The one admission rule, run on a command's flags before any
+    coefficient is computed: reject a degree above ``max_degree``, more than
+    ``MAX_POINTS`` samples in one evaluation, or ``work`` above ``MAX_WORK``."""
+    if degree > max_degree:
+        name = "series degree" if max_degree == MAX_DEGREE else "order"
+        raise ValueError(f"{name} {degree} exceeds {max_degree}")
     if points > MAX_POINTS:
         raise ValueError(f"{points} sample points in one evaluation exceed {MAX_POINTS}")
+    if work > MAX_WORK:
+        count = f"{work:.0f}" if isinstance(work, float) else work  # a lemma grid's count is a float
+        raise ValueError(f"{count} coefficient-samples exceed {MAX_WORK}")
 
 
 class BranchFailureError(ArithmeticError):

@@ -81,7 +81,9 @@ def alternating_sum_exact(lam: Fraction, n: int) -> Fraction:
 
 def coeff_recurrence_scalar(a: float, b: float, lam: float, n_max: int):
     """The three-term recurrence run for one parameter point with scalar
-    arithmetic: the reference the vectorized table must match bit for bit."""
+    arithmetic, in the operation order of ``coeff_table`` and the pair
+    stream: the bit-for-bit tests against it pin that order, and
+    :func:`coeff_recurrence_exact` bounds its error."""
     out = [1.0, lam * (a - b)][: n_max + 1]
     lead = lam * (a - b)
     s = a + b
@@ -89,6 +91,18 @@ def coeff_recurrence_scalar(a: float, b: float, lam: float, n_max: int):
     for n in range(1, n_max):
         out.append(((lead - s * n) * out[n] - p * (n - 1) * out[n - 1]) / (n + 1))
     return out
+
+
+def coeff_recurrence_exact(a: float, b: float, lam: float, n_max: int) -> list:
+    """The three-term recurrence in exact rationals at the exact (dyadic)
+    values of the floats ``a``, ``b`` and ``lam``: a_0..a_n_max of
+    ((1+Az)/(1+Bz))**lam at those values, as ``Fraction``s."""
+    a, b, lam = Fraction(a), Fraction(b), Fraction(lam)
+    lead, s, p = lam * (a - b), a + b, a * b
+    out = [Fraction(1), lead]
+    for n in range(1, n_max):
+        out.append(((lead - s * n) * out[n] - p * (n - 1) * out[n - 1]) / (n + 1))
+    return out[: n_max + 1]
 
 
 def sequential_coeff_pairs(a, b, lam, n_max: int):

@@ -1,23 +1,22 @@
 """CLI behavior: outputs, exit codes, determinism, round-trips."""
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
+import math
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from janostab.cli import (
-    MAX_LEMMA_VALUES,
-    MAX_ORDER,
-    check_coeff_size,
-    check_size,
-    main,
-)
-from janostab import cli, inequalities, series
-from janostab.series import MAX_DEGREE, MAX_POINTS
+from janostab.cli import LEMMA_PRICE, MAX_ORDER, main
+from janostab import cli, inequalities, janowski, search, series
+from janostab.series import MAX_DEGREE, MAX_POINTS, MAX_WORK, check_size
 from janostab.inequalities import GridSpec
 from test_acceptance import CLI_CASES
 
@@ -284,7 +283,8 @@ class TestSearch:
         assert "error" in err
 
     def test_too_many_cells_exit_two(self, capsys):
-        # 16 x 16 pairs B < A, 16 lambdas, 17 orders: 69,632 cells > 2**16
+        # 16 x 16 pairs B < A, 16 lambdas, 17 orders: 69,632 cells > 2**16,
+        # each charged 2**12 on top of 18 x (256 + 60) coefficient-samples
         def values(lo):
             return ",".join(f"{lo + 0.01 * k:.2f}" for k in range(16))
 
@@ -294,18 +294,19 @@ class TestSearch:
         )
         assert code == 2
         assert out == ""
-        assert "69632 sweep cells exceed 65536" in err
+        assert "681279488 coefficient-samples exceed 268435456" in err
 
     def test_probes_over_the_work_bound_exit_two(self, capsys):
         # one cell at n = 255: 256 coefficients times 2**20 - 547 scan points
-        # and 26 * 21 + 2 tree probes of 64 rounds is 2**28 + 256
+        # and 26 * 21 + 2 tree probes of 64 rounds is 2**28 + 256, and the
+        # cell's price 2**12
         code, out, err = run(
             capsys, "search", "--n-values", "255", "--coarse-angles", "1048029",
             "--refine-iters", "64",
         )
         assert code == 2
         assert out == ""
-        assert "268435712 coefficient-samples exceed 268435456" in err
+        assert "268439808 coefficient-samples exceed 268435456" in err
 
     def test_negative_witness_point_parses(self, capsys):
         code, out, _ = run(
@@ -452,18 +453,48 @@ def test_non_finite_tol_exit_two(capsys, argv, tol):
     assert "--tol" in err and "finite" in err
 
 
+def _count_tables(monkeypatch) -> list:
+    """Count the coefficient tables and lemma grids built, one entry per call,
+    wherever the commands reach them."""
+    built = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (janowski, search, cli):
+        monkeypatch.setattr(module, "coeff_table", counted("coeff_table", module.coeff_table))
+    monkeypatch.setattr(GridSpec, "default", classmethod(counted("GridSpec.default", GridSpec.default.__func__)))
+    return built
+
+
+BASE = ("--A", "-0.5", "--B", "-1", "--lambda", "0.5")
+
+
 class TestSizeGuard:
     def test_limits(self):
-        check_size(MAX_DEGREE, MAX_POINTS)
-        with pytest.raises(ValueError, match="degree"):
-            check_size(MAX_DEGREE + 1, 1)
+        # one rule: a degree, the samples of one evaluation, the samples x
+        # (degree + 1) of one run; the coefficient commands bound the order
+        check_size(MAX_DEGREE, MAX_POINTS, MAX_WORK)
+        check_size(MAX_ORDER, 0, MAX_WORK, MAX_ORDER)
+        with pytest.raises(ValueError, match="series degree 257 exceeds 256"):
+            check_size(MAX_DEGREE + 1, 1, 1)
+        with pytest.raises(ValueError, match="order 10001 exceeds 10000"):
+            check_size(MAX_ORDER + 1, 0, 0, MAX_ORDER)
         with pytest.raises(ValueError, match="sample points"):
-            check_size(1, MAX_POINTS + 1)
+            check_size(1, MAX_POINTS + 1, 1)
+        with pytest.raises(ValueError, match=f"{MAX_WORK + 1} coefficient-samples exceed {MAX_WORK}"):
+            check_size(1, 1, MAX_WORK + 1)
+        with pytest.raises(ValueError, match=f"inf coefficient-samples exceed {MAX_WORK}"):
+            check_size(1, 0, float("inf"), MAX_ORDER)
+        assert MAX_WORK == MAX_DEGREE * MAX_POINTS == 2**28
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ("check-stability", "--A", "-0.5", "--B", "-1", "--lambda", "0.5", "--n-max", "257"),
+            ("check-stability", *BASE, "--n-max", "257"),
             ("self-check", "--n", "257"),
             ("search", "--n-values", "1,257"),
             ("plot", "--n", "257"),
@@ -488,22 +519,34 @@ class TestSizeGuard:
 
 
 class TestCoeffSizeGuard:
-    def test_limits(self):
-        # the default verify-lemmas grid: 4,200 points x 501 orders, m_max 100
-        check_coeff_size(4200, 500, 100, 100)
-        check_coeff_size(MAX_LEMMA_VALUES // 501, 500, MAX_LEMMA_VALUES // 500 - 1, MAX_ORDER)
-        check_coeff_size(1, MAX_ORDER)
-        with pytest.raises(ValueError, match="points"):
-            check_coeff_size(MAX_LEMMA_VALUES // 501 + 1, 500, 100, 100)
-        with pytest.raises(ValueError, match="points"):
-            check_coeff_size(float("inf"), 0, 0, 1)
-        with pytest.raises(ValueError, match="--m-max"):
-            check_coeff_size(4200, 500, MAX_LEMMA_VALUES // 500, 100)
-        with pytest.raises(ValueError, match="--m-max"):
-            check_coeff_size(1, 0, MAX_LEMMA_VALUES, 1)
-        for args in ((4200, 500, 100, MAX_ORDER + 1), (1, MAX_ORDER + 1)):
-            with pytest.raises(ValueError, match="order"):
-                check_coeff_size(*args)
+    def test_limits(self, capsys, monkeypatch):
+        # the default verify-lemmas grid: 32 x (4,200 points x 501 orders +
+        # 101 x 500 weighted values + 20 lambdas x 101 terms), 0.26 of the bound
+        built = _count_tables(monkeypatch)
+        defaults = LEMMA_PRICE * (4200 * 501 + 101 * 500 + 20 * 101)
+        assert defaults == 69015040 < MAX_WORK
+        # the lemma price makes the parent's 2**23 pairs and 2**23 weighted values fill the bound
+        assert LEMMA_PRICE * 2**23 == MAX_WORK
+
+        def ran(grid, tol):  # an admitted run stops here, with its grid built
+            raise ValueError("ran")
+
+        monkeypatch.setattr(cli, "check_coeff_lemmas", ran)
+        for argv in ((), ("--allow-outside",), ("--n-max", str(MAX_ORDER), "--step", "1", "--lambda-step", "1",
+                                                 "--m-max", "0", "--alt-n-max", str(MAX_ORDER))):
+            assert run(capsys, "verify-lemmas", *argv)[2] == "error: ran\n"
+        assert len(built) == 3
+        built.clear()
+        for argv, text in (
+            (("--n-max", "-1", "--step", "1e-300"), "--n-max and --m-max must be >= 0"),
+            (("--m-max", "-1"), "--n-max and --m-max must be >= 0"),
+            (("--step", "5e-324"), "inf coefficient-samples"),
+            (("--alt-n-max", str(MAX_ORDER + 1)), "order 10001 exceeds 10000"),
+        ):
+            code, out, err = run(capsys, "verify-lemmas", *argv)
+            assert (code, out) == (2, "")
+            assert text in err
+        assert built == []
 
     def test_default_grid_size_is_counted_from_the_steps(self):
         for step, lam_step, outside in ((0.05, 0.05, False), (0.05, 0.05, True), (0.25, 0.5, True)):
@@ -517,12 +560,11 @@ class TestCoeffSizeGuard:
         [
             # step 1/32 and lambda step 1/8 keep 33 * 32 / 2 * 8 = 4,224 points;
             # 4,224 x 1,986 orders = 8,388,864 pairs is just above 2**23
-            # (1,985 orders fit)
             ("verify-lemmas", "--step", "0.03125", "--lambda-step", "0.125", "--n-max", "1985"),
             ("verify-lemmas", "--m-max", "16777"),
             ("verify-lemmas", "--alt-n-max", "10001"),
             ("verify-lemmas", "--step", "1e-9"),
-            ("coeffs", "--A", "-0.5", "--B", "-1", "--lambda", "0.5", "--n-max", "10001"),
+            ("coeffs", *BASE, "--n-max", "10001"),
         ],
         ids=("table", "m-max", "alt-n-max", "fine-step", "coeffs"),
     )
@@ -531,6 +573,193 @@ class TestCoeffSizeGuard:
         assert code == 2
         assert out == ""
         assert "exceed" in err
+
+
+# 128 (A, B, lambda) groups of 512 rows, 511 at n = 1 and one at n = 256
+MIXED_SEARCH = (
+    "search", "--A-values", "-0.8,-0.7,-0.6,-0.5,-0.4,-0.3,-0.2,-0.1", "--B-values", "-1,-0.99,-0.98,-0.97",
+    "--lambda-values", "0.25,0.5,0.75,1", "--n-values", ",".join(["1"] * 511 + ["256"]),
+    "--coarse-angles", "1600", "--refine-iters", "0",
+)
+
+
+class TestAdmission:
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            # 256 checks of 349,525 samples: 349,525 x (2 + 3 + ... + 257)
+            (("check-stability", *BASE, "--n-max", "256", "--samples", "349525"), "11587452800"),
+            # (256 + 1) x (2**20 - 1 + 1) + 2 x 2**20
+            (("plot", "--n", "256", "--angles", "1048575", "--boundary-samples", "1048576"), "271581184"),
+            # 32 x (10**6 points x 8 orders + 1 x 7 + 10**6 lambdas x 101 terms)
+            (("verify-lemmas", "--step", "1", "--lambda-step", "1e-6", "--n-max", "7", "--m-max", "0",
+              "--alt-n-max", "100"), "3488000224"),
+            # 65,536 cells x (257 x 1,600 + 2**12): every row counted at the top degree
+            (MIXED_SEARCH, "27216838656"),
+        ],
+        ids=("check-stability", "plot", "verify-lemmas", "search"),
+    )
+    def test_runs_over_the_work_bound_exit_two_before_any_table(self, capsys, monkeypatch, argv, count):
+        # each fits the degree and the samples of one evaluation: the
+        # coefficient-samples of the whole run reject it
+        built = _count_tables(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {count} coefficient-samples exceed 268435456" in err
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # degree 257 per command
+            ("check-stability", *BASE, "--n-max", "257"),
+            ("self-check", "--n", "257"),
+            ("search", "--n-values", "1,257"),
+            ("plot", "--n", "257"),
+            # MAX_POINTS + 1 samples in one evaluation per command
+            ("check-stability", *BASE, "--n-max", "1", "--radii", "0.9", "--samples", str(MAX_POINTS + 1)),
+            ("check-stability", *BASE, "--n-max", "1", "--radii", "0.5,0.9", "--samples", str(MAX_POINTS // 2 + 1)),
+            ("self-check", "--radii", "0.9", "--samples", str(MAX_POINTS)),  # and --z0
+            ("search", "--coarse-angles", str(MAX_POINTS + 1)),
+            ("plot", "--angles", str(MAX_POINTS), "--boundary-samples", "8"),  # and --z0
+            ("plot", "--angles", "8", "--boundary-samples", str(MAX_POINTS + 1)),
+            # 2**16 + 1 cells at the smallest work
+            ("search", "--n-values", ",".join(["1"] * (2**16 + 1)), "--coarse-angles", "16", "--refine-iters", "0"),
+            # the parent's sweep count, 256 x (2**20 + 2) = 2**28 + 512
+            ("search", "--n-values", "255", "--coarse-angles", str(MAX_POINTS), "--refine-iters", "1"),
+            # 4,224 points x 1,986 orders, the first pair count above 2**23 on these steps
+            ("verify-lemmas", "--step", "0.03125", "--lambda-step", "0.125", "--n-max", "1985"),
+            # an m block of 2**23 + 1 weighted values
+            ("verify-lemmas", "--n-max", "1", "--m-max", str(2**23)),
+            ("verify-lemmas", "--n-max", "2", "--m-max", str(2**22)),
+            # MAX_ORDER + 1
+            ("coeffs", *BASE, "--n-max", str(MAX_ORDER + 1)),
+            ("verify-lemmas", "--n-max", str(MAX_ORDER + 1)),
+            ("verify-lemmas", "--alt-n-max", str(MAX_ORDER + 1)),
+        ],
+        ids=lambda argv: " ".join(argv)[:60],
+    )
+    def test_the_parent_limits_stay_rejected(self, capsys, monkeypatch, argv):
+        # every edge of the six limits the one rule replaced still exits 2
+        # before any table or grid is built
+        built = _count_tables(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "exceed" in err
+        assert built == []
+
+
+_TRIPLES = [(-0.5, -1.0, 0.5), (-0.679, -0.97, 0.3), (-0.2, -0.5, 0.5), (-0.3, -0.9, 0.7), (-0.75, -1.0, 1.0)]
+_RADII = st.lists(st.sampled_from(["0.5", "0.9", "0.99", "0.999"]), max_size=3, unique=True)
+_POINT = st.builds(lambda m, t: f"{m * math.cos(t)!r},{m * math.sin(t)!r}",
+                   st.floats(0.0, 0.95), st.floats(-math.pi, math.pi))
+
+
+def _params(triple) -> tuple:
+    return ("--A", repr(triple[0]), "--B", repr(triple[1]), "--lambda", repr(triple[2]))
+
+
+def _csv(values) -> str:
+    return ",".join(map(repr, values))
+
+
+_SERIES_COMMANDS = st.one_of(
+    st.builds(
+        lambda p, n, radii, samples: ("check-stability", *_params(p), "--n-max", str(n),
+                                      "--radii", ",".join(radii), "--samples", str(samples)),
+        st.sampled_from(_TRIPLES), st.integers(1, 24), _RADII, st.integers(8, 300),
+    ),
+    st.builds(
+        lambda p, n, r, radii, samples, z0: ("self-check", *_params(p), "--n", str(n), "--r", repr(r),
+                                             "--radii", ",".join(radii), "--samples", str(samples), "--z0", z0),
+        st.sampled_from(_TRIPLES), st.integers(1, 48), st.floats(0.3, 0.99), _RADII, st.integers(8, 300),
+        st.one_of(st.just(""), _POINT),
+    ),
+    st.builds(
+        lambda ps, ns, r, angles, iters: (
+            "search", "--A-values", _csv({p[0] for p in ps}), "--B-values", _csv({p[1] for p in ps}),
+            "--lambda-values", _csv({p[2] for p in ps}), "--n-values", _csv(ns), "--r", repr(r),
+            "--coarse-angles", str(angles), "--refine-iters", str(iters),
+        ),
+        st.lists(st.sampled_from(_TRIPLES), min_size=1, max_size=2),
+        st.lists(st.integers(1, 40), min_size=1, max_size=6),  # mixed and repeated n
+        st.floats(0.3, 0.99), st.integers(16, 96), st.integers(0, 10),
+    ),
+    st.builds(
+        lambda p, n, r, angles, boundary, z0: ("plot", *_params(p), "--n", str(n), "--r", repr(r),
+                                               "--angles", str(angles), "--boundary-samples", str(boundary),
+                                               "--z0", z0),
+        st.sampled_from(_TRIPLES), st.integers(1, 24), st.floats(0.3, 0.99), st.integers(8, 300),
+        st.integers(8, 200), _POINT,
+    ),
+)
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+class TestAdmittedWork:
+    @settings(deadline=None, max_examples=60)
+    @given(_SERIES_COMMANDS)
+    def test_series_commands_evaluate_at_most_their_count(self, argv):
+        # every coefficient-sample Horner's rule evaluates (padded rows
+        # included) was counted by the one admission of the run; a search
+        # cell's price is set to 0, so that it cannot cover a row undercounted
+        admitted, evaluated = [], []
+        polyval, admit = series._polyval_grid, check_size
+
+        def counted_polyval(cols, pts):
+            evaluated.append(cols.shape[0] * pts.size)
+            return polyval(cols, pts)
+
+        def counted_admit(degree, points, work, *rest):
+            admitted.append(work)
+            return admit(degree, points, work, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series, "_polyval_grid", counted_polyval)
+            patch.setattr(search, "_CELL_PRICE", 0)
+            for module in (cli, search):
+                patch.setattr(module, "check_size", counted_admit)
+            code = _quiet_main(argv)
+        assert len(admitted) == 1
+        assert code in (0, 1, 2, 3)
+        assert sum(evaluated) <= admitted[0]
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.sampled_from([0.2, 0.25, 0.5, 1.0]), st.sampled_from([0.1, 0.25, 0.5, 1.0]), st.integers(0, 80),
+        st.integers(0, 20), st.integers(1, 40), st.booleans(),
+    )
+    def test_lemma_pairs_are_at_most_their_count(self, step, lam_step, n_max, m_max, alt_n_max, outside):
+        # the pairs the recurrence computes, orders 1.. of each kept point,
+        # are at most the count over the lemma price
+        admitted, pairs = [], []
+        chunks, admit = inequalities.next_pair_chunk, check_size
+
+        def counted_chunks(stream):
+            chunk = chunks(stream)
+            if chunk is not None:
+                j0, u = chunk[:2]
+                pairs.append((len(u) - (j0 == 0)) * (u.size // len(u)))
+            return chunk
+
+        def counted_admit(degree, points, work, *rest):
+            admitted.append(work)
+            return admit(degree, points, work, *rest)
+
+        argv = ["verify-lemmas", "--step", repr(step), "--lambda-step", repr(lam_step), "--n-max", str(n_max),
+                "--m-max", str(m_max), "--alt-n-max", str(alt_n_max)] + ["--allow-outside"] * outside
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inequalities, "next_pair_chunk", counted_chunks)
+            patch.setattr(cli, "check_size", counted_admit)
+            assert _quiet_main(argv) in (0, 1)
+        assert len(admitted) == 1
+        assert pairs and sum(pairs) <= admitted[0] / LEMMA_PRICE
 
 
 class TestCrossingSolves:

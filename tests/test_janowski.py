@@ -21,6 +21,7 @@ from janostab.janowski import (
 from oracles import (
     binomial_series,
     coeff_exact,
+    coeff_recurrence_exact,
     coeff_recurrence_scalar,
     multiply,
     partial_sum,
@@ -195,6 +196,8 @@ class TestCoeffTable:
     @settings(deadline=None, max_examples=60)
     @given(st.lists(PARAM_POINT, min_size=1, max_size=12), st.integers(0, 600))
     def test_rows_match_the_scalar_recurrence(self, points, n_max):
+        # pins the operation order: the pair stream makes the same one;
+        # TestExactCoefficients bounds the error of that order
         for pa, pb, plam in points:
             row = coeff_table(pa, pb, plam, n_max)
             assert row.shape == (n_max + 1,)
@@ -206,9 +209,72 @@ class TestCoeffTable:
             coeff_table(np.array([-0.5, -0.2]), np.array([-1.0, -0.8]), np.array([0.5, 0.3]), 4)
 
     def test_one_point_view(self):
+        # pins the operation order at a point outside the paper's range
         a = coeff_table(0.4, -0.9, 0.35, 50)
         assert a.shape == (51,)
         assert np.array_equal(a, coeff_recurrence_scalar(0.4, -0.9, 0.35, 50))
+
+
+def _error_in_bounds(table, exact) -> float:
+    """The largest |table[n] - a_n| / |a_n| over (n + 1)**2 eps / 2, eps =
+    2**-52, against the exact a_n, over the orders before the first |a_n|
+    below 2**-960 (further down the float recurrence leaves the normal
+    range); above 1 the bound fails."""
+    worst = 0.0
+    for n, (got, want) in enumerate(zip(table.tolist(), exact)):
+        if abs(want) < Fraction(1, 2**960):
+            break
+        worst = max(worst, float(abs(Fraction(got) - want) / abs(want)) / ((n + 1) ** 2 * 2.0**-53))
+    return worst
+
+
+# -1 <= B < A <= 0 and 0 < lambda <= 1, with B often within 1e-3 of A, where
+# the recurrence's two terms nearly cancel
+PAPER_POINT = st.tuples(
+    st.floats(-1.0, 0.0, exclude_min=True),
+    st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.floats(1e-12, 1e-3)),
+    st.floats(0.0, 1.0, exclude_min=True),
+).map(lambda t: (t[0], max(t[0] - t[1], -1.0), t[2])).filter(lambda t: t[1] < t[0])
+
+
+class TestExactCoefficients:
+    """``coeff_table`` against the recurrence in exact rationals at the
+    floats' dyadic values: relative error at most (n + 1)**2 eps / 2 at
+    order n.  The largest measured share of that bound was 0.22, over
+    400 random points of the paper's range to n = 300."""
+
+    # ROADMAP's points; at (-0.75, -1, 1) the table is exact
+    @pytest.mark.parametrize(
+        "point", [(-0.5, -1.0, 0.5), (-0.2, -0.5, 0.5), (-0.75, -1.0, 1.0), (-0.679, -0.97, 0.3), (-0.05, -0.5, 0.3)]
+    )
+    def test_five_points_to_order_500(self, point):
+        exact = coeff_recurrence_exact(*point, 500)
+        assert _error_in_bounds(coeff_table(*point, 500), exact) <= 1.0
+        # 9.4e-14 relative at most, measured
+        assert all(abs(Fraction(got) - want) <= Fraction(1, 10**13) * want
+                   for got, want in zip(coeff_table(*point, 500).tolist(), exact))
+
+    @settings(deadline=None, max_examples=40)
+    @given(PAPER_POINT, st.integers(0, 150))
+    def test_paper_range_within_the_bound(self, point, n_max):
+        assert _error_in_bounds(coeff_table(*point, n_max), coeff_recurrence_exact(*point, n_max)) <= 1.0
+
+    def test_a_perturbed_recurrence_breaks_the_bound(self):
+        # a_1 scaled by 1 + 1e-12, or lambda multiplied into A and B one at
+        # a time (lam*A - lam*B for lam*(A - B)), which loses digits when B
+        # is near A (where A and B lie far apart, the bound does not see it)
+        point = (-0.4, -0.4000001, 0.3)
+        exact = coeff_recurrence_exact(*point, 60)
+        assert _error_in_bounds(coeff_table(*point, 60), exact) <= 1.0
+        scaled = coeff_table(*point, 60)
+        scaled[1] *= 1.0 + 1e-12
+        assert _error_in_bounds(scaled, exact) > 1.0
+        a, b, lam = point
+        lead, s, p = lam * a - lam * b, a + b, a * b
+        out = [1.0, lead]
+        for n in range(1, 60):
+            out.append(((lead - s * n) * out[n] - p * (n - 1) * out[n - 1]) / (n + 1))
+        assert _error_in_bounds(np.array(out), exact) > 1.0
 
 
 def streamed_pairs(a, b, lam, n_max: int):

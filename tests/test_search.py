@@ -427,49 +427,74 @@ class TestSweep:
         assert calls == []
 
     def test_cell_count_is_checked_before_any_cell(self, monkeypatch):
-        # 16 x 16 pairs B < A (the pairs B >= A are not counted), 16 lambdas
+        # every cell is charged 2**12 coefficient-samples, so more than 2**16
+        # cells exceed 2**28 at any work: 16 x 16 pairs B < A (the pairs
+        # B >= A are not counted), 16 lambdas and 17 n values are rejected
         calls = _count_cells(monkeypatch)
         a_values = [-0.5 + 0.01 * k for k in range(16)]
         b_values = [-1.0 + 0.01 * k for k in range(16)] + [a_values[-1], -0.1]
         lambdas = [0.5 + 0.01 * k for k in range(16)]
         ns = range(1, 17)
-        with pytest.raises(ValueError, match="69632 sweep cells exceed 65536"):
+        with pytest.raises(ValueError, match="681279488 coefficient-samples exceed 268435456"):
             sweep_parameter_grid(a_values, b_values, lambdas, [*ns, 17], 0.983)
+        # 2**16 cells at the defaults: their price alone fills the bound
+        with pytest.raises(ValueError, match="620494848 coefficient-samples exceed 268435456"):
+            sweep_parameter_grid(a_values, b_values, lambdas, ns, 0.983)
         assert calls == []
-        cells = sweep_parameter_grid(a_values, b_values, lambdas, ns, 0.983)
-        assert len(cells) == len(calls) == search.MAX_CELLS
+        # at the smallest work, n = 1 on 16 angles and no rounds, a cell
+        # counts 2 * 16 + 2**12 = 4,128: 65,027 cells fit, one more does not
+        one = ((K.params.A,), (K.params.B,), (K.params.lam,))
+        with pytest.raises(ValueError, match="268435584 coefficient-samples exceed 268435456"):
+            sweep_parameter_grid(*one, [1] * 65028, 0.983, coarse_angles=16, refine_iters=0)
+        assert calls == []
+        cells = sweep_parameter_grid(*one, [1] * 65027, 0.983, coarse_angles=16, refine_iters=0)
+        assert len(cells) == len(calls) == 65027
 
     def test_work_is_checked_before_any_cell(self, monkeypatch):
-        # sum over the cells of (n + 1) * (coarse_angles + tree probes) is
-        # bounded by MAX_DEGREE * MAX_POINTS = 2**28; one round is 2 probes
+        # cells x ((top n + 1) * (coarse_angles + tree probes) + 2**12) is
+        # bounded by MAX_WORK = MAX_DEGREE * MAX_POINTS = 2**28; one round is 2 probes
         calls = _count_cells(monkeypatch)
         one = ((K.params.A,), (K.params.B,), (K.params.lam,), (255,), 0.983)
-        with pytest.raises(ValueError, match="268435968 coefficient-samples exceed 268435456"):
-            sweep_parameter_grid(*one, coarse_angles=2**20, refine_iters=1)
+        for angles, iters, work in ((2**20, 1, 268440064), (2**20, 0, 268439552)):
+            with pytest.raises(ValueError, match=f"{work} coefficient-samples exceed 268435456"):
+                sweep_parameter_grid(*one, coarse_angles=angles, refine_iters=iters)
         assert calls == []
-        assert len(sweep_parameter_grid(*one, coarse_angles=2**20, refine_iters=0)) == 1
-        # 2**16 cells of 256 angles and 8 rounds (26 + 26 + 8 probes): at
-        # n = 1, 2, 4, 8 (9.8e7) admitted, at n = 256 (5.3e9) not
-        a_values = [-0.5 + 0.005 * k for k in range(64)]
-        b_values = [-1.0 + 0.005 * k for k in range(64)]
-        grid = (a_values, b_values, [0.5 + 0.01 * k for k in range(4)])
+        assert len(sweep_parameter_grid(*one, coarse_angles=2**20 - 16, refine_iters=0)) == 1
+        # 2**15 cells of 256 angles and 8 rounds (26 + 26 + 8 probes): at
+        # n = 1, 2, 4, 8 (2.3e8) admitted, at n = 256 (2.8e9) not
+        a_values = [-0.5 + 0.005 * k for k in range(32)]
+        b_values = [-1.0 + 0.005 * k for k in range(32)]
+        grid = (a_values, b_values, [0.5 + 0.01 * k for k in range(8)])
         calls.clear()
-        assert len(sweep_parameter_grid(*grid, (1, 2, 4, 8), 0.983)) == search.MAX_CELLS
-        assert len(calls) == search.MAX_CELLS
+        assert len(sweep_parameter_grid(*grid, (1, 2, 4, 8), 0.983)) == 2**15
+        assert len(calls) == 2**15
         calls.clear()
-        with pytest.raises(ValueError, match="5322309632 coefficient-samples"):
+        with pytest.raises(ValueError, match="2795372544 coefficient-samples"):
             sweep_parameter_grid(*grid, (256,) * 4, 0.983)
         assert calls == []
 
+    def test_work_counts_every_row_at_the_top_degree(self, monkeypatch):
+        # a chunk pads its rows to its highest n: 511 rows at n = 1 and one at
+        # n = 256 count as 512 rows at n = 256, not as the sum of their n + 1
+        # (the sum, 2 x 1,279 x 1,600 for two (A, B, lambda), would admit them)
+        calls = _count_cells(monkeypatch)
+        ns, scan = [1] * 511 + [256], dict(coarse_angles=1600, refine_iters=0)
+        with pytest.raises(ValueError, match="425263104 coefficient-samples"):
+            sweep_parameter_grid((-0.5, -0.45), (K.params.B,), (K.params.lam,), ns, 0.983, **scan)
+        assert calls == []
+        # one fits: 512 x (257 x 1,600 + 2**12) = 212,631,552
+        assert len(sweep_parameter_grid((-0.5,), (K.params.B,), (K.params.lam,), ns, 0.983, **scan)) == 512
+
     def test_work_counts_the_tree_probes(self, monkeypatch):
         # one cell at n = 255 with 64 rounds evaluates 26 * 21 + 2 = 548
-        # probes: 2**20 - 548 scan points fill the bound, one more exceeds it
+        # probes: 2**20 - 16 - 548 scan points fill the bound with the cell's
+        # price, one more exceeds it
         calls = _count_cells(monkeypatch)
         one = ((K.params.A,), (K.params.B,), (K.params.lam,), (255,), 0.983)
-        assert len(sweep_parameter_grid(*one, coarse_angles=2**20 - 548, refine_iters=64)) == 1
+        assert len(sweep_parameter_grid(*one, coarse_angles=2**20 - 564, refine_iters=64)) == 1
         assert len(calls) == 1
         calls.clear()
-        for angles, work in ((2**20 - 547, 268435712), (2**20 - 128, 268542976)):
+        for angles, work in ((2**20 - 563, 268435712), (2**20 - 128, 268547072)):
             with pytest.raises(ValueError, match=f"{work} coefficient-samples exceed 268435456"):
                 sweep_parameter_grid(*one, coarse_angles=angles, refine_iters=64)
         assert calls == []
