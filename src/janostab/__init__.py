@@ -21,15 +21,11 @@ from .subordination import (
     KNOWN_COUNTEREXAMPLE,
     SampleGrid,
     StabilityReport,
-    check_cross_order_stability,
-    check_derivative_modulus_bound,
-    check_power_product_subordination,
     check_stability_vs_base,
     check_stability_vs_self,
     closed_form_disk,
     mobius_image_disk,
     reference_disk_comparison,
-    stability_ratio,
 )
 
 __version__ = "0.1.0"

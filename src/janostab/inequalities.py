@@ -13,8 +13,7 @@ zero it came from (that sign depends only on how the pass laid out its
 chunks), except for the alternating identity, whose -|sum| reads -0.
 Reports are deterministic: violations are listed
 lexicographically by (A, B, lambda) and then by indices.  Every
-:class:`InequalityReport`, these and the derivative and product checks of
-:mod:`janostab.subordination`, lists at most ``MAX_LISTED_VIOLATIONS`` and
+:class:`InequalityReport` lists at most ``MAX_LISTED_VIOLATIONS`` and
 counts every violation.
 """
 
@@ -129,10 +128,9 @@ class InequalityViolation:
     n: Optional[int]
     m: Optional[int]
     value: float
-    point: Optional[complex] = None
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "A": self.A,
             "B": self.B,
             "lambda": self.lam,
@@ -140,9 +138,6 @@ class InequalityViolation:
             "m": self.m,
             "value": self.value,
         }
-        if self.point is not None:
-            doc["point"] = {"re": self.point.real, "im": self.point.imag}
-        return doc
 
 
 @dataclass(frozen=True)

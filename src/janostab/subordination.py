@@ -26,16 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .inequalities import InequalityReport, InequalityViolation, _list_hits
 from .janowski import JanowskiParams, janowski_series
-from .series import (
-    BranchFailureError,
-    TruncatedSeries,
-    _circle_points,
-    _polyval_grid,
-    _principal_log,
-    ray_log_values,
-)
+from .series import BranchFailureError, _circle_points, ray_log_values
 
 __all__ = [
     "DISK_SOURCES",
@@ -43,9 +35,6 @@ __all__ = [
     "KNOWN_COUNTEREXAMPLE",
     "SampleGrid",
     "StabilityReport",
-    "check_cross_order_stability",
-    "check_derivative_modulus_bound",
-    "check_power_product_subordination",
     "check_stability_vs_base",
     "check_stability_vs_self",
     "closed_form_disk",
@@ -53,7 +42,6 @@ __all__ = [
     "mobius_image_disk",
     "ratio_samples",
     "reference_disk_comparison",
-    "stability_ratio",
 ]
 
 DEFAULT_TOL = 1e-6
@@ -153,7 +141,6 @@ class StabilityReport:
     worst_ratio: Optional[complex] = None
     disk_source: Optional[str] = None
     disk: Optional[DiskSpec] = None
-    mu: Optional[float] = None
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -170,8 +157,6 @@ class StabilityReport:
             doc["disk_source"] = self.disk_source
         if self.disk is not None:
             doc["disk"] = self.disk.to_json_dict()
-        if self.mu is not None:
-            doc["mu"] = self.mu
         return doc
 
 
@@ -281,15 +266,6 @@ def _disk_points(points) -> np.ndarray:
     return zs
 
 
-def _ratio(params: JanowskiParams, zs: np.ndarray, L: np.ndarray) -> np.ndarray:
-    # (1+Bz)/(1+Az) * exp(L/lam), overwriting L; L/lam's bits where log|s| is finite:
-    # numpy divides by lam + 0j by Smith's rule, times fl(1/lam) + 0j as here, and the
-    # zero-imaginary terms vanish (log|s| is never -0, Arg is +0.0-normalised)
-    with np.errstate(invalid="ignore", over="ignore"):
-        L *= 1.0 / params.lam
-        return (1.0 + params.B * zs) / (1.0 + params.A * zs) * np.exp(L, out=L)
-
-
 def ratio_samples(series, params: JanowskiParams, points: Sequence[complex]):
     """(1+Bz) * s(z)**(1/lam) / (1+Az) on the analytic branch, with
     ``params``' A, B and lambda: the one evaluation of the stability ratio.
@@ -307,7 +283,13 @@ def ratio_samples(series, params: JanowskiParams, points: Sequence[complex]):
     """
     zs = _disk_points(points)  # callers pass fresh points
     L, bad = ray_log_values(series, zs)
-    return _ratio(params, zs, L), zs, bad
+    # (1+Bz)/(1+Az) * exp(L/lam), overwriting L; L/lam's bits where log|s| is finite:
+    # numpy divides by lam + 0j by Smith's rule, times fl(1/lam) + 0j as here, and the
+    # zero-imaginary terms vanish (log|s| is never -0, Arg is +0.0-normalised)
+    with np.errstate(invalid="ignore", over="ignore"):
+        L *= 1.0 / params.lam
+        vals = (1.0 + params.B * zs) / (1.0 + params.A * zs) * np.exp(L, out=L)
+    return vals, zs, bad
 
 
 def _defined(samples):
@@ -320,17 +302,6 @@ def _defined(samples):
             "(-inf, 0] on |zeta| = |z|, as with a root in |zeta| <= |z|, or |s_n| < 1e-12"
         )
     return vals, zs
-
-
-def stability_ratio(params: JanowskiParams, n: int, z) -> complex:
-    """The stability ratio of s_n at one point z of |z| < 1 (see
-    :func:`ratio_samples`, which raises ``ValueError`` at any other z).
-
-    This is the (1/lam)-power of s_n(v)/v; its value at 0 is exactly 1.
-    Raises :class:`~janostab.series.BranchFailureError` where z fails the branch rule.
-    """
-    vals, _ = _defined(ratio_samples(janowski_series(params, n), params, (z,)))
-    return complex(vals[0])
 
 
 # --- stability checks ---------------------------------------------------------
@@ -359,18 +330,18 @@ def _worst_sample(margins: np.ndarray, points: np.ndarray) -> Optional[int]:
 
 
 def _stability_report(
-    series: TruncatedSeries,
     params: JanowskiParams,
     n: int,
     disk: DiskSpec,
     radii: tuple,
     grid: SampleGrid,
     tol: float,
-    **fields,
+    disk_source: Optional[str] = None,
 ) -> StabilityReport:
-    """Worst margin of the stability ratio of ``series`` (with ``params``'
-    A, B and lambda) against ``disk`` on the disks of ``radii``, decided on
-    the largest circle, and at the grid's explicit points, as a report."""
+    """Worst margin of the stability ratio of s_n against ``disk`` on the
+    disks of ``radii``, decided on the largest circle, and at the grid's
+    explicit points, as a report."""
+    series = janowski_series(params, n)
     vals, zs, bad = ratio_samples(series, params, _grid_points(radii[-1:], grid))
     margins = disk.margin(vals)
     k = _worst_sample(margins, zs)
@@ -389,16 +360,8 @@ def _stability_report(
         sample_radii=radii,
         points_per_circle=grid.points_per_circle,
         disk=disk,
-        **fields,
+        disk_source=disk_source,
     )
-
-
-def _require_base_range(params: JanowskiParams, allow_outside: bool) -> None:
-    if not params.base_stable_range and not allow_outside:
-        raise ValueError(
-            "params outside the established range A <= 0; "
-            "pass allow_outside=True for exploratory checks"
-        )
 
 
 def check_stability_vs_base(
@@ -416,10 +379,14 @@ def check_stability_vs_base(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _require_base_range(params, allow_outside)
+    if not params.base_stable_range and not allow_outside:
+        raise ValueError(
+            "params outside the established range A <= 0; "
+            "pass allow_outside=True for exploratory checks"
+        )
     grid = grid or SampleGrid()
     disk = DiskSpec(1.0 + 0.0j, abs(params.B))
-    return _stability_report(janowski_series(params, n), params, n, disk, grid.radii, grid, tol)
+    return _stability_report(params, n, disk, grid.radii, grid, tol)
 
 
 def check_stability_vs_self(
@@ -447,161 +414,5 @@ def check_stability_vs_self(
     grid = grid or SampleGrid()
     disk = disk_for(disk_source, params, r)
     radii = tuple(f * r for f in grid.radii)
-    return _stability_report(
-        janowski_series(params, n), params, n, disk, radii, grid, tol, disk_source=disk_source
-    )
+    return _stability_report(params, n, disk, radii, grid, tol, disk_source)
 
-
-def check_cross_order_stability(
-    mu: float,
-    lam: float,
-    b_coef: float,
-    n: int,
-    grid: Optional[SampleGrid] = None,
-    tol: float = DEFAULT_TOL,
-) -> StabilityReport:
-    """Partial sums of the order-mu A=0 member against the order-lam base:
-    |(1+Bz) * s_n(v_mu)(z)**(1/lam) - 1| must stay within |B|.
-
-    The (1+Bz)**lam factor inside the lam-th root contributes exactly
-    (1+Bz) because 1+Bz stays in the right half-plane on the disk, so its
-    principal logarithm is already the analytic branch.  With mu = lam this
-    collapses to :func:`check_stability_vs_base` at A = 0.
-    """
-    if not 0.0 < mu <= lam <= 1.0:
-        raise ValueError("need 0 < mu <= lam <= 1")
-    if not -1.0 <= b_coef < 0.0:
-        raise ValueError("need -1 <= B < 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    grid = grid or SampleGrid()
-    series = janowski_series(JanowskiParams(0.0, b_coef, mu), n)
-    disk = DiskSpec(1.0 + 0.0j, abs(b_coef))
-    return _stability_report(
-        series, JanowskiParams(0.0, b_coef, lam), n, disk, grid.radii, grid, tol, mu=mu
-    )
-
-
-# --- defect-derivative bound ---------------------------------------------------
-
-def _defect_and_slope(series, params, points):
-    """``(d, d', zs, bad)``: the defect d = 1 - ratio and its derivative
-
-        d'(z) = -ratio(z) * ((B-A)/((1+Az)(1+Bz)) + s_n'(z)/(lam * s_n(z)))
-
-    at ``points``, the ratio as in :func:`ratio_samples` from the Horner
-    values of s_n that the slope divides by.  For |z| < 1, 1 + Bz != 0
-    (|B| <= 1): d' is finite wherever the ratio is."""
-    zs = _disk_points(points)
-    row = zs[None]  # the evaluator's one-row stack
-    a, b, coeffs = params.A, params.B, series.coeffs
-    s = _polyval_grid(coeffs[:, None], row)
-    L, bad = _principal_log((series,), row, s)
-    vals = _ratio(params, row, L)
-    s_prime = _polyval_grid((coeffs[1:] * np.arange(1, coeffs.size))[:, None], row)
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        log_slope = (b - a) / ((1.0 + a * row) * (1.0 + b * row)) + s_prime / (params.lam * s)
-    return 1.0 - vals[0], (-vals * log_slope)[0], zs, bad[0]
-
-
-def check_derivative_modulus_bound(
-    params: JanowskiParams,
-    n: int,
-    grid: Optional[SampleGrid] = None,
-    tol: float = DEFAULT_TOL,
-    allow_outside: bool = False,
-) -> InequalityReport:
-    """Check |d'(z)| <= d'(|z|) for the stability defect d = 1 - ratio.
-
-    d' is the analytic derivative of :func:`_defect_and_slope` at both z
-    and |z|.  The checked quantity is d'(|z|) - |d'(z)|, which must stay
-    >= -tol.  Explicit points must lie in |z| < 1 (see :func:`ratio_samples`).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _require_base_range(params, allow_outside)
-    grid = grid or SampleGrid()
-    series = janowski_series(params, n)
-    _, deriv, zs, bad = _defect_and_slope(series, params, _grid_points(grid.radii, grid))
-    moduli = np.concatenate([np.repeat(grid.radii, grid.points_per_circle), np.abs(grid.extra_points)])
-    _, slopes, _, bad_real = _defect_and_slope(series, params, moduli)
-    margins = np.where(bad | bad_real, np.nan, slopes.real - np.abs(deriv))
-    good = np.isfinite(margins)
-    violations = []
-    unlisted = _list_hits(violations, np.flatnonzero(good & (margins < -tol)), lambda k: (
-        InequalityViolation(params.A, params.B, params.lam, n, None, float(margins[k]),
-                            point=complex(zs[k]))
-    ))
-    min_margin = float(margins[good].min()) if good.any() else float("inf")
-    return InequalityReport(int(good.sum()), tuple(violations), min_margin, unlisted)
-
-
-# --- product subordination ------------------------------------------------------
-
-def _schwarz_eval(seed: Sequence[complex], z: np.ndarray) -> np.ndarray:
-    """Test function from a seed: [c] gives c*z; [c1, c2] gives the
-    disk-automorphism composite z*(c1 + c2*z)/(1 + conj(c1)*c2*z).  Either
-    form satisfies |u(z)| <= |z| on the closed unit disk."""
-    if len(seed) == 1:
-        return seed[0] * z
-    c1, c2 = seed
-    return z * (c1 + c2 * z) / (1.0 + np.conj(c1) * c2 * z)
-
-
-def _parse_seed(seed) -> tuple:
-    vals = tuple(complex(c) for c in seed)
-    if len(vals) not in (1, 2):
-        raise ValueError("a seed is a list of 1 or 2 coefficients")
-    for c in vals:
-        if not (np.isfinite(c.real) and np.isfinite(c.imag)):
-            raise ValueError("seed coefficients must be finite")
-        if abs(c) > 1.0 + 1e-12:
-            raise ValueError(f"seed coefficient {c!r} exceeds the unit bound")
-    return vals
-
-
-def check_power_product_subordination(
-    alpha: float,
-    beta: float,
-    b_coef: float,
-    schwarz_seeds,
-    grid: Optional[SampleGrid] = None,
-    tol: float = DEFAULT_TOL,
-) -> InequalityReport:
-    """Products of subordinate powers stay subordinate: with u, v built
-    from the seeds, W = ((1+B*u)**alpha * (1+B*v)**beta)**(1/(alpha+beta))
-    must satisfy |W - 1| <= |B| on the samples.
-
-    All ordered seed pairs are checked; the checked quantity is
-    |B| - |W - 1|.  Principal logarithms suffice because 1 + B*u(z) stays
-    in the right half-plane for |z| < 1.  Raises ``ValueError`` at a point
-    outside |z| < 1, or when a seed's test function breaks |u(z)| <= |z|.
-    """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError("need alpha, beta > 0")
-    if not -1.0 <= b_coef < 0.0:
-        raise ValueError("need -1 <= B < 0")
-    seeds = [_parse_seed(s) for s in schwarz_seeds]
-    if not seeds:
-        raise ValueError("need at least one seed")
-    grid = grid or SampleGrid()
-    zs = _grid_points(grid.radii, grid)
-    logs = []
-    for seed in seeds:
-        u = _schwarz_eval(seed, zs)
-        excess = float((np.abs(u) - np.abs(zs)).max())
-        if not excess <= 1e-12:
-            raise ValueError(f"invalid seed {list(seed)!r}: |u(z)| exceeds |z| by {excess:g}")
-        logs.append(np.log(1.0 + b_coef * u))
-    logs = np.array(logs)
-    violations, unlisted, min_margin = [], 0, np.inf
-    for i, log_u in enumerate(logs):
-        # W for the pairs (seed i, seed j), one row per j
-        w = np.exp((alpha * log_u + beta * logs) / (alpha + beta))
-        margins = abs(b_coef) - np.abs(w - 1.0)
-        min_margin = min(min_margin, float(margins.min()))
-        unlisted += _list_hits(violations, np.argwhere(margins < -tol), lambda hit: (
-            InequalityViolation(None, b_coef, None, int(hit[0]), i, float(margins[tuple(hit)]),
-                                point=complex(zs[hit[1]]))
-        ))
-    return InequalityReport(logs.size * len(seeds), tuple(violations), min_margin, unlisted)

@@ -21,6 +21,8 @@ eigensolve the package ran before its arc test).
 ``search_rows_by_round`` is the counterexample search refined one round
 per evaluator call; it runs on the evaluator it is given and so checks the
 plan of the package's search, not its arithmetic.
+``ratio_at`` is no oracle: it is the package's own evaluator at one point,
+for tests that compare other callers' values with it bit for bit.
 """
 
 import cmath
@@ -32,8 +34,9 @@ from numpy.polynomial import chebyshev
 
 from janostab import inequalities
 from janostab.inequalities import InequalityReport, InequalityViolation
+from janostab.janowski import janowski_series
 from janostab.series import CROSSING_SLACK, EPS, TruncatedSeries, _circle_points
-from janostab.subordination import _defined
+from janostab.subordination import _defined, ratio_samples
 
 
 def falling_exact(lam: Fraction, k: int) -> Fraction:
@@ -396,3 +399,10 @@ def search_rows_by_round(stack, params, disk, r, angles, iters, evaluate):
     if failure is not None:
         _defined(failure)
     return list(zip(best_m.tolist(), best_z.tolist(), best_v.tolist()))
+
+
+def ratio_at(params, n, z):
+    """The stability ratio of s_n at one point z of |z| < 1, as
+    ``ratio_samples`` evaluates it in any batch; ``ValueError`` at any other
+    z, ``BranchFailureError`` where z fails the branch rule."""
+    return _defined(ratio_samples(janowski_series(params, n), params, (z,)))[0][0]

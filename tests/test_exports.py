@@ -4,8 +4,10 @@ a stale export behind."""
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +36,15 @@ def test_the_cli_imports_no_numpy_polynomial():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(janostab.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_the_readme_sketch_runs():
+    # the README's one python block, as a reader would run it: a name it
+    # uses that the package no longer has fails here
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(janostab.__file__)))
+    out = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert "violated" in out.stdout

@@ -13,7 +13,7 @@ from janostab.cli import main
 from janostab.janowski import janowski_series
 from janostab.search import sweep_parameter_grid
 from janostab.series import BranchFailureError, _circle_points
-from janostab.subordination import KNOWN_COUNTEREXAMPLE, ratio_samples, stability_ratio
+from janostab.subordination import KNOWN_COUNTEREXAMPLE, ratio_samples
 
 K = KNOWN_COUNTEREXAMPLE
 
@@ -158,7 +158,7 @@ class TestOneCircle:
     @pytest.mark.parametrize("iters", [0, 8])
     def test_witness_is_the_evaluated_ratio_on_the_circle(self, iters):
         for cell in sweep_parameter_grid(**LATTICE, refine_iters=iters):
-            assert cell.ratio == stability_ratio(cell.params, cell.n, cell.z)
+            assert cell.ratio == oracles.ratio_at(cell.params, cell.n, cell.z)
             assert cell.margin == cell.disk.margin(cell.ratio)
             assert abs(abs(cell.z) - LATTICE["r"]) <= 4e-16
 

@@ -19,10 +19,6 @@ from janostab.subordination import (
     KNOWN_COUNTEREXAMPLE,
     DiskSpec,
     SampleGrid,
-    _defect_and_slope,
-    check_cross_order_stability,
-    check_derivative_modulus_bound,
-    check_power_product_subordination,
     check_stability_vs_base,
     check_stability_vs_self,
     closed_form_disk,
@@ -30,14 +26,11 @@ from janostab.subordination import (
     mobius_image_disk,
     ratio_samples,
     reference_disk_comparison,
-    stability_ratio,
 )
 
-from oracles import horner
+from oracles import horner, ratio_at
 
 K = KNOWN_COUNTEREXAMPLE
-# The (A, B, lambda) points of the A08 derivative sweep.
-A08_PARAMS = ((-0.5, -1.0, 0.5), (-0.2, -0.8, 0.3), (-0.679, -0.97, 0.3))
 SMALL = SampleGrid(radii=(0.9, 0.99), points_per_circle=512)
 
 
@@ -75,10 +68,22 @@ class TestMobiusTarget:
         with pytest.raises(ValueError, match=r"\|z\| < 1"):
             check_stability_vs_base(K.params, K.n, SampleGrid((), 8, (pole,)))
 
+    @pytest.mark.parametrize("z", (
+        1.0, -1.0, 0.6 + 0.8j, 2j, float("nan"), complex("inf"), complex(0.5, float("nan")),
+    ))
+    def test_refuses_points_outside_the_disk(self, z):
+        # on and beyond the unit circle, and non-finite: an error, not a
+        # sample that no margin comparison sees
+        grid = SampleGrid(radii=(0.9,), points_per_circle=64, extra_points=(0.5, z))
+        with pytest.raises(ValueError, match=r"\|z\| < 1"):
+            check_stability_vs_base(JanowskiParams(-0.5, -1.0, 0.5), 3, grid)
+        with pytest.raises(ValueError, match=r"\|z\| < 1"):
+            check_stability_vs_self(K.params, K.n, 0.983, grid)
+
 
 class TestStabilityRatio:
     def test_value_at_origin_is_exactly_one(self):
-        assert stability_ratio(K.params, K.n, 0) == 1.0
+        assert ratio_at(K.params, K.n, 0) == 1.0
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -91,10 +96,10 @@ class TestStabilityRatio:
         b = max(a - gap, -1.0)
         if not b < a:
             return
-        assert stability_ratio(JanowskiParams(a, b, lam), n, 0) == 1.0
+        assert ratio_at(JanowskiParams(a, b, lam), n, 0) == 1.0
 
     def test_counterexample_witness_value(self):
-        got = stability_ratio(K.params, K.n, K.z0)
+        got = ratio_at(K.params, K.n, K.z0)
         expect = ratio_oracle(K.params, 0.3 * (-0.679 + 0.97), K.z0)
         assert abs(got - expect) < 1e-12
         # four printed decimals of the known value
@@ -102,33 +107,16 @@ class TestStabilityRatio:
 
     def test_pole_and_branch_failure_raise(self):
         with pytest.raises(ValueError, match=r"\|z\| < 1"):
-            stability_ratio(K.params, K.n, -1.0 / K.params.A)
+            ratio_at(K.params, K.n, -1.0 / K.params.A)
         # s_1 = 1 + 2z vanishes at -0.5
         with pytest.raises(BranchFailureError):
-            stability_ratio(JanowskiParams(1.0, -1.0, 1.0), 1, -0.5)
-
-    @pytest.mark.parametrize("params, n, z", [
-        (K.params, K.n, K.z0),
-        (JanowskiParams(-0.5, -1.0, 0.5), 8, 0.6 - 0.7j),
-        (JanowskiParams(-0.2, -0.8, 0.3), 3, -0.95j),
-    ])
-    def test_defect_shares_the_code_path(self, params, n, z):
-        # the derivative check's defect is 1 - ratio from the one evaluator,
-        # whose values do not depend on the batch
-        series = janowski_series(params, n)
-        points = np.concatenate([_circle_points([0.9], 64)[0], [0.5, z]])
-        defect, _, zs, bad = _defect_and_slope(series, params, points)
-        assert not bad.any() and zs[-1] == z
-        assert defect[-1] == 1.0 - stability_ratio(params, n, z)
-
-    def test_defect_zero_at_origin(self):
-        assert 1.0 - stability_ratio(K.params, K.n, 0) == 0.0
+            ratio_at(JanowskiParams(1.0, -1.0, 1.0), 1, -0.5)
 
     @pytest.mark.parametrize("z", (1.0, 1j, 1.2, float("nan")))
     def test_rejects_points_outside_the_open_disk(self, z):
         # the unit circle, beyond it, and NaN: the message names the point
         with pytest.raises(ValueError, match=r"\|z\| < 1") as exc:
-            stability_ratio(JanowskiParams(-0.5, -1.0, 0.5), 64, z)
+            ratio_at(JanowskiParams(-0.5, -1.0, 0.5), 64, z)
         assert repr(complex(z)) in str(exc.value)
 
     @settings(deadline=None, max_examples=100)
@@ -276,7 +264,7 @@ class TestBaseStability:
         assert report.verdict == "pass"
         for theta in np.linspace(0.0, 2 * np.pi, 17):
             z = 0.99 * cmath.exp(1j * theta)
-            assert abs(stability_ratio(params, 4, z) - 1) <= abs(params.B) + 1e-6
+            assert abs(ratio_at(params, 4, z) - 1) <= abs(params.B) + 1e-6
 
     def test_deterministic_report_bytes(self):
         a = check_stability_vs_base(JanowskiParams(-0.5, -1.0, 0.5), 3, SMALL)
@@ -314,7 +302,7 @@ class TestSelfStability:
         assert report.worst_margin > 0
         assert report.worst_point == K.z0
         # the report carries the value that gave its margin
-        assert report.worst_ratio == stability_ratio(K.params, K.n, K.z0)
+        assert report.worst_ratio == ratio_at(K.params, K.n, K.z0)
         assert np.abs(report.worst_ratio - report.disk.center) - report.disk.radius == (
             report.worst_margin
         )
@@ -327,13 +315,30 @@ class TestSelfStability:
             assert report.verdict == "pass"
 
     def test_margin_at_witness_against_both_disks(self):
-        ratio = stability_ratio(K.params, K.n, K.z0)
+        ratio = ratio_at(K.params, K.n, K.z0)
         disk = disk_for("mobius_image", K.params, 0.983)
         margin_mobius = disk.margin(ratio)
         assert margin_mobius == pytest.approx(0.1065779488, abs=1e-9)
         assert abs(ratio - disk.center) - disk.radius == margin_mobius
         margin_closed = disk_for("closed_form", K.params, 0.98).margin(ratio)
         assert margin_closed == pytest.approx(0.0561655402, abs=1e-9)
+
+    def test_first_call_imports_no_masked_arrays(self):
+        # no call may pull in numpy.ma (~1.5 MB RSS), as np.unique would in
+        # the crossing test's sort of distinct radii: a circle and two
+        # explicit points at other radii
+        script = (
+            "import sys\n"
+            "from janostab.subordination import KNOWN_COUNTEREXAMPLE as K\n"
+            "from janostab.subordination import SampleGrid, check_stability_vs_self\n"
+            "check_stability_vs_self(K.params, 3, 0.983, SampleGrid((0.9,), 64, (0.5, 0.3j)))\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = str(Path(janostab.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
 
     def test_sample_radii_scale_with_r(self):
         report = check_stability_vs_self(K.params, K.n, 0.5, SMALL)
@@ -413,7 +418,7 @@ class TestWitnessIdentity:
             check_stability_vs_self(params, n, r, grid),
         ):
             assert report.worst_point is not None
-            expect = stability_ratio(params, n, report.worst_point)
+            expect = ratio_at(params, n, report.worst_point)
             assert _bits([report.worst_ratio]) == _bits([expect])
             assert report.disk.margin(report.worst_ratio) == report.worst_margin
 
@@ -493,137 +498,6 @@ class TestBatchIndependence:
         moduli = np.abs(points[failing_at])
         clear = np.abs(moduli - 0.5) > 1e-6  # away from the rounding of |z| and the slack
         assert bad[failing_at][clear].tolist() == (moduli[clear] > 0.5).tolist()
-
-
-class TestDerivativeModulusBound:
-    def test_holds_on_circles(self):
-        report = check_derivative_modulus_bound(
-            JanowskiParams(-0.5, -1.0, 0.5), 3, SampleGrid((0.9, 0.99), 256)
-        )
-        assert report.passed
-        assert report.min_margin > -1e-8
-
-    def test_real_positive_axis_is_equality(self):
-        grid = SampleGrid(radii=(), extra_points=(0.7,))
-        report = check_derivative_modulus_bound(JanowskiParams(-0.5, -1.0, 0.5), 3, grid)
-        assert report.passed
-        assert abs(report.min_margin) < 1e-8
-
-    def test_origin_sample(self):
-        grid = SampleGrid(radii=(), extra_points=(0.0,))
-        report = check_derivative_modulus_bound(JanowskiParams(-0.2, -0.8, 0.3), 2, grid)
-        assert report.passed
-
-    def test_range_guard(self):
-        with pytest.raises(ValueError):
-            check_derivative_modulus_bound(JanowskiParams(0.4, -1.0, 0.5), 2, SMALL)
-
-    @pytest.mark.parametrize("z", (1.0, -1.0, 0.6 + 0.8j, 2j))
-    def test_rejects_points_outside_the_open_disk(self, z):
-        grid = SampleGrid(radii=(0.9,), points_per_circle=64, extra_points=(0.5, z))
-        with pytest.raises(ValueError, match=r"\|z\| < 1"):
-            check_derivative_modulus_bound(JanowskiParams(-0.5, -1.0, 0.5), 3, grid)
-
-    def test_first_call_imports_no_masked_arrays(self):
-        # no call may pull in numpy.ma (~1.5 MB RSS), as np.unique would
-        script = (
-            "import sys\n"
-            "from janostab.janowski import JanowskiParams\n"
-            "from janostab.subordination import SampleGrid, check_derivative_modulus_bound\n"
-            "grid = SampleGrid((0.9,), 64, (0.5, 0.9j))\n"
-            "check_derivative_modulus_bound(JanowskiParams(-0.5, -1.0, 0.5), 3, grid)\n"
-            "assert 'numpy.ma' not in sys.modules\n"
-        )
-        src = str(Path(janostab.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
-        assert proc.returncode == 0, proc.stderr.decode()
-
-    @pytest.mark.parametrize("a, b, lam", A08_PARAMS)
-    @pytest.mark.parametrize("n", (1, 3, 8))
-    def test_bound_holds_to_roundoff_on_the_a08_cases(self, a, b, lam, n):
-        # the analytic derivative leaves only roundoff below 0 (a central
-        # difference left noise down to -7e-10 here)
-        report = check_derivative_modulus_bound(JanowskiParams(a, b, lam), n)
-        assert report.min_margin >= -1e-12
-
-    @pytest.mark.parametrize("a, b, lam", A08_PARAMS)
-    @pytest.mark.parametrize("n", (1, 3, 8))
-    def test_slope_matches_a_central_difference(self, a, b, lam, n):
-        params = JanowskiParams(a, b, lam)
-        series = janowski_series(params, n)
-        h = 1e-6
-        zs = np.concatenate([r * np.exp(2j * np.pi * np.arange(64) / 64) for r in (0.5, 0.9, 0.99)])
-        _, slope, _, bad = _defect_and_slope(series, params, points=zs)
-        above, below = (_defect_and_slope(series, params, points=w)[0] for w in (zs + h, zs - h))
-        assert not bad.any()
-        assert np.max(np.abs(slope - (above - below) / (2 * h))) < 1e-6
-
-
-class TestCrossOrderStability:
-    def test_collapses_to_base_check_when_orders_match(self):
-        lam, b = 0.6, -0.9
-        grid = SampleGrid((0.9, 0.99), 256)
-        cross = check_cross_order_stability(lam, lam, b, 4, grid)
-        base = check_stability_vs_base(JanowskiParams(0.0, b, lam), 4, grid)
-        assert cross.worst_margin == base.worst_margin
-        assert cross.worst_point == base.worst_point
-
-    def test_passes_for_smaller_order(self):
-        report = check_cross_order_stability(0.3, 0.7, -0.9, 8, SMALL)
-        assert report.verdict == "pass"
-        assert report.mu == 0.3
-
-    def test_validates_order_relation(self):
-        with pytest.raises(ValueError):
-            check_cross_order_stability(0.8, 0.3, -0.9, 2, SMALL)
-        with pytest.raises(ValueError):
-            check_cross_order_stability(0.3, 0.8, 0.1, 2, SMALL)
-
-
-class TestPowerProduct:
-    def test_identity_seeds_margin_is_exactly_scaled_gap(self):
-        grid = SampleGrid((0.9, 0.99), 256)
-        report = check_power_product_subordination(0.3, 0.7, -0.85, [[1.0]], grid)
-        assert report.passed
-        # W = 1 + B*z on the identity seed, so min margin is |B|*(1 - 0.99)
-        assert report.min_margin == pytest.approx(0.85 * 0.01, abs=1e-12)
-
-    def test_mixed_seed_pairs_pass(self):
-        report = check_power_product_subordination(
-            0.4, 0.9, -0.8, [[0.5], [-0.7], [0.3, -0.6]], SMALL
-        )
-        assert report.passed
-        assert report.checked == 9 * (2 * 512)
-
-    def test_rejects_unbounded_seed(self):
-        with pytest.raises(ValueError):
-            check_power_product_subordination(0.4, 0.9, -0.8, [[1.2]], SMALL)
-        with pytest.raises(ValueError):
-            check_power_product_subordination(0.4, 0.9, -0.8, [[0.5, 0.5, 0.5]], SMALL)
-
-    @pytest.mark.parametrize("z", (float("nan"), complex("inf"), complex(0.5, float("nan"))))
-    def test_rejects_non_finite_points(self, z):
-        # a non-finite explicit point is an error, not a sample that no
-        # margin comparison sees
-        grid = SampleGrid((0.9,), 8, (0.5, z))
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            check_power_product_subordination(0.5, 0.5, -0.9, [[1.0], [0.5, 0.5]], grid)
-
-    def test_rejects_points_outside_the_open_disk(self):
-        # |u(z)| <= |z| < 1 keeps 1 + B*u(z) in the right half-plane; at
-        # z = 2j that premise is gone, so the point is refused, not counted
-        # as a violation
-        grid = SampleGrid((0.9,), 8, (2j,))
-        with pytest.raises(ValueError, match=r"z = 2j is not in \|z\| < 1"):
-            check_power_product_subordination(0.5, 0.5, -0.9, [[1.0], [0.5, 0.5]], grid)
-
-    def test_validates_exponents_and_b(self):
-        with pytest.raises(ValueError):
-            check_power_product_subordination(0.0, 0.9, -0.8, [[0.5]], SMALL)
-        with pytest.raises(ValueError):
-            check_power_product_subordination(0.4, 0.9, 0.2, [[0.5]], SMALL)
 
 
 class TestDiskSpec:
