@@ -4,7 +4,6 @@ for the Janowski-type family ((1+Az)/(1+Bz))**lambda."""
 from .inequalities import (
     GridSpec,
     InequalityReport,
-    InequalityViolation,
     check_alternating_identity,
     check_coeff_lemmas,
 )

@@ -12,7 +12,9 @@ the grid; a minimum of exactly 0 is reported as +0 whatever the sign of the
 zero it came from (that sign depends only on how the pass laid out its
 chunks), except for the alternating identity, whose -|sum| reads -0.
 Reports are deterministic: violations are listed
-lexicographically by (A, B, lambda) and then by indices.  Every
+lexicographically by (A, B, lambda) and then by indices, each as the JSON
+record it is printed as, ``{"A", "B", "lambda", "n", "m", "value"}`` with
+``None`` for a parameter or index the check does not have.  Every
 :class:`InequalityReport` lists at most ``MAX_LISTED_VIOLATIONS`` and
 counts every violation.
 """
@@ -20,16 +22,14 @@ counts every violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
 
 import numpy as np
 
-from .janowski import JanowskiParams, PairStream, _falling_over_factorial, next_pair_chunk
+from .janowski import PairStream, _falling_over_factorial, next_pair_chunk
 
 __all__ = [
     "GridSpec",
     "InequalityReport",
-    "InequalityViolation",
     "check_alternating_identity",
     "check_coeff_lemmas",
 ]
@@ -107,37 +107,12 @@ class GridSpec:
         return k * (k - 1.0) / 2.0 * _lattice_size(lambda_step, 1.0, lambda_step)
 
     def _point_arrays(self):
-        """A, B and lambda of the kept points, in :meth:`iter_params` order."""
+        """A, B and lambda of the kept points, sorted by (A, B, lambda)."""
         a_vals, b_vals = np.array(self.A_values), np.array(self.B_values)
         a_cap = 1.0 if self.allow_positive_A else 0.0
         ia, ib = np.nonzero((a_vals[:, None] <= a_cap) & (-1.0 <= b_vals) & (b_vals < a_vals[:, None]))
         lam = np.array(self.lambda_values)
         return np.repeat(a_vals[ia], lam.size), np.repeat(b_vals[ib], lam.size), np.tile(lam, ia.size)
-
-    def iter_params(self) -> Iterator[JanowskiParams]:
-        """Kept grid points in lexicographic (A, B, lambda) order."""
-        for a, b, lam in zip(*self._point_arrays()):
-            yield JanowskiParams(a, b, lam)
-
-
-@dataclass(frozen=True)
-class InequalityViolation:
-    A: Optional[float]
-    B: Optional[float]
-    lam: Optional[float]
-    n: Optional[int]
-    m: Optional[int]
-    value: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "A": self.A,
-            "B": self.B,
-            "lambda": self.lam,
-            "n": self.n,
-            "m": self.m,
-            "value": self.value,
-        }
 
 
 @dataclass(frozen=True)
@@ -151,15 +126,11 @@ class InequalityReport:
     unlisted: int = 0
 
     @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    @property
     def found(self) -> int:
         return len(self.violations) + self.unlisted
 
     def to_json_dict(self) -> dict:
-        doc = {"checked": self.checked, "violations": [v.to_json_dict() for v in self.violations]}
+        doc = {"checked": self.checked, "violations": list(self.violations)}
         if self.unlisted:
             doc["violations_found"] = self.found
         doc["min_margin"] = self.min_margin
@@ -248,8 +219,8 @@ class _Tally:
                 pt, k = pts[lo], slice(lo, hi)
                 vals = self._values(pts[k], ns[k], us[k], vs[k], scales[k])
                 _list_hits(violations, np.argwhere(vals <= -self.tol), lambda hit: (
-                    InequalityViolation(float(a[pt]), float(b[pt]), float(lam[pt]), int(ns[lo + hit[1]]),
-                                        int(hit[0]) if self.with_m else None, float(vals[tuple(hit)]))
+                    {"A": float(a[pt]), "B": float(b[pt]), "lambda": float(lam[pt]), "n": int(ns[lo + hit[1]]),
+                     "m": int(hit[0]) if self.with_m else None, "value": float(vals[tuple(hit)])}
                 ))
         return InequalityReport(self.checked, tuple(violations), float(self.low + 0.0),
                                 self.found - len(violations))
@@ -342,7 +313,7 @@ def check_alternating_identity(lams, n_max: int, tol: float = DEFAULT_TOL) -> In
         p, q = (_falling_over_factorial(mu, -1.0, n_max) for mu in (lam, -lam))
         margins = -np.abs(np.convolve(p, q)[1 : n_max + 1])
         unlisted += _list_hits(violations, np.flatnonzero(margins <= -tol), lambda n: (
-            InequalityViolation(None, None, lam, int(n) + 1, None, float(margins[n]))
+            {"A": None, "B": None, "lambda": lam, "n": int(n) + 1, "m": None, "value": float(margins[n])}
         ))
         checked += margins.size
         low = min(low, margins.min())

@@ -92,11 +92,6 @@ class TruncatedSeries:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TruncatedSeries) and np.array_equal(self.coeffs, other.coeffs)
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.coeffs.tolist()!r})"
 

@@ -10,8 +10,9 @@ tests that build reference series from them.
 ``sequential_coeff_pairs`` is the renormalised coefficient-pair table
 rescaled after every order, and ``table_sweep_reports`` the three
 coefficient checks as they ran on that whole table, swept once per check,
-with a minimum of 0 reported as +0 (it builds the package's report types,
-and reads the grid's points).
+with a minimum of 0 reported as +0 (it builds the package's report type,
+and reads the grid's points).  ``grid_points`` lists a grid's kept points
+as ``JanowskiParams``, in the order the reports list them.
 ``root_counted_logs`` is the branch rule the
 package used before its crossing test: the continued logarithm from the
 roots of the series, one ``arctan2`` pass per root; ``crosses_negative_axis``
@@ -33,8 +34,8 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from janostab import inequalities
-from janostab.inequalities import InequalityReport, InequalityViolation
-from janostab.janowski import janowski_series
+from janostab.inequalities import InequalityReport
+from janostab.janowski import JanowskiParams, janowski_series
 from janostab.series import CROSSING_SLACK, EPS, TruncatedSeries, _circle_points
 from janostab.subordination import _defined, ratio_samples
 
@@ -157,12 +158,17 @@ def _table_sweep(points, u, v, pair_max, tol, n_lo, n_hi, shift, statement, m_ma
             low_all = min(low_all, vals.min())
             for hit in np.argwhere(vals <= -tol):
                 if len(violations) < inequalities.MAX_LISTED_VIOLATIONS:
-                    violations.append(InequalityViolation(
-                        float(a[pt]), float(b[pt]), float(lam[pt]), int(n[k[hit[1]]]),
-                        None if m_max is None else int(hit[0]), float(vals[tuple(hit)])))
+                    violations.append({
+                        "A": float(a[pt]), "B": float(b[pt]), "lambda": float(lam[pt]), "n": int(n[k[hit[1]]]),
+                        "m": None if m_max is None else int(hit[0]), "value": float(vals[tuple(hit)])})
                 else:
                     unlisted += 1
     return InequalityReport(b.size * n.size * (top + 1), tuple(violations), float(low_all + 0.0), unlisted)
+
+
+def grid_points(grid) -> list:
+    """The grid's kept points, in lexicographic (A, B, lambda) order."""
+    return [JanowskiParams(a, b, lam) for a, b, lam in zip(*grid._point_arrays())]
 
 
 def table_sweep_reports(grid, tol):

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from janostab import inequalities
 from janostab.inequalities import (
     GridSpec,
-    InequalityViolation,
     check_alternating_identity,
     check_coeff_lemmas,
 )
 from janostab.janowski import PAIR_BLOCK, PAIR_CHUNK, JanowskiParams
 from janostab.serialize import dumps
 
-from oracles import alternating_sum_exact, coeff_recurrence_scalar, table_sweep_reports
+from oracles import alternating_sum_exact, coeff_recurrence_scalar, grid_points, table_sweep_reports
 
 POINT = GridSpec(A_values=(-0.5,), B_values=(-1.0,), lambda_values=(0.5,), n_max=2, m_max=1)
 # the reports of check_coeff_lemmas, in order
@@ -42,20 +41,20 @@ class TestGridSpec:
         assert len(grid.A_values) == 21
         assert len(grid.lambda_values) == 20
         assert grid.A_values[0] == -1.0 and grid.A_values[-1] == 0.0
-        pairs = {(p.A, p.B) for p in grid.iter_params()}
+        pairs = {(p.A, p.B) for p in grid_points(grid)}
         assert len(pairs) == 210
 
     def test_widened_lattice(self):
         grid = GridSpec.default(n_max=5, allow_positive_A=True)
         assert grid.A_values[-1] == 1.0
-        assert any(p.A > 0 for p in grid.iter_params())
+        assert any(p.A > 0 for p in grid_points(grid))
 
     def test_pairs_respect_range(self):
         grid = GridSpec(
             A_values=(-0.5, 0.5), B_values=(-1.0, -0.2, 0.8), lambda_values=(0.5,),
             n_max=3,
         )
-        kept = {(p.A, p.B) for p in grid.iter_params()}
+        kept = {(p.A, p.B) for p in grid_points(grid)}
         assert kept == {(-0.5, -1.0)}  # positive A dropped without the flag
 
     def test_rejects_bad_lambda(self):
@@ -68,7 +67,7 @@ class TestPositivity:
         # a = 1, 1/4, 7/32: the values a_n / max(|a_{n-1}|, |a_n|) are 1, 1/4, 7/8
         a = coeff_recurrence_scalar(-0.5, -1.0, 0.5, 2)
         report = lemmas(POINT)["positivity"]
-        assert report.passed
+        assert not report.violations
         assert report.checked == 3
         assert report.min_margin == pytest.approx(a[1] / pair_scale(a, 0), abs=1e-15)
         assert report.min_margin == pytest.approx(0.25, abs=1e-15)
@@ -84,7 +83,7 @@ class TestPositivity:
             n_max=4, allow_positive_A=True,
         )
         report = lemmas(grid)["positivity"]
-        assert not report.passed
+        assert report.violations
         assert report.min_margin < 0
 
     def test_violations_keep_grid_then_order_sequence(self):
@@ -94,7 +93,7 @@ class TestPositivity:
         grid = GridSpec.default(n_max=30, step=0.25, lambda_step=0.25, allow_positive_A=True)
         expected = []
         extra = 0
-        for p in grid.iter_params():
+        for p in grid_points(grid):
             a = np.array(coeff_recurrence_scalar(p.A, p.B, p.lam, grid.n_max))
             assert not np.any((a != 0) & (np.abs(a) < 1e-200))  # raw values stay normal
             scale = np.maximum(np.abs(a), np.abs(np.concatenate(([0.0], a[:-1]))))
@@ -104,7 +103,8 @@ class TestPositivity:
             assert np.all(a[flagged] < 0)
             extra += int(np.sum(a[flagged] > -1e-12))
             expected.extend(
-                InequalityViolation(p.A, p.B, p.lam, int(n), None, float(vals[n])) for n in flagged
+                {"A": p.A, "B": p.B, "lambda": p.lam, "n": int(n), "m": None, "value": float(vals[n])}
+                for n in flagged
             )
         report = lemmas(grid)["positivity"]
         assert len(expected) > 10 and extra > 0
@@ -114,16 +114,16 @@ class TestPositivity:
 class TestAlternatingIdentity:
     def test_lam_one_first_order_exact(self):
         report = check_alternating_identity(1.0, 1)
-        assert report.min_margin == 0.0 and report.passed
+        assert report.min_margin == 0.0 and not report.violations
 
     def test_small_order(self):
         report = check_alternating_identity(0.7, 3)
-        assert report.passed
+        assert not report.violations
         assert report.min_margin > -1e-15
 
     def test_hundred_orders(self):
         report = check_alternating_identity(0.3, 100)
-        assert report.passed
+        assert not report.violations
         assert report.min_margin > -1e-12
         assert report.checked == 100
 
@@ -140,7 +140,7 @@ class TestPairInequality:
         # (2 a_2 + B a_1) / max(a_1, a_2) = (7/16 - 1/4) / (1/4)
         a = coeff_recurrence_scalar(-0.5, -1.0, 0.5, 2)
         report = lemmas(POINT)["pair"]
-        assert report.passed
+        assert not report.violations
         assert report.checked == 1  # n = 1 only for n_max = 2
         assert report.min_margin == pytest.approx((2 * a[2] - a[1]) / pair_scale(a, 1), abs=1e-15)
         assert report.min_margin == pytest.approx(0.75, abs=1e-15)
@@ -165,7 +165,7 @@ class TestWeightedPairInequality:
         # rows m = 0, 1 at n = 1, 2: 1.75, 2.5 and 2.68, 3.36
         a = coeff_recurrence_scalar(-0.5, -1.0, 0.5, 3)
         report = lemmas(POINT)["weighted"]
-        assert report.passed
+        assert not report.violations
         assert report.min_margin == pytest.approx(2 * a[2] / pair_scale(a, 1), abs=1e-15)
         assert report.min_margin == pytest.approx(1.75, abs=1e-15)
 
@@ -196,7 +196,7 @@ class TestWeightedPairInequality:
     def test_zero_order_grid_has_no_weighted_terms(self):
         grid = GridSpec(A_values=(-0.3,), B_values=(-0.9,), lambda_values=(0.7,), n_max=0, m_max=3)
         report = lemmas(grid)["weighted"]
-        assert report.checked == 0 and report.passed
+        assert report.checked == 0 and not report.violations
         assert '"min_margin": null' in dumps(report.to_json_dict())
 
     def test_pass_is_implied_by_pair_and_positivity(self):
@@ -205,9 +205,9 @@ class TestWeightedPairInequality:
             n_max=40, m_max=20,
         )
         reports = lemmas(grid)
-        assert reports["positivity"].passed
-        assert reports["pair"].passed
-        assert reports["weighted"].passed
+        assert not reports["positivity"].violations
+        assert not reports["pair"].violations
+        assert not reports["weighted"].violations
 
 
 def raw_statements(grid: GridSpec) -> dict:
@@ -217,7 +217,7 @@ def raw_statements(grid: GridSpec) -> dict:
     of a_n, max(|a_{n-1}|, |a_n|) with a_{-1} = 0).  Statements are kept only
     while every coefficient up to a_{n+1} exceeds 1e-200 in magnitude."""
     out = {}
-    for p in grid.iter_params():
+    for p in grid_points(grid):
         a = coeff_recurrence_scalar(p.A, p.B, p.lam, grid.n_max + 1)
         normal = len(a)
         for k, c in enumerate(a):
@@ -251,23 +251,23 @@ class TestScaleFreeValues:
     def test_agree_with_raw_statements(self, a_vals, b_vals, lam_vals, n_max, m_max, outside):
         # in the lemma range (A <= 0) and, with allow_positive_A, beyond it
         grid = GridSpec(a_vals, b_vals, lam_vals, n_max, m_max, allow_positive_A=outside)
-        assume(any(True for _ in grid.iter_params()))
+        assume(grid_points(grid))
         raw = raw_statements(grid)
         # tol = -inf lists every value as a violation, in report order
         everies, flags = lemmas(grid, -np.inf), lemmas(grid)
         for name in CHECKS:
             every = everies[name].violations
-            flagged = {(v.A, v.B, v.lam, v.n, v.m) for v in flags[name].violations}
+            flagged = {(v["A"], v["B"], v["lambda"], v["n"], v["m"]) for v in flags[name].violations}
             seen = 0
             for v in every:
-                key = (name, v.A, v.B, v.lam, v.n, v.m)
+                key = (name, v["A"], v["B"], v["lambda"], v["n"], v["m"])
                 if key not in raw:
                     continue
                 seen += 1
                 value, scale = raw[key]
                 expect = value / scale if scale else 0.0
-                assert np.sign(v.value) == np.sign(expect), key
-                assert abs(v.value - expect) <= 1e-14 * abs(expect), key
+                assert np.sign(v["value"]) == np.sign(expect), key
+                assert abs(v["value"] - expect) <= 1e-14 * abs(expect), key
                 # a raw violation is still found where the scale is at most
                 # 1, which holds throughout the lemma range
                 if value <= -1e-12 and scale <= 1.0:
@@ -294,7 +294,7 @@ class TestStreamedChecks:
     @example([0.5, 1.0], [0.0], [1.0], 3, True, 0.0, 1, None)
     def test_reports_equal_the_table_sweep(self, a_vals, b_vals, lam_vals, m_max, outside, tol, pick, cap):
         grid = GridSpec(a_vals, b_vals, lam_vals, 0, m_max, allow_positive_A=outside)
-        points = sum(1 for _ in grid.iter_params())
+        points = len(grid_points(grid))
         assume(points)
         # the pairs run to column n_max + 1; chunks end after columns
         # orders, 2 orders, ...
@@ -322,7 +322,7 @@ class TestStreamedChecks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        points = sum(1 for _ in grid.iter_params())
+        points = len(grid_points(grid))
         assert points == 550
         assert peak < (grid.n_max + 2) * points * np.dtype(float).itemsize
 
@@ -348,11 +348,20 @@ class TestReports:
         assert doc["violations"], "expected violations outside the proven range"
         assert set(doc["violations"][0]) == {"A", "B", "lambda", "n", "m", "value"}
 
+    def test_violations_are_the_records_printed(self):
+        # a listed violation is the JSON record itself, keys in print order
+        grid = GridSpec.default(n_max=12, m_max=3, step=0.5, lambda_step=0.5, allow_positive_A=True)
+        for report in (*check_coeff_lemmas(grid), check_alternating_identity(0.5, 5, -np.inf)):
+            assert report.violations
+            for v in report.violations:
+                assert type(v) is dict and list(v) == ["A", "B", "lambda", "n", "m", "value"]
+            assert report.to_json_dict()["violations"] == list(report.violations)
+
     def test_a_zero_minimum_reads_plus_zero(self):
         # every minimum on this lattice is 0; for 1 + z (A = 1, B = 0,
         # lambda = 1) the recurrence gives a_2 = 0 and a_3 = -0
         for report in check_coeff_lemmas(GridSpec.default(3, 0, 1, 1, True)):
-            assert report.passed and report.min_margin == 0.0
+            assert not report.violations and report.min_margin == 0.0
             assert not np.signbit(report.min_margin)
             assert '"min_margin": 0' in dumps(report.to_json_dict())
 
@@ -375,4 +384,4 @@ class TestReports:
             doc = capped.to_json_dict()
             assert list(doc) == ["checked", "violations", "violations_found", "min_margin"]
             assert doc["violations_found"] == whole.found
-            assert capped.min_margin == whole.min_margin and not capped.passed
+            assert capped.min_margin == whole.min_margin and capped.violations
