@@ -22,10 +22,11 @@ its top degree; a single series is the one-row stack, and each row's
 values are bit for bit those of its series alone.  It costs (top degree
 + 1) x its points coefficient-samples: each command counts the sum from
 its flags, and :func:`check_size`, the one admission rule, bounds it.
-Series are immutable but for a cache of verdicts per radius, and the
-module keeps a small cache of read-only unit roots per circle size, which
-the arcs share (``functools.lru_cache``, which is thread-safe); every
-function is safe to call from concurrent workers.
+Series are immutable but for a cache of verdicts per radius.  The module
+caches read-only unit roots per circle size, which circles and arcs share,
+and :mod:`janostab.subordination` caches the disk checks' last circle with
+its rounded radii, read-only too (both ``functools.lru_cache``, which is
+thread-safe); every function is safe to call from concurrent workers.
 """
 
 from __future__ import annotations
@@ -83,12 +84,11 @@ class TruncatedSeries:
     _crossings: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))
+        arr = np.array(self.coeffs, dtype=np.complex128, ndmin=1)  # the one copy
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coeffs must be a non-empty one-dimensional sequence")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("series coefficients must be finite")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
@@ -177,15 +177,20 @@ def _arc_sums(b3: np.ndarray, odd: np.ndarray, count: int) -> np.ndarray:
 
 def _polyval_grid(cols: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Horner's rule for each row of ``pts`` (rows, P), with coefficient k of
-    row i at ``cols[k, i]``, out of place on contiguous operands.  A row
-    zero-padded above its degree keeps its values bit for bit at finite
-    points: (+0, +0) z + (+0) = (+0, +0), and (+0, +0) z + c = (c, +0) is
-    the start from its top coefficient c."""
+    row i at ``cols[k, i]``, on contiguous operands.  Each step's product is
+    written to a second buffer, never onto one of its inputs: numpy rounds an
+    aliased complex product differently at one element, and a non-aliased
+    ``out=`` gives the bits of ``acc * pts + c``.  A row zero-padded above
+    its degree keeps its values bit for bit at finite points: (+0, +0) z +
+    (+0) = (+0, +0), and (+0, +0) z + c = (c, +0) is the start from its top
+    coefficient c."""
     # one row adds scalars, the cheaper ufunc call, with the same bits
     cols = cols[:, 0] if cols.shape[1] == 1 else np.ascontiguousarray(cols)[..., None]
-    acc = np.full(pts.shape, cols[-1])
-    for c in cols[-2::-1]:
-        acc = acc * pts + c
+    acc, prod = np.empty_like(pts), np.empty_like(pts)
+    acc[...] = cols[-1]
+    for c in cols[-2::-1]:  # positional outs: the cheaper call
+        np.multiply(acc, pts, prod)
+        np.add(prod, c, acc)
     return acc
 
 
@@ -201,23 +206,39 @@ def _unit_roots(count: int) -> np.ndarray:
 
 def _circle_points(radii, count: int) -> np.ndarray:
     """``r * exp(2*pi*i*k/count)``, k = 0..count-1, one row per radius r: a
-    new array on each call."""
+    new writable array on each call, its rows a view of one block."""
     return np.asarray(radii, dtype=np.float64)[:, None] * _unit_roots(count)[None, :]
 
 
-def _principal_log(stack, pts: np.ndarray, vals: np.ndarray):
-    """``(L, failed)`` at ``pts`` (rows, P) from ``vals``, each row's series
-    of ``stack`` at its row: L = log|s| + i*(Arg s + 0.0), so Arg -0.0 reads
-    +0.0; NaN where ``failed`` by the module's rule or |s| < ``EPS_ZERO``.
-    ``ValueError`` unless every series is real.  The distinct rounded radii
-    are found once per batch, and each series takes its cached verdict at
-    each of them, also at radii only other rows hold (the search's rows
-    share their points)."""
-    rhos = np.ceil(np.fmin(np.abs(pts), np.inf) * RADIUS_GRID) / RADIUS_GRID  # NaN reads inf
+def _rounded_radii(moduli: np.ndarray) -> np.ndarray:
+    """``moduli`` (|z|) rounded up to multiples of 2**-30 in place, NaN read
+    as inf: the radii the branch test decides at."""
+    np.fmin(moduli, np.inf, moduli)
+    moduli *= RADIUS_GRID
+    np.ceil(moduli, moduli)
+    moduli /= RADIUS_GRID
+    return moduli
+
+
+def _principal_log(stack, pts: np.ndarray, vals: np.ndarray, rhos: np.ndarray):
+    """``(L, failed)`` at ``pts`` (rows, P), whose radii :func:`_rounded_radii`
+    gives ``rhos``, from ``vals``, each row's series of ``stack`` at its row:
+    L = log|s| + i*(Arg s + 0.0), so Arg -0.0 reads +0.0; NaN where
+    ``failed`` by the module's rule or |s| < ``EPS_ZERO``.  ``ValueError``
+    unless every series is real.  The distinct radii are found once per
+    batch (sorted only if there are two), and each series takes its cached
+    verdict at each of them, also at radii only other rows hold (the
+    search's rows share their points)."""
     modulus = np.abs(vals)
     failed = modulus < EPS_ZERO
-    srt = np.sort(rhos, axis=None)  # its distinct values; np.unique would import numpy.ma
-    for rho in np.concatenate((srt[:1], srt[1:][srt[1:] != srt[:-1]])).tolist():
+    if not rhos.size:
+        distinct = []
+    elif (low := rhos.min()) == rhos.max():
+        distinct = [float(low)]
+    else:
+        srt = np.sort(rhos, axis=None)  # its distinct values; np.unique would import numpy.ma
+        distinct = np.concatenate((srt[:1], srt[1:][srt[1:] != srt[:-1]])).tolist()
+    for rho in distinct:
         for i, f in enumerate(stack):
             if rho not in f._crossings:
                 if f.coeffs.imag.any():
@@ -227,9 +248,12 @@ def _principal_log(stack, pts: np.ndarray, vals: np.ndarray):
                 failed[i] |= rhos[i] == rho
     L = np.empty_like(vals)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(modulus, out=L.real)
-    np.add(np.arctan2(vals.imag, vals.real), 0.0, out=L.imag)  # np.angle, without its wrapper
-    L[failed] = complex(np.nan, np.nan)
+        np.log(modulus, L.real)
+    arg = L.imag
+    np.arctan2(vals.imag, vals.real, arg)  # np.angle, without its wrapper
+    arg += 0.0
+    if failed.any():
+        L[failed] = complex(np.nan, np.nan)
     return L, failed
 
 
@@ -244,14 +268,17 @@ def _padded(stack) -> np.ndarray:
     return cols
 
 
-def ray_log_values(f, targets):
+def ray_log_values(f, targets, rhos=None):
     """:func:`_principal_log` at ``targets`` by Horner's rule, in the shape of
     ``targets`` (0-d targets give scalars).  ``f`` is one series, or a stack
     (sequence) of series that splits ``targets``, read in C order, into as
     many equal rows, row i evaluated by series i; at finite points each
-    row's values are bit for bit those of its series alone."""
+    row's values are bit for bit those of its series alone.  ``rhos``, if
+    given, are the targets' radii from :func:`_rounded_radii`, in their
+    order; they are only read."""
     stack = (f,) if isinstance(f, TruncatedSeries) else tuple(f)
     targets = np.asarray(targets, dtype=np.complex128)
     pts = np.ascontiguousarray(targets.reshape(len(stack), -1))
-    L, failed = _principal_log(stack, pts, _polyval_grid(_padded(stack), pts))
+    rhos = _rounded_radii(np.abs(pts)) if rhos is None else rhos.reshape(pts.shape)
+    L, failed = _principal_log(stack, pts, _polyval_grid(_padded(stack), pts), rhos)
     return L.reshape(targets.shape)[()], failed.reshape(targets.shape)[()]

@@ -20,6 +20,7 @@ lexicographically smallest (re, im).
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .janowski import JanowskiParams, janowski_series
-from .series import BranchFailureError, _circle_points, ray_log_values
+from .series import BranchFailureError, _circle_points, _rounded_radii, ray_log_values
 
 __all__ = [
     "DISK_SOURCES",
@@ -76,7 +77,9 @@ class DiskSpec:
     def margin(self, w):
         """Signed distance of w outside the disk (positive = outside); w
         may be a value or an array of values."""
-        return np.abs(w - self.center) - self.radius
+        margin = np.abs(w - self.center)
+        margin -= self.radius
+        return margin
 
     def boundary_points(self, count: int) -> np.ndarray:
         """``count`` equispaced boundary points, starting at angle 0."""
@@ -97,7 +100,7 @@ class SampleGrid:
     check reads them as disk radii, the self check as fractions of its r.
     The disk checks sample only the largest, which decides the others.
     An empty radius list is allowed when explicit points are supplied;
-    they must lie in |z| < 1 (:func:`_grid_points` checks them).
+    they must lie in |z| < 1 (:func:`_disk_samples` checks them).
     """
 
     radii: tuple = (0.9, 0.99, 0.999)
@@ -257,13 +260,16 @@ def reference_disk_comparison(params: JanowskiParams, r: float) -> dict:
 
 # --- the stability ratio ------------------------------------------------------
 
-def _disk_points(points) -> np.ndarray:
-    """Flat ``points`` (no copy), or ``ValueError`` at the first not in |z| < 1."""
+def _checked_points(points):
+    """Flat ``points`` (no copy) and their radii from
+    :func:`~janostab.series._rounded_radii`, or ``ValueError`` at the first
+    point not in |z| < 1 (NaN too)."""
     zs = np.asarray(points, dtype=complex).ravel()
-    outside = ~(np.abs(zs) < 1.0)  # NaN too
-    if outside.any():
-        raise ValueError(f"sample point z = {complex(zs[outside][0])!r} is not in |z| < 1")
-    return zs
+    moduli = np.abs(zs)
+    inside = moduli < 1.0
+    if not inside.all():
+        raise ValueError(f"sample point z = {complex(zs[np.argmin(inside)])!r} is not in |z| < 1")
+    return zs, _rounded_radii(moduli)
 
 
 def ratio_samples(series, params: JanowskiParams, points: Sequence[complex]):
@@ -273,22 +279,35 @@ def ratio_samples(series, params: JanowskiParams, points: Sequence[complex]):
     ``series`` is one :class:`~janostab.series.TruncatedSeries`, or a stack
     (sequence) of them that splits the flattened ``points`` into as many
     equal rows, row i evaluated with series i and bit for bit as it would be
-    alone.  Each of ``points`` (circle samples from :func:`_grid_points`, or
-    explicit points) must lie in |z| < 1, else ``ValueError`` is raised
-    before any value; then it goes through :func:`~janostab.series.ray_log_values`.
+    alone.  Each of ``points`` must lie in |z| < 1, else ``ValueError`` is
+    raised before any value; then it goes through
+    :func:`~janostab.series.ray_log_values`.
     The pole -1/A is out of reach: |A| <= 1, so Re(1 + Az) >= 1 - |Re z| > 0,
     in floating point too, as rounding is monotone (|fl(A Re z)| <= |Re z| < 1)
     and fl(1 + y) > 0 for every double y > -1.  Returns flat arrays
-    ``(vals, zs, bad)``; ``bad`` marks a branch failure, where ``vals`` is NaN.
+    ``(vals, zs, bad)``; ``bad`` marks a branch failure, where ``vals`` is NaN,
+    and ``zs`` is ``points`` flattened, a view of them where numpy allows.
     """
-    zs = _disk_points(points)  # callers pass fresh points
-    L, bad = ray_log_values(series, zs)
-    # (1+Bz)/(1+Az) * exp(L/lam), overwriting L; L/lam's bits where log|s| is finite:
-    # numpy divides by lam + 0j by Smith's rule, times fl(1/lam) + 0j as here, and the
-    # zero-imaginary terms vanish (log|s| is never -0, Arg is +0.0-normalised)
+    return _ratio(series, params, *_checked_points(points))
+
+
+def _ratio(series, params: JanowskiParams, zs: np.ndarray, rhos: np.ndarray):
+    """:func:`ratio_samples` at flat checked ``zs`` with their rounded radii
+    ``rhos``; neither is written."""
+    L, bad = ray_log_values(series, zs, rhos)
+    # (1+Bz)/(1+Az) * exp(L/lam), no product or quotient of two arrays written onto
+    # one of them (numpy rounds such a product differently at one element; a scalar
+    # factor keeps its bits in place); L/lam's bits where log|s| is finite: numpy divides by lam + 0j by Smith's
+    # rule, times fl(1/lam) + 0j as here, and the zero-imaginary terms vanish
+    # (log|s| is never -0, Arg is +0.0-normalised)
     with np.errstate(invalid="ignore", over="ignore"):
         L *= 1.0 / params.lam
-        vals = (1.0 + params.B * zs) / (1.0 + params.A * zs) * np.exp(L, out=L)
+        np.exp(L, L)
+        num = np.multiply(params.B, zs)
+        num += 1.0
+        den = np.multiply(params.A, zs)
+        den += 1.0
+        vals = np.multiply(np.divide(num, den), L, den)
     return vals, zs, bad
 
 
@@ -306,26 +325,36 @@ def _defined(samples):
 
 # --- stability checks ---------------------------------------------------------
 
-def _grid_points(radii, grid: SampleGrid) -> np.ndarray:
-    """The samples of ``grid`` on the circles of ``radii``: each circle's
-    ``points_per_circle`` equispaced points from angle 0, then the explicit
-    points, flat.  ``ValueError`` when there are none or one is not in |z| < 1."""
-    zs = np.concatenate([
-        _circle_points(radii, grid.points_per_circle).ravel(),
-        _disk_points(grid.extra_points),
-    ])
-    if not zs.size:
+@functools.lru_cache(maxsize=1)
+def _circle_samples(radius: float, count: int):
+    """The points and rounded radii of one circle, as :func:`_checked_points`
+    gives them, built once per (radius, count) and shared, so read-only."""
+    zs, rhos = _checked_points(_circle_points([radius], count))
+    zs.flags.writeable = rhos.flags.writeable = False
+    return zs, rhos
+
+
+def _disk_samples(radii, grid: SampleGrid):
+    """The samples of a disk check and their rounded radii: ``grid``'s
+    ``points_per_circle`` equispaced points from angle 0 on the largest
+    circle of ``radii`` (cached), then its explicit points, flat.
+    ``ValueError`` when there are none or one is not in |z| < 1, the
+    explicit points checked first."""
+    parts = [_checked_points(grid.extra_points)] if grid.extra_points else []
+    if radii:
+        parts.insert(0, _circle_samples(radii[-1], grid.points_per_circle))
+    if not parts:
         raise ValueError("sample grid is empty: no circles and no extra points")
-    return zs
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def _worst_sample(margins: np.ndarray, points: np.ndarray) -> Optional[int]:
     """Index of the max finite margin with deterministic tie-break (smallest
     (re, im)); None when no margin is finite."""
-    valid = np.isfinite(margins)
-    if not valid.any():
+    top = np.max(margins, where=np.isfinite(margins), initial=-np.inf)
+    if top == -np.inf:
         return None
-    ties = np.flatnonzero(margins == margins[valid].max())
+    ties = np.flatnonzero(margins == top)
     return int(ties[np.lexsort((points[ties].imag, points[ties].real))[0]])
 
 
@@ -342,7 +371,7 @@ def _stability_report(
     disks of ``radii``, decided on the largest circle, and at the grid's
     explicit points, as a report."""
     series = janowski_series(params, n)
-    vals, zs, bad = ratio_samples(series, params, _grid_points(radii[-1:], grid))
+    vals, zs, bad = _ratio(series, params, *_disk_samples(radii, grid))
     margins = disk.margin(vals)
     k = _worst_sample(margins, zs)
     worst, worst_point, worst_ratio = (

@@ -24,6 +24,9 @@ per evaluator call; it runs on the evaluator it is given and so checks the
 plan of the package's search, not its arithmetic.
 ``ratio_at`` is no oracle: it is the package's own evaluator at one point,
 for tests that compare other callers' values with it bit for bit.
+``ratio_reference`` and ``report_reference`` are the stability ratio and a
+disk check's worst sample as the package computed them before its
+evaluator wrote into preallocated buffers: the reference for their bits.
 """
 
 import cmath
@@ -36,7 +39,7 @@ from numpy.polynomial import chebyshev
 from janostab import inequalities
 from janostab.inequalities import InequalityReport
 from janostab.janowski import JanowskiParams, janowski_series
-from janostab.series import CROSSING_SLACK, EPS, TruncatedSeries, _circle_points
+from janostab.series import CROSSING_SLACK, EPS, TruncatedSeries, _circle_points, ray_log_values
 from janostab.subordination import _defined, ratio_samples
 
 
@@ -412,3 +415,42 @@ def ratio_at(params, n, z):
     ``ratio_samples`` evaluates it in any batch; ``ValueError`` at any other
     z, ``BranchFailureError`` where z fails the branch rule."""
     return _defined(ratio_samples(janowski_series(params, n), params, (z,)))[0][0]
+
+
+def ratio_reference(series, params, points):
+    """``(vals, zs, bad)`` of the stability ratio at flat ``points`` by the
+    expression ``(1.0 + B*z) / (1.0 + A*z) * exp(L/lam)`` over
+    ``ray_log_values``, each step a new array (L/lam taken as L times
+    fl(1/lam), in place, as the package always did); ``ValueError`` at the
+    first point not in |z| < 1."""
+    zs = np.asarray(points, dtype=complex).ravel()
+    outside = ~(np.abs(zs) < 1.0)
+    if outside.any():
+        raise ValueError(f"sample point z = {complex(zs[outside][0])!r} is not in |z| < 1")
+    L, bad = ray_log_values(series, zs)
+    with np.errstate(invalid="ignore", over="ignore"):
+        L *= 1.0 / params.lam
+        vals = (1.0 + params.B * zs) / (1.0 + params.A * zs) * np.exp(L)
+    return vals, zs, bad
+
+
+def report_reference(params, n, disk, radii, grid, tol=1e-6):
+    """``(verdict, worst_margin, worst_point, worst_ratio)`` of a disk check
+    of s_n against ``disk``: :func:`ratio_reference` on the largest circle of
+    ``radii`` and the grid's explicit points, margins |w - center| - radius,
+    the max finite margin, ties to the smallest (re, im)."""
+    points = np.concatenate([
+        _circle_points(radii[-1:], grid.points_per_circle).ravel(),
+        np.asarray(grid.extra_points, dtype=complex),
+    ])
+    vals, zs, bad = ratio_reference(janowski_series(params, n), params, points)
+    margins = np.abs(vals - disk.center) - disk.radius
+    valid = np.isfinite(margins)
+    if not valid.any():
+        worst, point, ratio = float("nan"), None, None
+    else:
+        ties = np.flatnonzero(margins == margins[valid].max())
+        k = ties[np.lexsort((zs[ties].imag, zs[ties].real))[0]]
+        worst, point, ratio = float(margins[k]), complex(zs[k]), complex(vals[k])
+    verdict = "branch_failure" if bad.any() else "pass" if worst <= tol else "violated"
+    return verdict, worst, point, ratio

@@ -19,6 +19,8 @@ from janostab.series import (
     _arcs_meet,
     _circle_points,
     _meets_negative_axis,
+    _padded,
+    _polyval_grid,
     _unit_roots,
     ray_log_values,
 )
@@ -500,3 +502,40 @@ class TestCirclePoints:
         assert _unit_roots(count) is _unit_roots(count)
         with pytest.raises(ValueError):
             _unit_roots(count)[0] = 0.0
+
+
+class TestHornerKernel:
+    """``_polyval_grid`` writes into preallocated buffers; it must give the
+    bits of the out-of-place chain ``acc * pts + c``.  One-point rows are
+    where an aliased product (``out=`` one of its inputs) rounds differently."""
+
+    @staticmethod
+    def out_of_place(cols, pts):
+        cols = cols[:, 0] if cols.shape[1] == 1 else np.ascontiguousarray(cols)[..., None]
+        acc = np.full(pts.shape, cols[-1])
+        for c in cols[-2::-1]:
+            acc = acc * pts + c
+        return acc
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 64, 4096])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_matches_the_out_of_place_chain(self, size, rows):
+        rng = np.random.default_rng(1000 * rows + size)
+        for _ in range(20):
+            degrees = rng.integers(0, 33, rows)
+            stack = [TruncatedSeries(rng.uniform(-2.0, 2.0, d + 1)) for d in degrees]
+            pts = rng.uniform(-1.0, 1.0, (rows, size)) + 1j * rng.uniform(-1.0, 1.0, (rows, size))
+            cols = _padded(stack)
+            got = _polyval_grid(cols, pts)
+            assert got.tobytes() == self.out_of_place(cols, pts).tobytes()
+
+    def test_principal_log_matches_the_out_of_place_parts(self):
+        rng = np.random.default_rng(7)
+        for size in (1, 3, 4096):
+            f = TruncatedSeries(np.append(1.0, rng.uniform(-0.3, 0.3, 8)))
+            pts = rng.uniform(-0.7, 0.7, size) + 1j * rng.uniform(-0.7, 0.7, size)
+            L, failed = ray_log_values(f, pts)
+            vals = self.out_of_place(f.coeffs[:, None], pts[None])[0]
+            assert not failed.any()
+            assert L.real.tobytes() == np.log(np.abs(vals)).tobytes()
+            assert L.imag.tobytes() == (np.arctan2(vals.imag, vals.real) + 0.0).tobytes()

@@ -23,12 +23,13 @@ from janostab.subordination import (
     check_stability_vs_self,
     closed_form_disk,
     disk_for,
+    _worst_sample,
     mobius_image_disk,
     ratio_samples,
     reference_disk_comparison,
 )
 
-from oracles import horner, ratio_at
+from oracles import horner, ratio_at, ratio_reference, report_reference
 
 K = KNOWN_COUNTEREXAMPLE
 SMALL = SampleGrid(radii=(0.9, 0.99), points_per_circle=512)
@@ -421,6 +422,120 @@ class TestWitnessIdentity:
             expect = ratio_at(params, n, report.worst_point)
             assert _bits([report.worst_ratio]) == _bits([expect])
             assert report.disk.margin(report.worst_ratio) == report.worst_margin
+
+
+# the (A, B) pairs of the A07 lattice, and its slope case
+_LATTICE = (-1.0, -0.75, -0.5, -0.25, 0.0)
+BASE_SWEEP_PAIRS = tuple((a, b) for a in _LATTICE for b in _LATTICE if b < a) + ((-0.8, -1.0),)
+
+
+class TestReferenceRatio:
+    """The evaluator writes into preallocated buffers, takes |z| once and
+    reuses the disk checks' circle; every value, flag and worst sample must
+    be those of the out-of-place expression, bit for bit."""
+
+    @staticmethod
+    def assert_report(report, expect):
+        verdict, worst, point, ratio = expect
+        assert report.verdict == verdict
+        assert _bits([report.worst_margin]) == _bits([worst])
+        assert report.worst_point == point
+        assert (report.worst_ratio is None) == (ratio is None)
+        if ratio is not None:
+            assert _bits([report.worst_ratio]) == _bits([ratio])
+
+    def assert_samples(self, series, params, points):
+        vals, zs, bad = ratio_samples(series, params, points)
+        ref_vals, ref_zs, ref_bad = ratio_reference(series, params, points)
+        assert _bits(vals) == _bits(ref_vals) and _bits(zs) == _bits(ref_zs)
+        assert bad.tolist() == ref_bad.tolist()
+        assert np.isnan(vals).tolist() == np.isnan(ref_vals).tolist()
+
+    @pytest.mark.parametrize("n", [1, 5, 17, 32])
+    def test_base_sweep_pairs(self, n):
+        grid = SampleGrid()
+        circle = _circle_points(grid.radii[-1:], grid.points_per_circle).ravel()
+        for a, b in BASE_SWEEP_PAIRS:
+            for lam in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+                params = JanowskiParams(a, b, lam)
+                self.assert_samples(janowski_series(params, n), params, circle)
+                self.assert_report(
+                    check_stability_vs_base(params, n, grid),
+                    report_reference(params, n, DiskSpec(1.0, abs(b)), grid.radii, grid),
+                )
+                disk = mobius_image_disk(params, 0.9)
+                radii = tuple(0.9 * f for f in grid.radii)
+                self.assert_report(
+                    check_stability_vs_self(params, n, 0.9, grid),
+                    report_reference(params, n, disk, radii, grid),
+                )
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.floats(-0.99, 1.0),
+        st.floats(0.001, 2.0),
+        st.floats(0.01, 1.0),
+        st.integers(1, 32),
+        st.sampled_from(((), (0.5,), (0.9, 0.99))),
+        st.sampled_from((8, 9, 64)),
+        st.lists(st.tuples(st.floats(0.0, 0.999), st.floats(-np.pi, np.pi)), max_size=4),
+        st.floats(0.05, 0.99),
+    )
+    def test_grids_with_explicit_points(self, a, gap, lam, n, radii, count, polar, r):
+        # A > 0 lets s_n cross inside the disk: failing samples, NaN values
+        params = JanowskiParams(a, max(a - gap, -1.0), lam)
+        extras = tuple(rho * cmath.exp(1j * phi) for rho, phi in polar)
+        if not radii and not extras:
+            extras = (complex(0.5, -0.0),)
+        grid = SampleGrid(radii, count, extras)
+        self.assert_samples(janowski_series(params, n), params, extras)
+        self.assert_report(
+            check_stability_vs_base(params, n, grid, allow_outside=True),
+            report_reference(params, n, DiskSpec(1.0, abs(params.B)), radii, grid),
+        )
+        if abs(params.A) * r < 1.0:
+            disk = mobius_image_disk(params, r)
+            self.assert_report(
+                check_stability_vs_self(params, n, r, grid),
+                report_reference(params, n, disk, tuple(r * f for f in radii), grid),
+            )
+
+    def test_failing_samples(self):
+        # s_2 of (0.3, -1, 0.9) has a root inside |z| < 0.99: the circle fails
+        params = JanowskiParams(0.3, -1.0, 0.9)
+        grid = SampleGrid((0.5, 0.99), 64, (0.2 + 0.1j, -0.97 + 0.0j))
+        report = check_stability_vs_base(params, 2, grid, allow_outside=True)
+        assert report.verdict == "branch_failure" and report.worst_point is not None
+        self.assert_report(report, report_reference(params, 2, DiskSpec(1.0, 1.0), grid.radii, grid))
+        points = np.append(_circle_points([0.99], 64).ravel(), grid.extra_points)
+        self.assert_samples(janowski_series(params, 2), params, points)
+
+
+class TestWorstSample:
+    def test_non_finite_margins_never_win(self):
+        zs = np.array([0.1, 0.2, 0.3, 0.4, 0.5], dtype=complex)
+        margins = np.array([np.nan, np.inf, -np.inf, -5.0, np.nan])
+        assert _worst_sample(margins, zs) == 3
+        for margins in ([np.nan, np.inf, -np.inf], [-np.inf] * 3, [np.nan] * 3):
+            assert _worst_sample(np.array(margins), zs[:3]) is None
+
+    def test_ties_go_to_the_smallest_point(self):
+        zs = np.array([0.5 + 0.1j, 0.2 + 0.3j, 0.2 - 0.3j, -0.1 + 0.0j, 0.2 - 0.4j])
+        assert _worst_sample(np.array([1.0, 2.0, 2.0, 1.5, 2.0]), zs) == 4
+        assert _worst_sample(np.array([1.0, 2.0, 2.0, 1.5, 1.0]), zs) == 2
+        assert _worst_sample(np.array([1.0, 2.0, 2.0, 2.0, 2.0]), zs) == 3
+        # equal points (signed zeros compare equal): the first wins
+        zs = np.array([complex(0.2, 0.0), complex(0.2, -0.0)])
+        assert _worst_sample(np.array([1.0, 1.0]), zs) == 0
+
+    def test_report_without_a_finite_margin(self):
+        # every sample of a circle where s_2 crosses fails: no margin is finite
+        grid = SampleGrid(radii=(0.99,), points_per_circle=64)
+        report = check_stability_vs_base(JanowskiParams(0.3, -1.0, 0.9), 2, grid, allow_outside=True)
+        assert report.verdict == "branch_failure"
+        assert np.isnan(report.worst_margin) and report.worst_point is None
+        assert report.worst_ratio is None
+        assert report.to_json_dict()["worst_margin"] is None
 
 
 class TestBatchIndependence:

@@ -110,6 +110,11 @@ CASES = [
     # it settles every circle of the first, and few of the second, without arcs
     "check-stability --A 0 --B -0.25 --lambda 1 --n-max 64",
     "check-stability --A -0.5 --B -1 --lambda 0.9 --n-max 64",
+    # the evaluator's edges: one-point evaluations (no circle, only z0), where
+    # an aliased complex product rounds differently, and a circle of 8 samples
+    "self-check --radii '' --z0 0.5,0.5",
+    "self-check --radii '' --n 4 --z0 -0.3,0.7",
+    "check-stability --A -0.5 --B -1 --lambda 0.5 --n-max 4 --radii 0.5 --samples 8",
 ]
 
 
